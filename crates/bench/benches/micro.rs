@@ -58,6 +58,52 @@ fn bench_fabric_tick() {
     }
 }
 
+fn bench_fabric_churn() {
+    // A seamless swap releases two channels and establishes two more, and
+    // channel ids are never reused. The per-route scans must not pay for
+    // that history: the same streaming loop on a fabric behind 1,000
+    // released slots should cost what it costs on a fresh one.
+    let build = |released: usize| {
+        let mut fabric = StreamFabric::new(FabricParams::prototype()).unwrap();
+        let spare = PortRef::new(2, 0);
+        for _ in 0..released {
+            let ch = fabric.establish_channel(spare, spare).unwrap();
+            fabric.release_channel(ch).unwrap();
+        }
+        for (p, c) in [(0, 1), (1, 0)] {
+            let (p, c) = (PortRef::new(p, 0), PortRef::new(c, 0));
+            fabric.establish_channel(p, c).unwrap();
+            fabric.set_fifo_ren(p, true).unwrap();
+            fabric.set_fifo_wen(c, true).unwrap();
+        }
+        fabric
+    };
+    let time = |name: &str, mut fabric: StreamFabric| {
+        // E3's shape: node 0 streams to node 1, which loops every word
+        // back, so both live routes carry traffic.
+        let (iom, prr) = (PortRef::new(0, 0), PortRef::new(1, 0));
+        let mut i = 0u32;
+        bench_ns(name, || {
+            if fabric.producer_space(iom).unwrap() > 0 {
+                fabric.producer_push(iom, Word::data(i)).unwrap();
+            }
+            fabric.advance_to(fabric.ticks() + 4);
+            black_box(fabric.next_wake_cycle());
+            while let Some(w) = fabric.consumer_pop(prr).unwrap() {
+                let _ = fabric.producer_push(prr, w);
+            }
+            while fabric.consumer_pop(iom).unwrap().is_some() {}
+            i = i.wrapping_add(1);
+        })
+    };
+    let fresh = time("fabric_fresh_advance", build(0));
+    let churned = time("fabric_churned_advance", build(1_000));
+    println!(
+        "  churn overhead: churned/fresh {:.2}x (1000 released slots)",
+        churned / fresh
+    );
+}
+
 fn bench_bitstream() {
     let dev = Device::xc4vlx25();
     let rect = ClbRect::new(0, 9, 0, 15);
@@ -241,6 +287,7 @@ fn main() {
     println!();
     bench_fifo();
     bench_fabric_tick();
+    bench_fabric_churn();
     bench_bitstream();
     bench_crc();
     bench_channel_establish();

@@ -6,13 +6,15 @@
 //! reflected CRC-32 (polynomial `0xEDB88320`) over the configuration data
 //! words.
 
-/// 256-entry lookup table for the reflected polynomial, built at compile
-/// time. One table step replaces the eight-iteration bit loop, which
-/// matters once whole frames are checksummed in a batch.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-4 lookup tables for the reflected polynomial, built at
+/// compile time. `CRC_TABLES[0]` is the classic byte table: one step of it
+/// replaces the eight-iteration bit loop. `CRC_TABLES[k]` advances a byte
+/// through `k` further zero bytes, so one word is folded with four
+/// independent lookups instead of four dependent byte steps.
+const CRC_TABLES: [[u32; 256]; 4] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 4] {
+    let mut tables = [[0u32; 256]; 4];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -25,10 +27,30 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 4 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+}
+
+/// Folds one little-endian word into the running state.
+#[inline(always)]
+fn fold_word(state: u32, word: u32) -> u32 {
+    let x = state ^ word;
+    CRC_TABLES[3][(x & 0xFF) as usize]
+        ^ CRC_TABLES[2][((x >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[1][((x >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[0][(x >> 24) as usize]
 }
 
 /// Running CRC-32 over 32-bit configuration words.
@@ -70,26 +92,17 @@ impl Crc32 {
     /// Feeds one byte.
     pub fn update_byte(&mut self, byte: u8) {
         let idx = ((self.state ^ u32::from(byte)) & 0xFF) as usize;
-        self.state = (self.state >> 8) ^ CRC_TABLE[idx];
+        self.state = (self.state >> 8) ^ CRC_TABLES[0][idx];
     }
 
     /// Feeds one 32-bit word, little-endian byte order.
     pub fn update_word(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.update_byte(b);
-        }
+        self.state = fold_word(self.state, word);
     }
 
     /// Feeds a slice of words — the batch path used for whole frames.
     pub fn update_words(&mut self, words: &[u32]) {
-        let mut s = self.state;
-        for &w in words {
-            for b in w.to_le_bytes() {
-                let idx = ((s ^ u32::from(b)) & 0xFF) as usize;
-                s = (s >> 8) ^ CRC_TABLE[idx];
-            }
-        }
-        self.state = s;
+        self.state = words.iter().fold(self.state, |s, &w| fold_word(s, w));
     }
 
     /// The current CRC value (final XOR applied).
@@ -116,6 +129,12 @@ mod tests {
         for b in b"123456789" {
             c.update_byte(*b);
         }
+        assert_eq!(c.value(), 0xCBF4_3926);
+        // The sliced word path: "12345678" as two little-endian words,
+        // then the trailing '9'.
+        let mut c = Crc32::new();
+        c.update_words(&[u32::from_le_bytes(*b"1234"), u32::from_le_bytes(*b"5678")]);
+        c.update_byte(b'9');
         assert_eq!(c.value(), 0xCBF4_3926);
     }
 
@@ -150,20 +169,66 @@ mod tests {
                     c >> 1
                 };
             }
-            assert_eq!(CRC_TABLE[i as usize], c, "table entry {i}");
+            assert_eq!(CRC_TABLES[0][i as usize], c, "table entry {i}");
+        }
+    }
+
+    /// The byte-at-a-time table step the sliced word path replaced: the
+    /// reference every word-level update must reproduce.
+    fn bytewise_reference(words: &[u32]) -> u32 {
+        let mut s = 0xFFFF_FFFFu32;
+        for &w in words {
+            for b in w.to_le_bytes() {
+                s = (s >> 8) ^ CRC_TABLES[0][((s ^ u32::from(b)) & 0xFF) as usize];
+            }
+        }
+        s ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_words_match_bytewise_reference() {
+        let mut rng = vapres_sim::rng::SplitMix64::new(0xC3C3_2024);
+        let mut lens: Vec<usize> = vec![0, 1, 2, 3, 4, 41, 2_047];
+        lens.extend((0..64).map(|_| rng.gen_usize(0..2_048)));
+        for len in lens {
+            let words: Vec<u32> = (0..len).map(|_| rng.next_u32()).collect();
+            let expect = bytewise_reference(&words);
+            assert_eq!(crc_of_words(&words), expect, "update_words, {len} words");
+            let mut single = Crc32::new();
+            for &w in &words {
+                single.update_word(w);
+            }
+            assert_eq!(single.value(), expect, "update_word, {len} words");
         }
     }
 
     #[test]
-    fn batch_words_match_per_word_updates() {
-        let words: Vec<u32> = (0u32..123).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let mut batch = Crc32::new();
-        batch.update_words(&words);
-        let mut single = Crc32::new();
-        for &w in &words {
-            single.update_word(w);
+    fn generated_bitstreams_embed_unchanged_crc_words() {
+        // Pinned from the bytewise implementation: the CRC word a
+        // generated bitstream carries, and the FNV-1a of its bytes.
+        use crate::stream::{ModuleUid, PartialBitstream};
+        use vapres_fabric::geometry::{ClbRect, Device};
+        let dev = Device::xc4vlx25();
+        for (rect, uid, crc, fnv) in [
+            (
+                ClbRect::new(0, 9, 0, 15),
+                1,
+                0xBC7A_E5E5,
+                0x7F1F_DAF0_849A_F87A,
+            ),
+            (
+                ClbRect::new(0, 9, 16, 31),
+                0xAB,
+                0x04A3_1D93,
+                0x6539_7936_578B_BB5E,
+            ),
+        ] {
+            let bs = PartialBitstream::generate(&dev, &rect, ModuleUid(uid)).unwrap();
+            let words = bs.words();
+            // ... CRC packet, CRC word, DESYNC packet + command, dummy.
+            assert_eq!(words[words.len() - 4], crc, "uid {uid}");
+            assert_eq!(vapres_sim::persist::fnv1a(&bs.to_bytes()), fnv, "uid {uid}");
         }
-        assert_eq!(batch.value(), single.value());
     }
 
     #[test]

@@ -189,34 +189,14 @@ impl Icap {
     ///
     /// Same contract as [`Icap::write_stream`].
     pub fn write_source<S: WordSource>(&mut self, src: S) -> Result<IcapWrite, ParseError> {
-        self.writes += 1;
         let n = src.word_len() as u64;
-        // The polled driver clocks every word into the port before the
-        // configuration logic can reject the stream, so pushed words
-        // count whether or not the write validates.
-        self.words_pushed += n;
         match stream::parse_source(&src) {
-            Ok(parsed) => {
-                if parsed.idcode != stream::IDCODE_XC4VLX25 {
-                    self.failed_writes += 1;
-                    return Err(ParseError::WrongDevice {
-                        found: parsed.idcode,
-                        device: stream::IDCODE_XC4VLX25,
-                    });
-                }
-                self.words_written += n;
-                let mut written = Vec::with_capacity(parsed.frames.len());
-                for (far, data) in parsed.frames {
-                    self.memory.write_frame(far, data);
-                    written.push(far);
-                }
-                Ok(IcapWrite {
-                    uid: parsed.uid,
-                    frames_written: written,
-                    duration: timing::icap_write_time(n),
-                })
-            }
+            Ok(parsed) => self.write_parsed(parsed, n),
             Err(e) => {
+                self.writes += 1;
+                // The polled driver clocks every word into the port before
+                // the configuration logic can reject the stream.
+                self.words_pushed += n;
                 self.failed_writes += 1;
                 // Best-effort recovery of which frames were touched before
                 // the failure: parse leniently for FAR/Type2 structure and
@@ -228,6 +208,44 @@ impl Icap {
                 Err(e)
             }
         }
+    }
+
+    /// Pushes a stream the caller has already parsed and CRC-checked:
+    /// `parsed` must be what [`stream::parse_source`] returned for an
+    /// `n_words`-word stream. Counters, the device check and the frame
+    /// writes are those of [`Icap::write_source`]; the stream is not
+    /// parsed again. A stream that failed to parse goes through
+    /// [`Icap::write_source`], which zeroes the frames it touched.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError::WrongDevice`] if the stream targets another device.
+    pub fn write_parsed(
+        &mut self,
+        parsed: ParsedBitstream,
+        n_words: u64,
+    ) -> Result<IcapWrite, ParseError> {
+        self.writes += 1;
+        // Pushed words count whether or not the write validates.
+        self.words_pushed += n_words;
+        if parsed.idcode != stream::IDCODE_XC4VLX25 {
+            self.failed_writes += 1;
+            return Err(ParseError::WrongDevice {
+                found: parsed.idcode,
+                device: stream::IDCODE_XC4VLX25,
+            });
+        }
+        self.words_written += n_words;
+        let mut written = Vec::with_capacity(parsed.frames.len());
+        for (far, data) in parsed.frames {
+            self.memory.write_frame(far, data);
+            written.push(far);
+        }
+        Ok(IcapWrite {
+            uid: parsed.uid,
+            frames_written: written,
+            duration: timing::icap_write_time(n_words),
+        })
     }
 
     /// The configuration memory behind the port.
@@ -449,6 +467,43 @@ mod tests {
         for far in &a.frames_written {
             assert_eq!(by_words.memory().frame(*far), by_bytes.memory().frame(*far));
         }
+    }
+
+    #[test]
+    fn write_parsed_matches_write_source() {
+        // Handing the ICAP a parse it would have made itself changes
+        // nothing observable, on success and on a device mismatch.
+        let bs = proto_bitstream(0x55);
+        let mut foreign = crate::stream::parse(bs.words()).unwrap();
+        foreign.idcode ^= 1;
+        let n = bs.words().len() as u64;
+        let mut by_source = Icap::new();
+        let mut by_parse = Icap::new();
+        assert_eq!(
+            by_source.write_source(bs.words()),
+            by_parse.write_parsed(crate::stream::parse(bs.words()).unwrap(), n)
+        );
+        assert!(matches!(
+            by_parse.write_parsed(foreign, n),
+            Err(ParseError::WrongDevice { .. })
+        ));
+        let counters = |i: &Icap| {
+            [
+                i.write_count(),
+                i.words_pushed(),
+                i.words_written(),
+                i.failed_write_count(),
+            ]
+        };
+        assert_eq!(counters(&by_source), [1, n, n, 0]);
+        assert_eq!(counters(&by_parse), [2, 2 * n, n, 1]);
+        let frames = |i: &Icap| {
+            i.memory()
+                .frames()
+                .map(|(f, d)| (f, d.to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(frames(&by_source), frames(&by_parse));
     }
 
     #[test]

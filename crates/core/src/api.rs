@@ -560,7 +560,9 @@ impl VapresSystem {
             let cycles = icap_time.as_ps() / timing::system_clock().period().as_ps().max(1);
             t.observe(h, cycles);
         }
-        let write = self.icap.write_source(src)?;
+        // The stream was parsed and CRC-checked above: push it without a
+        // second pass.
+        let write = self.icap.write_parsed(parsed, n_words)?;
         self.flight_note(FlightEvent::IcapWrite { words: n_words });
 
         // Stage the validated stream for repeat swaps. This happens before
@@ -569,7 +571,7 @@ impl VapresSystem {
         if let Some(key) = cache_key {
             if self.bs_cache.is_some() {
                 let words: Vec<u32> = (0..src.word_len()).map(|i| src.word_at(i)).collect();
-                let far = parsed.frames.first().map(|(f, _)| f.encode()).unwrap_or(0);
+                let far = write.frames_written.first().map_or(0, |f| f.encode());
                 if let Some(cache) = self.bs_cache.as_mut() {
                     cache.insert(key, far, &words);
                 }
@@ -1051,6 +1053,149 @@ mod tests {
             events.contains(&FlightEvent::IcapWriteFailed { words: n }),
             "{events:?}"
         );
+    }
+
+    /// The ICAP's counters: writes, words pushed, words written, failed
+    /// writes.
+    fn icap_counters(sys: &VapresSystem) -> [u64; 4] {
+        let icap = sys.icap();
+        [
+            icap.write_count(),
+            icap.words_pushed(),
+            icap.words_written(),
+            icap.failed_write_count(),
+        ]
+    }
+
+    /// The ICAP flight events and `icap` telemetry span labels recorded
+    /// since the system was built.
+    fn icap_trace(sys: &mut VapresSystem) -> (Vec<FlightEvent>, Vec<String>) {
+        let events = sys
+            .flight()
+            .unwrap()
+            .events()
+            .map(|e| e.event)
+            .filter(|e| {
+                matches!(
+                    e,
+                    FlightEvent::IcapWrite { .. } | FlightEvent::IcapWriteFailed { .. }
+                )
+            })
+            .collect();
+        let spans = sys
+            .telemetry()
+            .unwrap()
+            .spans_named("icap")
+            .map(|s| s.label.clone())
+            .collect();
+        (events, spans)
+    }
+
+    #[test]
+    fn each_reconfiguration_validates_and_counts_one_write() {
+        // The reconfiguration tail parses a stream once to find its PRR
+        // and hands the parse to the ICAP. Whatever the stream, each call
+        // is one ICAP write with the counters, frames, flight events and
+        // spans of a single push.
+        let good = sys_with_wire().bitstream_for(0, ModuleUid(0x11)).unwrap();
+        let n = good.words().len() as u64;
+        let mut wrong_device = good.words().to_vec();
+        let id_at = wrong_device
+            .iter()
+            .position(|&w| w == stream::IDCODE_XC4VLX25)
+            .unwrap();
+        wrong_device[id_at] = 0x0123_4567;
+        // Re-seal the CRC so only the device check can reject the stream.
+        let Err(ParseError::CrcMismatch { computed, .. }) = stream::parse(&wrong_device) else {
+            panic!("a changed IDCODE must break the CRC");
+        };
+        let crc_at = wrong_device.len() - 4;
+        wrong_device[crc_at] = computed;
+        let mut corrupt = good.words().to_vec();
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 0x10;
+        let good_frames = stream::parse(good.words()).unwrap().frames;
+
+        for via_sdram in [false, true] {
+            for (what, words) in [
+                ("valid", good.words()),
+                ("wrong idcode", &wrong_device[..]),
+                ("corrupt", &corrupt[..]),
+            ] {
+                let mut sys = sys_with_wire();
+                sys.enable_telemetry();
+                sys.enable_flight_recorder(256);
+                let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+                sys.cf_store_raw("m.bit", bytes);
+                let result = if via_sdram {
+                    sys.vapres_cf2array("m.bit", "m").unwrap();
+                    sys.vapres_array2icap("m")
+                } else {
+                    sys.vapres_cf2icap("m.bit")
+                };
+                let ctx = format!("{what} stream, via_sdram={via_sdram}");
+                let (events, spans) = icap_trace(&mut sys);
+                let memory = sys.icap().memory();
+                match what {
+                    "valid" => {
+                        assert_eq!(result.unwrap().uid, ModuleUid(0x11), "{ctx}");
+                        assert_eq!(icap_counters(&sys), [1, n, n, 0], "{ctx}");
+                        assert_eq!(memory.written_frames(), good_frames.len(), "{ctx}");
+                        for (far, data) in &good_frames {
+                            assert_eq!(memory.frame(*far), Some(&data[..]), "{ctx}");
+                        }
+                        assert_eq!(events, [FlightEvent::IcapWrite { words: n }], "{ctx}");
+                        assert_eq!(spans, ["transfer", "write"], "{ctx}");
+                    }
+                    "wrong idcode" => {
+                        assert!(
+                            matches!(
+                                result,
+                                Err(ApiError::Bitstream(ParseError::WrongDevice { .. }))
+                            ),
+                            "{ctx}"
+                        );
+                        assert_eq!(icap_counters(&sys), [1, n, 0, 1], "{ctx}");
+                        assert_eq!(memory.written_frames(), 0, "{ctx}");
+                        assert_eq!(events, [], "{ctx}");
+                        assert_eq!(spans, ["transfer", "write"], "{ctx}");
+                    }
+                    _ => {
+                        assert!(
+                            matches!(
+                                result,
+                                Err(ApiError::Bitstream(ParseError::CrcMismatch { .. }))
+                            ),
+                            "{ctx}"
+                        );
+                        assert_eq!(icap_counters(&sys), [1, n, 0, 1], "{ctx}");
+                        assert!(memory.written_frames() > 0, "{ctx}");
+                        assert!(
+                            memory.frames().all(|(_, d)| d.iter().all(|&w| w == 0)),
+                            "{ctx}: touched frames are zeroed"
+                        );
+                        assert_eq!(events, [FlightEvent::IcapWriteFailed { words: n }], "{ctx}");
+                        assert_eq!(spans, ["transfer", "write_failed"], "{ctx}");
+                    }
+                }
+            }
+        }
+
+        // With the cache armed, a hit replays exactly one write.
+        let mut sys = sys_with_wire();
+        sys.enable_telemetry();
+        sys.enable_flight_recorder(256);
+        sys.enable_bitstream_cache(2);
+        sys.install_bitstream(0, ModuleUid(0x11), "wire.bit")
+            .unwrap();
+        sys.vapres_cf2icap("wire.bit").unwrap();
+        assert_eq!(icap_counters(&sys), [1, n, n, 0]);
+        assert_eq!(sys.vapres_cf2icap("wire.bit").unwrap().uid, ModuleUid(0x11));
+        assert_eq!(icap_counters(&sys), [2, 2 * n, 2 * n, 0]);
+        assert_eq!(sys.bitstream_cache().unwrap().stats().hits, 1);
+        let (events, spans) = icap_trace(&mut sys);
+        assert_eq!(events, [FlightEvent::IcapWrite { words: n }; 2]);
+        assert_eq!(spans, ["transfer", "write", "cache_decode", "write"]);
     }
 
     #[test]

@@ -525,7 +525,15 @@ pub struct StreamFabric {
     left_busy: Vec<Vec<bool>>,
     prod_busy: Vec<Vec<bool>>,
     cons_busy: Vec<Vec<bool>>,
+    /// Every route slot ever issued, indexed by [`ChannelId`]. Ids are
+    /// append-only — telemetry labels, profiler units and checkpoint
+    /// images name channels by id — so released slots stay `None`.
     routes: Vec<Option<Route>>,
+    /// Ids of the established routes, ascending: what every per-route
+    /// scan walks, so its cost tracks the live routes rather than the
+    /// swap history. Derived from `routes` (rebuilt on restore, never
+    /// persisted).
+    live: Vec<usize>,
     /// Activity flag per route (parallel to `routes`): set whenever the
     /// route might do state-changing work on the next tick, cleared by
     /// `tick` once the route is provably quiescent. `tick` only visits
@@ -595,6 +603,7 @@ impl StreamFabric {
             prod_busy: vec![vec![false; params.ko]; params.nodes],
             cons_busy: vec![vec![false; params.ki]; params.nodes],
             routes: Vec::new(),
+            live: Vec::new(),
             active: Vec::new(),
             active_count: 0,
             deliveries: Vec::new(),
@@ -734,34 +743,19 @@ impl StreamFabric {
         }
     }
 
-    fn wake_producer_route(&mut self, port: PortRef) {
-        let hit = self
-            .routes
-            .iter()
-            .position(|r| matches!(r, Some(route) if route.producer == port));
-        if let Some(i) = hit {
-            self.activate(i);
-        }
+    /// The established route at `idx` (an entry of `live`).
+    fn live_route(&self, idx: usize) -> &Route {
+        self.routes[idx]
+            .as_ref()
+            .expect("live ids name established routes")
     }
 
-    fn wake_consumer_route(&mut self, port: PortRef) {
-        let hit = self
-            .routes
-            .iter()
-            .position(|r| matches!(r, Some(route) if route.consumer == port));
-        if let Some(i) = hit {
-            self.activate(i);
-        }
-    }
-
-    fn wake_node_routes(&mut self, node: usize) {
-        for i in 0..self.routes.len() {
-            let touches = matches!(
-                &self.routes[i],
-                Some(r) if r.producer.node == node || r.consumer.node == node
-            );
-            if touches {
-                self.activate(i);
+    /// Activates every live route matching `touches`.
+    fn wake_routes(&mut self, touches: impl Fn(&Route) -> bool) {
+        for k in 0..self.live.len() {
+            let idx = self.live[k];
+            if touches(self.live_route(idx)) {
+                self.activate(idx);
             }
         }
     }
@@ -867,6 +861,8 @@ impl StreamFabric {
         };
         let id = ChannelId(self.routes.len());
         self.routes.push(Some(route));
+        // The newest id is the largest: `live` stays ascending.
+        self.live.push(id.0);
         // New routes start active until their feedback settles (the
         // consumer FIFO may already sit past the full threshold).
         self.active.push(true);
@@ -891,6 +887,9 @@ impl StreamFabric {
             .and_then(Option::take)
             .ok_or(RouteError::UnknownChannel(id))?;
         self.deactivate(id.0);
+        if let Ok(k) = self.live.binary_search(&id.0) {
+            self.live.remove(k);
+        }
         for s in &route.slots {
             match s.dir {
                 Dir::Right => self.right_busy[s.segment][s.channel] = false,
@@ -949,11 +948,7 @@ impl StreamFabric {
 
     /// Ids of all currently-established channels.
     pub fn active_channels(&self) -> Vec<ChannelId> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|_| ChannelId(i)))
-            .collect()
+        self.live.iter().map(|&i| ChannelId(i)).collect()
     }
 
     /// The switch-box multiplexer configuration visible at `node`, packed
@@ -1011,7 +1006,7 @@ impl StreamFabric {
     pub fn set_fifo_ren(&mut self, port: PortRef, enabled: bool) -> Result<(), RouteError> {
         self.check_producer(port)?;
         self.producers[port.node][port.port].enabled = enabled;
-        self.wake_producer_route(port);
+        self.wake_routes(|r| r.producer == port);
         self.generation += 1;
         Ok(())
     }
@@ -1025,7 +1020,7 @@ impl StreamFabric {
     pub fn set_fifo_wen(&mut self, port: PortRef, enabled: bool) -> Result<(), RouteError> {
         self.check_consumer(port)?;
         self.consumers[port.node][port.port].enabled = enabled;
-        self.wake_consumer_route(port);
+        self.wake_routes(|r| r.consumer == port);
         self.generation += 1;
         Ok(())
     }
@@ -1062,7 +1057,7 @@ impl StreamFabric {
         }
         // Occupancies changed: feedback decisions on routes touching this
         // node must be re-evaluated.
-        self.wake_node_routes(node);
+        self.wake_routes(|r| r.producer.node == node || r.consumer.node == node);
         self.generation += 1;
     }
 
@@ -1083,7 +1078,7 @@ impl StreamFabric {
         if self.capture_events {
             note_fifo_edges(&mut self.events, iface, port, true, self.ticks);
         }
-        self.wake_producer_route(port);
+        self.wake_routes(|r| r.producer == port);
         self.generation += 1;
         Ok(())
     }
@@ -1126,7 +1121,7 @@ impl StreamFabric {
                 note_fifo_edges(&mut self.events, iface, port, false, self.ticks);
             }
             // Freed space may deassert feedback-full on the next tick.
-            self.wake_consumer_route(port);
+            self.wake_routes(|r| r.consumer == port);
             self.generation += 1;
         }
         Ok(word)
@@ -1213,15 +1208,14 @@ impl StreamFabric {
         self.drains.clear();
         let from = self.ticks;
         let events_start = self.events.len();
-        for idx in 0..self.routes.len() {
-            if self.routes[idx].is_some() {
-                self.fold_route(idx, from, target);
-            }
+        for k in 0..self.live.len() {
+            self.fold_route(self.live[k], from, target);
         }
         self.ticks = target;
         // Routes fold independently; restore the dense engine's global
         // event order (cycle-major, route order within a cycle — the
-        // fold visits routes in index order and the sort is stable).
+        // fold visits live routes in ascending id order and the sort is
+        // stable).
         if self.capture_events && self.events.len() > events_start + 1 {
             self.events[events_start..].sort_by_key(|e| e.cycle);
         }
@@ -1348,7 +1342,8 @@ impl StreamFabric {
         let consider = |wake: &mut Option<u64>, w: u64| {
             *wake = Some(wake.map_or(w, |cur| cur.min(w)));
         };
-        for route in self.routes.iter().flatten() {
+        for &idx in &self.live {
+            let route = self.live_route(idx);
             let depth = route.depth as u64;
             let cons = &self.consumers[route.consumer.node][route.consumer.port];
             let deliverable = cons.enabled && !cons.fifo.is_full();
@@ -1400,11 +1395,7 @@ impl StreamFabric {
     /// for production use.
     #[doc(hidden)]
     pub fn tick_dense(&mut self) {
-        for idx in 0..self.routes.len() {
-            if self.routes[idx].is_some() {
-                self.activate(idx);
-            }
-        }
+        self.wake_routes(|_| true);
         self.dense_tick();
     }
 
@@ -1417,13 +1408,14 @@ impl StreamFabric {
             return;
         }
         let cycle = self.ticks;
-        for idx in 0..self.routes.len() {
+        for k in 0..self.live.len() {
+            let idx = self.live[k];
             if !self.active[idx] {
                 continue;
             }
-            let Some(route) = self.routes[idx].as_mut() else {
-                continue;
-            };
+            let route = self.routes[idx]
+                .as_mut()
+                .expect("live ids name established routes");
             self.dispatched_route_ticks += 1;
             route.work_ops += 1;
             step_route_cycle(
@@ -1756,6 +1748,80 @@ impl Persist for Route {
     }
 }
 
+impl StreamFabric {
+    /// Validates a restored fabric's tables against each other and derives
+    /// the live-route index from them. Every later scan trusts this index,
+    /// so an image is rejected when an interface or occupancy table does
+    /// not match the parameters, or when an established route names a port
+    /// or slot that is out of range, not marked busy, or claimed by another
+    /// route.
+    fn restored_live_index(&self) -> Result<Vec<usize>, PersistError> {
+        fn check_shape<T>(
+            name: &str,
+            table: &[Vec<T>],
+            rows: usize,
+            width: usize,
+        ) -> Result<(), PersistError> {
+            if table.len() != rows || table.iter().any(|r| r.len() != width) {
+                return Err(PersistError::Corrupt(format!(
+                    "{name} table is not {rows} x {width} as the parameters say"
+                )));
+            }
+            Ok(())
+        }
+        let p = &self.params;
+        let (nodes, segs) = (p.nodes, p.segments());
+        check_shape("producer interface", &self.producers, nodes, p.ko)?;
+        check_shape("consumer interface", &self.consumers, nodes, p.ki)?;
+        check_shape("right slot", &self.right_busy, segs, p.kr)?;
+        check_shape("left slot", &self.left_busy, segs, p.kl)?;
+        check_shape("producer port", &self.prod_busy, nodes, p.ko)?;
+        check_shape("consumer port", &self.cons_busy, nodes, p.ki)?;
+
+        let corrupt = |msg: String| Err(PersistError::Corrupt(msg));
+        let busy = |table: &Vec<Vec<bool>>, row: usize, col: usize| {
+            table.get(row).and_then(|r| r.get(col)).copied() == Some(true)
+        };
+        let mut live = Vec::new();
+        let mut claimed_ports = std::collections::HashSet::new();
+        let mut claimed_slots = std::collections::HashSet::new();
+        for (i, route) in self.routes.iter().enumerate() {
+            let Some(route) = route else { continue };
+            let (p, c) = (route.producer, route.consumer);
+            if !busy(&self.prod_busy, p.node, p.port) || !busy(&self.cons_busy, c.node, c.port) {
+                return corrupt(format!(
+                    "channel {i} holds ports {p} -> {c} not marked busy"
+                ));
+            }
+            if !claimed_ports.insert((true, p)) || !claimed_ports.insert((false, c)) {
+                return corrupt(format!(
+                    "channel {i} shares a port of {p} -> {c} with another channel"
+                ));
+            }
+            if route.depth != route.slots.len() + 1 {
+                return corrupt(format!(
+                    "channel {i} has depth {} over {} hops",
+                    route.depth,
+                    route.slots.len()
+                ));
+            }
+            for s in &route.slots {
+                let table = match s.dir {
+                    Dir::Right => &self.right_busy,
+                    Dir::Left => &self.left_busy,
+                };
+                if !busy(table, s.segment, s.channel) || !claimed_slots.insert(*s) {
+                    return corrupt(format!(
+                        "channel {i} holds slot {s:?} that is not busy or is shared"
+                    ));
+                }
+            }
+            live.push(i);
+        }
+        Ok(live)
+    }
+}
+
 impl Persist for StreamFabric {
     fn persist(&self, w: &mut Writer) {
         self.params.persist(w);
@@ -1783,14 +1849,6 @@ impl Persist for StreamFabric {
         let params = FabricParams::restore(r)?;
         let producers: Vec<Vec<Interface>> = Vec::restore(r)?;
         let consumers: Vec<Vec<Interface>> = Vec::restore(r)?;
-        if producers.len() != params.nodes || consumers.len() != params.nodes {
-            return Err(PersistError::Corrupt(format!(
-                "interface table covers {}/{} nodes, params say {}",
-                producers.len(),
-                consumers.len(),
-                params.nodes
-            )));
-        }
         let right_busy: Vec<Vec<bool>> = Vec::restore(r)?;
         let left_busy: Vec<Vec<bool>> = Vec::restore(r)?;
         let prod_busy: Vec<Vec<bool>> = Vec::restore(r)?;
@@ -1814,7 +1872,7 @@ impl Persist for StreamFabric {
             )));
         }
         let active_count = active.iter().filter(|&&a| a).count();
-        Ok(StreamFabric {
+        let mut fabric = StreamFabric {
             params,
             producers,
             consumers,
@@ -1823,6 +1881,7 @@ impl Persist for StreamFabric {
             prod_busy,
             cons_busy,
             routes,
+            live: Vec::new(),
             active,
             active_count,
             deliveries: Vec::restore(r)?,
@@ -1835,7 +1894,9 @@ impl Persist for StreamFabric {
             tap: Option::restore(r)?,
             capture_events: r.take_bool()?,
             events: Vec::restore(r)?,
-        })
+        };
+        fabric.live = fabric.restored_live_index()?;
+        Ok(fabric)
     }
 }
 
@@ -2523,5 +2584,73 @@ mod tests {
         bytes.truncate(bytes.len() - 1);
         let mut r = Reader::new(&bytes);
         assert!(StreamFabric::restore(&mut r).is_err());
+    }
+
+    /// Encodes `f` after `tamper` breaks one of its tables, then decodes
+    /// the resulting image.
+    fn restore_tampered(
+        f: &StreamFabric,
+        tamper: impl FnOnce(&mut StreamFabric),
+    ) -> Result<StreamFabric, PersistError> {
+        let mut g = f.clone();
+        tamper(&mut g);
+        let mut w = Writer::new();
+        g.persist(&mut w);
+        let bytes = w.into_bytes();
+        StreamFabric::restore(&mut Reader::new(&bytes))
+    }
+
+    #[test]
+    fn restore_rejects_routes_that_disagree_with_the_occupancy_tables() {
+        // Two live routes (0 -> 2 rightward, 1 -> 0 leftward) behind a
+        // released one, so the live index has a gap to rebuild around.
+        let mut f = fabric();
+        let gone = f
+            .establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
+            .unwrap();
+        f.release_channel(gone).unwrap();
+        let a = open(&mut f, PortRef::new(0, 0), PortRef::new(2, 0));
+        let b = open(&mut f, PortRef::new(1, 0), PortRef::new(0, 0));
+        let g = restore_tampered(&f, |_| {}).expect("untampered image restores");
+        assert_eq!(g.active_channels(), vec![a, b]);
+
+        /// The `k`-th live route: 0 is `a`, 1 is `b`.
+        fn route(g: &mut StreamFabric, k: usize) -> &mut Route {
+            let id = g.live[k];
+            g.routes[id].as_mut().unwrap()
+        }
+        type Tamper = fn(&mut StreamFabric);
+        let cases: [(&str, Tamper); 11] = [
+            ("shared producer", |g| {
+                route(g, 1).producer = PortRef::new(0, 0)
+            }),
+            ("shared consumer", |g| {
+                route(g, 1).consumer = PortRef::new(2, 0)
+            }),
+            ("producer port not busy", |g| g.prod_busy[0][0] = false),
+            ("consumer port not busy", |g| g.cons_busy[2][0] = false),
+            ("port out of range", |g| {
+                route(g, 0).producer = PortRef::new(9, 0)
+            }),
+            ("slot not busy", |g| g.right_busy[1].fill(false)),
+            ("slot shared", |g| {
+                let s = route(g, 0).slots[0];
+                route(g, 1).slots[0] = s;
+            }),
+            ("slot out of range", |g| route(g, 0).slots[0].channel = 7),
+            ("depth disagrees with hops", |g| {
+                route(g, 0).slots.pop();
+            }),
+            ("occupancy table shape", |g| g.prod_busy[1].push(false)),
+            ("interface table shape", |g| {
+                g.consumers[0].pop();
+            }),
+        ];
+        for (what, tamper) in cases {
+            match restore_tampered(&f, tamper) {
+                Err(PersistError::Corrupt(_)) => {}
+                other => panic!("{what}: expected a Corrupt error, got {other:?}"),
+            }
+        }
     }
 }

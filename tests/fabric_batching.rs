@@ -21,6 +21,7 @@
 //!   word-trace histograms) must serialize identically, modulo the
 //!   `exec_*` scheduler counters whose whole point is to differ.
 
+use vapres::sim::persist::{Persist, Reader, Writer};
 use vapres::sim::rng::SplitMix64;
 use vapres::stream::fabric::{ChannelId, PortRef, StreamFabric};
 use vapres::stream::params::FabricParams;
@@ -52,6 +53,7 @@ fn new_fabric() -> StreamFabric {
 #[derive(Debug, PartialEq)]
 struct Digest {
     ticks: u64,
+    next_wake: Option<u64>,
     quiescent: bool,
     active_routes: usize,
     /// Per producer port: (len, space, high_water).
@@ -119,6 +121,7 @@ fn digest(f: &StreamFabric, live: &[ChannelId]) -> Digest {
     tap.sort_by_key(|t| t.0);
     Digest {
         ticks: f.ticks(),
+        next_wake: f.next_wake_cycle(),
         quiescent: f.is_quiescent(),
         active_routes: f.active_route_count(),
         producers,
@@ -128,21 +131,33 @@ fn digest(f: &StreamFabric, live: &[ChannelId]) -> Digest {
     }
 }
 
-/// One random mutation applied identically to both fabrics; asserts the
+/// Asserts every fabric answered an operation the same way.
+fn assert_agree<T: PartialEq + std::fmt::Debug>(answers: &[T], what: &str, step: usize) {
+    assert!(
+        answers.iter().all(|a| *a == answers[0]),
+        "{what} diverged @{step}: {answers:?}"
+    );
+}
+
+/// One random mutation applied identically to every fabric; asserts the
 /// operation's immediate result (push acceptance, popped word, channel
-/// id) matches between them.
-#[allow(clippy::too_many_arguments)]
+/// establishment) matches between them. `lives[i]` lists fabric `i`'s
+/// live channel ids in a shared order. Ids may differ between fabrics with
+/// different channel histories, so every fabric must agree on whether an
+/// establishment failed, and the fabrics marked in `twins` (same history
+/// as the oracle) must also hand out the same new id.
 fn apply_op(
     rng: &mut SplitMix64,
-    dense: &mut StreamFabric,
-    lazy: &mut StreamFabric,
-    live: &mut Vec<ChannelId>,
+    fabrics: &mut [StreamFabric],
+    lives: &mut [Vec<ChannelId>],
+    twins: &[bool],
     next_tag: &mut u32,
     step: usize,
 ) {
     let p = small_params();
     let prod = PortRef::new(rng.gen_usize(0..p.nodes), rng.gen_usize(0..p.ko));
     let cons = PortRef::new(rng.gen_usize(0..p.nodes), rng.gen_usize(0..p.ki));
+    let n_live = lives[0].len();
     match rng.gen_usize(0..100) {
         // Push a word (sometimes tagged for the tap, sometimes EOS).
         0..=34 => {
@@ -155,109 +170,146 @@ fn apply_op(
                 w = w.with_tag(Some(*next_tag));
                 *next_tag += 1;
             }
-            let a = dense.producer_push(prod, w);
-            let b = lazy.producer_push(prod, w);
-            assert_eq!(a.is_ok(), b.is_ok(), "push acceptance diverged @{step}");
+            let accepted: Vec<bool> = fabrics
+                .iter_mut()
+                .map(|f| f.producer_push(prod, w).is_ok())
+                .collect();
+            assert_agree(&accepted, "push acceptance", step);
         }
         // Pop a word: bit-identical payload, EOS flag, and trace tag.
         35..=59 => {
-            let a = dense.consumer_pop(cons).unwrap();
-            let b = lazy.consumer_pop(cons).unwrap();
-            assert_eq!(
-                a.map(|w| (w.data, w.end_of_stream, w.tag())),
-                b.map(|w| (w.data, w.end_of_stream, w.tag())),
-                "popped word diverged @{step}"
-            );
+            let popped: Vec<_> = fabrics
+                .iter_mut()
+                .map(|f| {
+                    f.consumer_pop(cons)
+                        .unwrap()
+                        .map(|w| (w.data, w.end_of_stream, w.tag()))
+                })
+                .collect();
+            assert_agree(&popped, "popped word", step);
         }
         // Gate / ungate interface FIFOs (the swap sequencer's levers).
         60..=69 => {
             let on = rng.gen_bool(0.7);
-            dense.set_fifo_ren(prod, on).unwrap();
-            lazy.set_fifo_ren(prod, on).unwrap();
+            fabrics
+                .iter_mut()
+                .for_each(|f| f.set_fifo_ren(prod, on).unwrap());
         }
         70..=79 => {
             let on = rng.gen_bool(0.7);
-            dense.set_fifo_wen(cons, on).unwrap();
-            lazy.set_fifo_wen(cons, on).unwrap();
+            fabrics
+                .iter_mut()
+                .for_each(|f| f.set_fifo_wen(cons, on).unwrap());
         }
         // Establish / release routes (re-establishment reuses slots).
         80..=89 => {
-            if !live.is_empty() && rng.gen_bool(0.5) {
-                let id = live.swap_remove(rng.gen_usize(0..live.len()));
-                dense.release_channel(id).unwrap();
-                lazy.release_channel(id).unwrap();
+            if n_live > 0 && rng.gen_bool(0.5) {
+                let k = rng.gen_usize(0..n_live);
+                for (f, live) in fabrics.iter_mut().zip(lives.iter_mut()) {
+                    f.release_channel(live.swap_remove(k)).unwrap();
+                }
             } else {
-                let a = dense.establish_channel(prod, cons);
-                let b = lazy.establish_channel(prod, cons);
-                assert_eq!(a, b, "channel establishment diverged @{step}");
-                if let Ok(id) = a {
-                    live.push(id);
+                let made: Vec<_> = fabrics
+                    .iter_mut()
+                    .map(|f| f.establish_channel(prod, cons))
+                    .collect();
+                let errors: Vec<_> = made.iter().map(|r| r.as_ref().err()).collect();
+                assert_agree(&errors, "channel establishment", step);
+                let shared: Vec<_> = made
+                    .iter()
+                    .zip(twins)
+                    .filter(|(_, twin)| **twin)
+                    .map(|(r, _)| r)
+                    .collect();
+                assert_agree(&shared, "established channel id", step);
+                for (id, live) in made.into_iter().zip(lives.iter_mut()) {
+                    if let Ok(id) = id {
+                        live.push(id);
+                    }
                 }
             }
         }
         // Hard reset of one node's interfaces (isolation during reconfig).
         90..=93 => {
             let node = rng.gen_usize(0..p.nodes);
-            dense.reset_node_fifos(node);
-            lazy.reset_node_fifos(node);
+            fabrics.iter_mut().for_each(|f| f.reset_node_fifos(node));
         }
         // Shrink a feedback threshold (the E9 ablation lever) so the
         // overflow-drop path actually fires under load.
-        94..=96 if !live.is_empty() => {
-            let id = live[rng.gen_usize(0..live.len())];
+        94..=96 if n_live > 0 => {
+            let k = rng.gen_usize(0..n_live);
             let thr = rng.gen_usize(0..4);
-            dense.set_feedback_threshold(id, thr).unwrap();
-            lazy.set_feedback_threshold(id, thr).unwrap();
+            for (f, live) in fabrics.iter_mut().zip(lives.iter()) {
+                f.set_feedback_threshold(live[k], thr).unwrap();
+            }
         }
         _ => {} // breather: let the fabrics run undisturbed
     }
 }
 
-fn lockstep_sweep(seed: u64, steps: usize) {
-    let mut rng = SplitMix64::new(seed);
-    let mut dense = new_fabric();
-    let mut lazy = new_fabric();
-    let mut live: Vec<ChannelId> = Vec::new();
+/// Runs `steps` rounds of random operations and random strides over
+/// `fabrics`. The first fabric steps cycle by cycle with `tick_dense` (the
+/// oracle); the others jump each stride with `advance_to`. After every
+/// stride all of them must agree on everything observable. Fabrics that
+/// start with the oracle's live ids share its history and must also agree
+/// on every channel id they hand out.
+fn drive_lockstep(
+    rng: &mut SplitMix64,
+    fabrics: &mut [StreamFabric],
+    lives: &mut [Vec<ChannelId>],
+    steps: usize,
+    label: &str,
+) {
+    let twins: Vec<bool> = lives.iter().map(|live| *live == lives[0]).collect();
     let mut next_tag = 0u32;
-
     for step in 0..steps {
         for _ in 0..rng.gen_usize(0..4) {
-            apply_op(
-                &mut rng,
-                &mut dense,
-                &mut lazy,
-                &mut live,
-                &mut next_tag,
-                step,
-            );
+            apply_op(rng, fabrics, lives, &twins, &mut next_tag, step);
         }
 
-        // Dense steps cycle by cycle; batched jumps the whole stride.
         let stride = rng.gen_range(1..17);
+        let (dense, batched) = fabrics.split_first_mut().expect("an oracle");
         for _ in 0..stride {
             dense.tick_dense();
         }
-        lazy.advance_to(lazy.ticks() + stride);
+        for f in batched.iter_mut() {
+            f.advance_to(f.ticks() + stride);
+        }
 
-        assert_eq!(
-            digest(&dense, &live),
-            digest(&lazy, &live),
-            "state diverged after step {step} (seed {seed}, stride {stride})"
-        );
-        let de: Vec<_> = dense.drain_fifo_events().collect();
-        let le: Vec<_> = lazy.drain_fifo_events().collect();
-        assert_eq!(
-            de, le,
-            "FIFO edge events diverged after step {step} (seed {seed})"
-        );
+        let digests: Vec<Digest> = fabrics
+            .iter()
+            .zip(lives.iter())
+            .map(|(f, live)| digest(f, live))
+            .collect();
+        assert_agree(&digests, &format!("state ({label}, stride {stride})"), step);
+        let events: Vec<Vec<_>> = fabrics
+            .iter_mut()
+            .map(|f| f.drain_fifo_events().collect())
+            .collect();
+        assert_agree(&events, &format!("FIFO edge events ({label})"), step);
     }
 
-    // The batched fabric never paid per-cycle: all its work was either
+    // The batched fabrics never paid per-cycle: all their work was either
     // folded spans or exact event-horizon cycles.
-    assert_eq!(
-        lazy.dispatched_route_ticks(),
-        0,
-        "batched engine fell back to dense ticks"
+    for f in &fabrics[1..] {
+        assert_eq!(
+            f.dispatched_route_ticks(),
+            0,
+            "batched engine fell back to dense ticks ({label})"
+        );
+    }
+}
+
+fn lockstep_sweep(seed: u64, steps: usize) {
+    let mut rng = SplitMix64::new(seed);
+    let mut fabrics = [new_fabric(), new_fabric()];
+    let mut lives = [Vec::new(), Vec::new()];
+    drive_lockstep(
+        &mut rng,
+        &mut fabrics,
+        &mut lives,
+        steps,
+        &format!("seed {seed}"),
     );
 }
 
@@ -275,6 +327,70 @@ fn randomized_lockstep_matches_dense_oracle() {
 #[test]
 fn long_soak_lockstep_matches_dense_oracle() {
     lockstep_sweep(0x5EED_CAFE, 1500);
+}
+
+/// A fabric behind 1,000 released channels behaves exactly like one that
+/// never had them: the per-route scans walk live routes only, in
+/// ascending id order, so neither the results nor their order depend on
+/// the channel history.
+#[test]
+fn churned_fabric_matches_a_fresh_one_and_the_dense_oracle() {
+    let a = (PortRef::new(0, 0), PortRef::new(2, 0));
+    let b = (PortRef::new(3, 1), PortRef::new(1, 1));
+    let open = |f: &mut StreamFabric, (p, c): (PortRef, PortRef)| {
+        let id = f.establish_channel(p, c).unwrap();
+        f.set_fifo_ren(p, true).unwrap();
+        f.set_fifo_wen(c, true).unwrap();
+        id
+    };
+
+    let mut churned = new_fabric();
+    let first = open(&mut churned, a);
+    for _ in 0..1_000 {
+        let id = churned
+            .establish_channel(PortRef::new(1, 0), PortRef::new(2, 1))
+            .unwrap();
+        churned.release_channel(id).unwrap();
+    }
+    let last = open(&mut churned, b);
+    assert_eq!((first, last), (ChannelId(0), ChannelId(1_001)));
+    assert_eq!(churned.active_channels(), [first, last]);
+
+    let mut fresh = new_fabric();
+    let fresh_ids = vec![open(&mut fresh, a), open(&mut fresh, b)];
+    let mut fabrics = [churned.clone(), churned, fresh];
+    let mut lives = [vec![first, last], vec![first, last], fresh_ids];
+    let mut rng = SplitMix64::new(0xC4_0011);
+    drive_lockstep(&mut rng, &mut fabrics, &mut lives, 400, "churned");
+
+    let [_, churned, fresh] = &fabrics;
+    // Same fold work on the live routes, whatever the history.
+    assert_eq!(churned.folded_ops(), fresh.folded_ops());
+    let work = |f: &StreamFabric, live: &[ChannelId]| -> Vec<u64> {
+        live.iter()
+            .map(|&id| f.channel_info(id).unwrap().work_ops)
+            .collect()
+    };
+    assert_eq!(work(churned, &lives[1]), work(fresh, &lives[2]));
+
+    // Checkpoint -> restore -> checkpoint is byte-identical, and the
+    // restored live index lists the same channels in ascending order.
+    let encode = |f: &StreamFabric| {
+        let mut w = Writer::new();
+        f.persist(&mut w);
+        w.into_bytes()
+    };
+    let image = encode(churned);
+    let mut reader = Reader::new(&image);
+    let restored = StreamFabric::restore(&mut reader).unwrap();
+    reader.expect_end().unwrap();
+    assert_eq!(encode(&restored), image);
+    let ids = restored.active_channels();
+    assert_eq!(ids, churned.active_channels());
+    assert!(ids.windows(2).all(|w| w[0].0 < w[1].0), "{ids:?}");
+    let mut sorted = lives[1].clone();
+    sorted.sort_by_key(|id| id.0);
+    assert_eq!(ids, sorted);
 }
 
 mod system_sweep {
