@@ -42,8 +42,8 @@ fn render(r: &FleetResult) -> String {
     }
     let mut buf = Vec::new();
     r.merged_telemetry.write_jsonl(&mut buf).expect("vec write");
+    r.merged_flight.write_jsonl(&mut buf).expect("vec write");
     out.push_str(&String::from_utf8(buf).expect("utf8"));
-    out.push_str(&r.merged_flight);
     for row in &r.merged_work.rows {
         out.push_str(&format!("work {} {}\n", row.component, row.work_units));
     }

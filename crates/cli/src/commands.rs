@@ -2045,13 +2045,15 @@ pub fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     }
     if let Some(path) = args.get("flight") {
         let mut file = create_output(path)?;
-        file.write_all(result.merged_flight.as_bytes())
+        result
+            .merged_flight
+            .write_jsonl(&mut file)
             .and_then(|()| file.flush())
             .map_err(|e| write_err(path, e))?;
         writeln!(
             out,
             "wrote {path}: merged flight JSONL ({} events)",
-            result.merged_flight.lines().count()
+            result.merged_flight.len()
         )?;
     }
     if let Some(path) = args.get("timeseries") {

@@ -75,6 +75,7 @@ pub use system::{LiveSnapshot, VapresSystem};
 
 // Re-export the identifiers applications constantly need.
 pub use vapres_bitstream::stream::ModuleUid;
+pub use vapres_sim::flight::FlightEntry;
 pub use vapres_sim::profile::{CostModel, CostRow, Profiler};
 pub use vapres_sim::rng::SplitMix64;
 pub use vapres_sim::telemetry::Telemetry;

@@ -944,9 +944,11 @@ impl VapresSystem {
 
     /// Arms the always-on flight recorder with a ring of `capacity`
     /// events and turns on the fabric's FIFO threshold-crossing capture
-    /// that feeds it. Recording is allocation-free once the ring fills;
-    /// dump the tail with [`dump_flight_jsonl`](Self::dump_flight_jsonl)
-    /// when something fails.
+    /// that feeds it, bounded to the newest `capacity` crossings — all
+    /// the ring can retain. Recording is allocation-free once the ring
+    /// fills; dump the tail with
+    /// [`dump_flight_jsonl`](Self::dump_flight_jsonl) when something
+    /// fails.
     ///
     /// # Panics
     ///
@@ -954,7 +956,7 @@ impl VapresSystem {
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
         if self.flight.is_none() {
             self.flight = Some(FlightRecorder::new(capacity));
-            self.fabric.set_event_capture(true);
+            self.fabric.set_event_capture(capacity);
         }
     }
 
@@ -991,13 +993,18 @@ impl VapresSystem {
     /// Folds the fabric's buffered FIFO threshold crossings into the
     /// flight ring. The fabric stamps them with its tick count; ticks
     /// land one per static-clock cycle, so the conversion to simulated
-    /// time is exact.
+    /// time is exact. The fabric keeps only the newest ring-capacity
+    /// crossings; the older ones it discarded would have been
+    /// overwritten anyway and are skipped here, so how often this runs
+    /// never changes the ring or its sequence numbers.
     fn sync_flight_from_fabric(&mut self) {
         let Some(fr) = self.flight.as_mut() else {
             return;
         };
         let period = self.cfg.static_clock.period().as_ps();
-        for ev in self.fabric.drain_fifo_events() {
+        let events = self.fabric.drain_fifo_events();
+        fr.skip(events.discarded());
+        for ev in events {
             let side = if ev.producer {
                 FifoSide::Producer
             } else {
@@ -1784,8 +1791,16 @@ impl VapresSystem {
     pub fn checkpoint(&mut self) -> Vec<u8> {
         // Materialize any stretch the scheduler elided so the encoded
         // fabric is at the present cycle (exact either way; this just
-        // pins the canonical encode point).
+        // pins the canonical encode point), then fold the captured FIFO
+        // crossings into the flight ring so each is stored once.
         self.sync_fabric();
+        self.sync_flight_from_fabric();
+        self.encode()
+    }
+
+    /// Encodes the system as it stands (see
+    /// [`checkpoint`](Self::checkpoint), which settles it first).
+    fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         Header {
             version: FORMAT_VERSION,
@@ -1980,6 +1995,12 @@ impl VapresSystem {
             .transpose()?;
         sys.telemetry = Option::<Telemetry>::restore(r)?;
         sys.flight = Option::<FlightRecorder>::restore(r)?;
+        // Re-arm the capture bound, which the image does not carry (and
+        // disarm capture that no ring would drain). An image holding more
+        // buffered crossings than the ring retains is trimmed; the next
+        // sync counts the excess into `seq`.
+        sys.fabric
+            .set_event_capture(sys.flight.as_ref().map_or(0, FlightRecorder::capacity));
         sys.word_trace = if r.take_bool()? {
             Some(WordTrace::restore(r)?)
         } else {
@@ -2338,6 +2359,55 @@ mod tests {
         // MSG_EOS_SEEN waits on node 0's FSL.
         let msg = s.fsl[0].to_mb.pop().unwrap();
         assert_eq!(msg.data, control::MSG_EOS_SEEN);
+    }
+
+    #[test]
+    fn restore_trims_an_image_buffering_more_crossings_than_the_ring() {
+        // An image written before the capture bound existed could carry
+        // far more buffered FIFO crossings than the flight ring retains.
+        // Forge one by lifting the bound and encoding without the
+        // pre-checkpoint fold: restore must keep the newest `CAPACITY`
+        // and count the rest into `seq`, matching a never-stopped run.
+        const CAPACITY: usize = 64;
+        let looped = || {
+            let mut s = sys();
+            s.enable_flight_recorder(CAPACITY);
+            let p = vapres_stream::fabric::PortRef::new(0, 0);
+            s.fabric.establish_channel(p, p).unwrap();
+            s.fabric.set_fifo_ren(p, true).unwrap();
+            s.fabric.set_fifo_wen(p, true).unwrap();
+            s.iom_set_input_interval(0, 50);
+            s.iom_feed(0, 0..400);
+            s
+        };
+        let dump = |s: &mut VapresSystem| {
+            let mut buf = Vec::new();
+            s.dump_flight_jsonl(&mut buf).unwrap();
+            (s.flight().unwrap().total_recorded(), buf)
+        };
+        let mut never = looped();
+        let mut old = looped();
+        old.fabric.set_event_capture(usize::MAX);
+        never.run_for(Ps::from_us(100));
+        old.run_for(Ps::from_us(100));
+        old.sync_fabric();
+        let buffered = old.fabric.clone().drain_fifo_events().count();
+        assert!(
+            buffered > 4 * CAPACITY,
+            "only {buffered} crossings buffered"
+        );
+        let image = old.encode();
+
+        let mut restored =
+            VapresSystem::restore(SystemConfig::prototype(), ModuleLibrary::new(), &image).unwrap();
+        let (seq, ring) = dump(&mut never);
+        assert_eq!(seq, buffered as u64, "every crossing is counted");
+        assert_eq!(dump(&mut restored), (seq, ring));
+        never.run_for(Ps::from_us(300));
+        restored.run_for(Ps::from_us(300));
+        assert_eq!(restored.iom_output(0), never.iom_output(0));
+        assert_eq!(dump(&mut restored), dump(&mut never));
+        assert_eq!(restored.checkpoint(), never.checkpoint());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! a fleet checkpointed mid-run finishes bit-identically under any job
 //! count — the §4h warm-start contract lifted to fleets.
 
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use vapres_core::fleet::{FleetSystem, ShardPlan, SharedRegister};
@@ -36,8 +37,8 @@ use vapres_core::scenario::scenario_seed;
 use vapres_core::switching::{seamless_swap, BitstreamSource, SwapSpec};
 use vapres_core::system::VapresSystem;
 use vapres_core::{
-    evaluate_health, ChannelId, CostModel, HealthPolicy, MultiRsbConfigError, PortRef, Ps,
-    SplitMix64, SystemConfig, Telemetry,
+    evaluate_health, ChannelId, CostModel, FlightEntry, HealthPolicy, MultiRsbConfigError, PortRef,
+    Ps, SplitMix64, SystemConfig, Telemetry,
 };
 use vapres_modules::{register_standard_modules, uids};
 
@@ -212,8 +213,8 @@ pub struct FleetResult {
     /// All RSBs' telemetry folded in index order.
     pub merged_telemetry: Telemetry,
     /// All RSBs' flight events merged sim-time-major (`at_ps`, then RSB
-    /// index), each line stamped with its `"rsb"`.
-    pub merged_flight: String,
+    /// index).
+    pub merged_flight: MergedFlight,
     /// All RSBs' cost models folded in index order.
     pub merged_work: CostModel,
     /// Per-RSB tagged time-series JSONL, concatenated in index order
@@ -223,6 +224,38 @@ pub struct FleetResult {
     pub plan: ShardPlan,
     /// Simulated end time.
     pub sim_time: Ps,
+}
+
+/// All RSBs' flight-ring entries, merged sim-time-major (`at_ps`, then
+/// RSB index; each RSB's own entries keep ring order). Entries are kept
+/// as harvested and rendered only on demand.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MergedFlight {
+    entries: Vec<(usize, FlightEntry)>,
+}
+
+impl MergedFlight {
+    /// Number of merged entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when no RSB recorded anything.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Writes the merge as JSON Lines, one entry per line, each led by
+    /// its `"rsb"` stamp.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from `w`.
+    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        self.entries
+            .iter()
+            .try_for_each(|(rsb, e)| e.write_jsonl(w, Some(*rsb)))
+    }
 }
 
 fn fleet_register() -> SharedRegister {
@@ -430,19 +463,17 @@ fn harvest(
     let mut rows = Vec::with_capacity(spec.rsbs);
     let mut merged_telemetry = Telemetry::new();
     let mut merged_work = CostModel::default();
-    let mut flight: Vec<(u64, usize, String)> = Vec::new();
+    let mut flight: Vec<(usize, FlightEntry)> = Vec::new();
     let mut timeseries = String::new();
     let sim_time = fleet.now();
     for (rsb, outcome) in outcomes.into_iter().enumerate() {
         let h = fleet.with_rsb(rsb, move |sys| harvest_rsb(sys, rsb));
+        flight.extend(h.flight.iter().map(|&e| (rsb, e)));
         let (batch, interval) = spec.workload(rsb);
         // One bring-up batch plus one fresh batch per rotating visit.
         let samples_in = batch * (1 + spec.swaps_for(rsb));
         merged_telemetry.merge(&h.telemetry);
         merged_work.merge(&h.work);
-        for (at_ps, line) in h.flight {
-            flight.push((at_ps, rsb, line));
-        }
         timeseries.push_str(&h.timeseries);
         rows.push(FleetRsbRow {
             index: rsb,
@@ -463,12 +494,11 @@ fn harvest(
     }
     // Sim-time-major merge; per-RSB streams are already time-ordered, so
     // a stable sort by (at_ps, rsb) is the canonical interleave.
-    flight.sort_by_key(|&(at_ps, rsb, _)| (at_ps, rsb));
-    let merged_flight: String = flight.into_iter().map(|(_, _, line)| line).collect();
+    flight.sort_by_key(|&(rsb, e)| (e.at.as_ps(), rsb));
     FleetResult {
         rows,
         merged_telemetry,
-        merged_flight,
+        merged_flight: MergedFlight { entries: flight },
         merged_work,
         timeseries,
         plan,
@@ -485,7 +515,7 @@ struct RsbHarvest {
     healthy: bool,
     telemetry: Telemetry,
     work: CostModel,
-    flight: Vec<(u64, String)>,
+    flight: Vec<FlightEntry>,
     timeseries: String,
 }
 
@@ -521,13 +551,11 @@ fn harvest_rsb(sys: &mut VapresSystem, rsb: usize) -> RsbHarvest {
         sys.now().as_ps(),
     );
     let work = sys.profile_cost_model().expect("profiler enabled at setup");
-    let mut flight_buf = Vec::new();
-    sys.dump_flight_jsonl(&mut flight_buf)
-        .expect("writing to a Vec cannot fail");
-    let flight_text = String::from_utf8(flight_buf).expect("flight JSONL is UTF-8");
-    let flight = flight_text
-        .lines()
-        .map(|line| (flight_at_ps(line), stamp_rsb(line, rsb)))
+    let flight = sys
+        .flight()
+        .expect("flight recorder enabled at setup")
+        .events()
+        .copied()
         .collect();
     let mut timeseries = String::new();
     if let Some(ts) = sys.timeseries() {
@@ -547,19 +575,6 @@ fn harvest_rsb(sys: &mut VapresSystem, rsb: usize) -> RsbHarvest {
         flight,
         timeseries,
     }
-}
-
-/// Extracts the leading `"at_ps"` stamp from one flight JSONL line.
-fn flight_at_ps(line: &str) -> u64 {
-    line.strip_prefix("{\"at_ps\":")
-        .and_then(|rest| rest.split([',', '}']).next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("malformed flight line: {line}"))
-}
-
-/// Stamps the owning RSB into one flight JSONL line.
-fn stamp_rsb(line: &str, rsb: usize) -> String {
-    format!("{{\"rsb\":{rsb},{}\n", &line[1..])
 }
 
 #[cfg(test)]
@@ -602,13 +617,65 @@ mod tests {
         let mut telemetry = Vec::new();
         r.merged_telemetry.write_jsonl(&mut telemetry).unwrap();
         out.push_str(&String::from_utf8(telemetry).unwrap());
-        out.push_str(&r.merged_flight);
+        let mut flight = Vec::new();
+        r.merged_flight.write_jsonl(&mut flight).unwrap();
+        out.push_str(&String::from_utf8(flight).unwrap());
         out.push_str(&r.timeseries);
         for row in &r.merged_work.rows {
             // Work units only — the host-ns column has no contract.
             out.push_str(&format!("work {} {}\n", row.component, row.work_units));
         }
         out
+    }
+
+    /// The harvest as it was before entries were shipped whole: dump
+    /// each RSB's ring as JSONL, parse every line's `at_ps` back, stamp
+    /// the RSB in, and stable-sort by `(at_ps, rsb)`. Kept as the
+    /// reference the entry merge must reproduce byte for byte.
+    fn text_merge(fleet: &mut FleetSystem, rsbs: usize) -> String {
+        let mut lines: Vec<(u64, usize, String)> = Vec::new();
+        for rsb in 0..rsbs {
+            let text = fleet.with_rsb(rsb, |sys| {
+                let mut buf = Vec::new();
+                sys.dump_flight_jsonl(&mut buf).unwrap();
+                String::from_utf8(buf).unwrap()
+            });
+            for line in text.lines() {
+                let at_ps = line
+                    .strip_prefix("{\"at_ps\":")
+                    .and_then(|rest| rest.split([',', '}']).next())
+                    .and_then(|n| n.parse().ok())
+                    .unwrap_or_else(|| panic!("malformed flight line: {line}"));
+                lines.push((at_ps, rsb, format!("{{\"rsb\":{rsb},{}\n", &line[1..])));
+            }
+        }
+        lines.sort_by_key(|&(at_ps, rsb, _)| (at_ps, rsb));
+        lines.into_iter().map(|(_, _, line)| line).collect()
+    }
+
+    #[test]
+    fn entry_merge_matches_the_text_round_trip() {
+        let spec = FleetSpec {
+            sample_every: Some(Ps::from_us(500)),
+            ..spec(6, 6)
+        };
+        for jobs in [1, 3] {
+            let mut fleet = FleetSystem::new(
+                fleet_configs(spec.rsbs),
+                fleet_register(),
+                spec.plan(jobs, None),
+            )
+            .expect("prototype fleet");
+            let channels = setup(&mut fleet, &spec);
+            let outcomes = drive(&mut fleet, &spec, &channels);
+            let result = harvest(&mut fleet, &spec, None, outcomes);
+            let mut merged = Vec::new();
+            result.merged_flight.write_jsonl(&mut merged).unwrap();
+            let merged = String::from_utf8(merged).unwrap();
+            assert_eq!(merged.lines().count(), result.merged_flight.len());
+            assert!(!result.timeseries.is_empty(), "sampling was on");
+            assert_eq!(merged, text_merge(&mut fleet, spec.rsbs), "jobs={jobs}");
+        }
     }
 
     #[test]

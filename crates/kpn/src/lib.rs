@@ -60,6 +60,7 @@ pub mod sweep;
 pub use dot::{graph_to_dot, pipeline_to_dot};
 pub use fleet::{
     checkpoint_after_setup, run_fleet, run_fleet_from, FleetResult, FleetRsbRow, FleetSpec,
+    MergedFlight,
 };
 pub use graph::{
     deploy_graph, execute_reference, map_graph, DeployedGraph, GraphError, GraphMapping, GraphNode,

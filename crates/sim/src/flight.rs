@@ -188,6 +188,31 @@ pub struct FlightEntry {
     pub event: FlightEvent,
 }
 
+impl FlightEntry {
+    /// Writes this entry as one JSON Lines record: `at_ps`, `seq`,
+    /// `event` (the kind tag) and the event's own fields, led by an
+    /// `"rsb":N` field when `rsb` names the owning RSB of a fleet.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from `w`.
+    pub fn write_jsonl<W: Write>(&self, w: &mut W, rsb: Option<usize>) -> io::Result<()> {
+        w.write_all(b"{")?;
+        if let Some(rsb) = rsb {
+            write!(w, "\"rsb\":{rsb},")?;
+        }
+        write!(
+            w,
+            "\"at_ps\":{},\"seq\":{},\"event\":\"{}\"",
+            self.at.as_ps(),
+            self.seq,
+            self.event.kind()
+        )?;
+        write_event_fields(w, &self.event)?;
+        w.write_all(b"}\n")
+    }
+}
+
 /// The ring buffer itself. See the module docs.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
@@ -230,6 +255,16 @@ impl FlightRecorder {
             self.buf[self.next] = entry;
             self.next = (self.next + 1) % self.capacity;
         }
+    }
+
+    /// Accounts for `n` events that were recorded and then overwritten
+    /// without ever being stored: their sequence numbers are consumed,
+    /// the ring is left as it is. A producer that keeps only the newest
+    /// `capacity` of a burst calls this for the rest, then records what
+    /// it kept — leaving the ring and the numbering exactly as recording
+    /// the whole burst would.
+    pub fn skip(&mut self, n: u64) {
+        self.seq += n;
     }
 
     /// Ring capacity.
@@ -275,18 +310,7 @@ impl FlightRecorder {
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for e in self.events() {
-            write!(
-                w,
-                "{{\"at_ps\":{},\"seq\":{},\"event\":\"{}\"",
-                e.at.as_ps(),
-                e.seq,
-                e.event.kind()
-            )?;
-            write_event_fields(w, &e.event)?;
-            writeln!(w, "}}")?;
-        }
-        Ok(())
+        self.events().try_for_each(|e| e.write_jsonl(w, None))
     }
 
     /// Dumps the retained events as a chrome://tracing JSON array of
@@ -613,6 +637,59 @@ mod tests {
             })
             .collect();
         assert_eq!(nodes, [2, 3, 4]);
+    }
+
+    #[test]
+    fn skipping_the_overwritten_part_of_a_burst_matches_recording_it() {
+        // A burst longer than the ring: recording only its newest
+        // `capacity` events after skipping the rest leaves the same ring
+        // and the same numbering as recording every event.
+        for (before, burst) in [(0u32, 9u32), (2, 4), (5, 40)] {
+            let mut all = FlightRecorder::new(4);
+            let mut kept = FlightRecorder::new(4);
+            for n in 0..before {
+                all.record(Ps::from_ns(n as u64), ev(n));
+                kept.record(Ps::from_ns(n as u64), ev(n));
+            }
+            for n in before..before + burst {
+                all.record(Ps::from_ns(n as u64), ev(n));
+            }
+            let skipped = burst.saturating_sub(4);
+            kept.skip(skipped as u64);
+            for n in before + skipped..before + burst {
+                kept.record(Ps::from_ns(n as u64), ev(n));
+            }
+            let dump = |fr: &FlightRecorder| {
+                let mut buf = Vec::new();
+                fr.write_jsonl(&mut buf).unwrap();
+                buf
+            };
+            assert_eq!(dump(&all), dump(&kept));
+            assert_eq!(all.total_recorded(), kept.total_recorded());
+            assert_eq!(all.overwritten(), kept.overwritten());
+        }
+    }
+
+    #[test]
+    fn entry_writer_leads_with_the_rsb_stamp() {
+        let e = FlightEntry {
+            at: Ps::from_ns(5),
+            seq: 3,
+            event: ev(2),
+        };
+        let render = |rsb| {
+            let mut buf = Vec::new();
+            e.write_jsonl(&mut buf, rsb).unwrap();
+            String::from_utf8(buf).unwrap()
+        };
+        assert_eq!(
+            render(None),
+            "{\"at_ps\":5000,\"seq\":3,\"event\":\"dcr_write\",\"node\":2}\n"
+        );
+        assert_eq!(
+            render(Some(7)),
+            "{\"rsb\":7,\"at_ps\":5000,\"seq\":3,\"event\":\"dcr_write\",\"node\":2}\n"
+        );
     }
 
     #[test]

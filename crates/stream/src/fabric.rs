@@ -189,33 +189,29 @@ fn note_fifo_edges(
     let empty = iface.fifo.is_empty();
     if full != iface.was_full {
         iface.was_full = full;
-        if events.len() < MAX_BUFFERED_FIFO_EVENTS {
-            events.push(FifoEvent {
-                cycle,
-                port,
-                producer,
-                edge: if full {
-                    FifoEdge::BecameFull
-                } else {
-                    FifoEdge::NoLongerFull
-                },
-            });
-        }
+        events.push(FifoEvent {
+            cycle,
+            port,
+            producer,
+            edge: if full {
+                FifoEdge::BecameFull
+            } else {
+                FifoEdge::NoLongerFull
+            },
+        });
     }
     if empty != iface.was_empty {
         iface.was_empty = empty;
-        if events.len() < MAX_BUFFERED_FIFO_EVENTS {
-            events.push(FifoEvent {
-                cycle,
-                port,
-                producer,
-                edge: if empty {
-                    FifoEdge::BecameEmpty
-                } else {
-                    FifoEdge::NoLongerEmpty
-                },
-            });
-        }
+        events.push(FifoEvent {
+            cycle,
+            port,
+            producer,
+            edge: if empty {
+                FifoEdge::BecameEmpty
+            } else {
+                FifoEdge::NoLongerEmpty
+            },
+        });
     }
 }
 
@@ -365,10 +361,36 @@ pub struct FifoEvent {
     pub edge: FifoEdge,
 }
 
-/// Upper bound on buffered [`FifoEvent`]s: the host drains every tick,
-/// so hitting this means the capture is running unhosted — drop rather
-/// than grow without bound.
-const MAX_BUFFERED_FIFO_EVENTS: usize = 65_536;
+/// The captured crossings handed back by
+/// [`StreamFabric::drain_fifo_events`]: the newest ones still buffered,
+/// oldest first, and how many older ones the capture bound discarded
+/// since the previous drain.
+#[derive(Debug)]
+pub struct FifoEventDrain<'a> {
+    discarded: u64,
+    events: std::vec::Drain<'a, FifoEvent>,
+}
+
+impl FifoEventDrain<'_> {
+    /// Crossings that happened before the yielded ones but fell out of
+    /// the capture bound. A host that records them as skipped keeps its
+    /// sequence numbering gap-free.
+    pub fn discarded(&self) -> u64 {
+        self.discarded
+    }
+}
+
+impl Iterator for FifoEventDrain<'_> {
+    type Item = FifoEvent;
+
+    fn next(&mut self) -> Option<FifoEvent> {
+        self.events.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.events.size_hint()
+    }
+}
 
 /// Accumulated per-stage residency of one tagged word, summed over every
 /// fabric traversal (*leg*) the tag completed. All figures are in fabric
@@ -569,9 +591,15 @@ pub struct StreamFabric {
     generation: u64,
     /// Per-tag provenance capture (None = tracing off, zero cost).
     tap: Option<WordTap>,
-    /// FIFO threshold-crossing capture for the flight recorder.
-    capture_events: bool,
+    /// FIFO threshold-crossing capture for the flight recorder: how
+    /// many of the newest crossings to keep (0 = capture off).
+    capture_keep: usize,
+    /// Buffered crossings, oldest first. Never longer than twice
+    /// `capture_keep` between operations (see
+    /// [`bound_events`](Self::bound_events)).
     events: Vec<FifoEvent>,
+    /// Older crossings dropped from `events` since the last drain.
+    events_discarded: u64,
 }
 
 impl StreamFabric {
@@ -614,8 +642,9 @@ impl StreamFabric {
             folded_ops: 0,
             generation: 0,
             tap: None,
-            capture_events: false,
+            capture_keep: 0,
             events: Vec::new(),
+            events_discarded: 0,
             params,
         })
     }
@@ -634,12 +663,18 @@ impl StreamFabric {
         self.tap.as_ref()
     }
 
-    /// Turns FIFO threshold-crossing capture on or off. Enabling resyncs
-    /// every interface's captured state to its current occupancy, so
-    /// only *future* crossings are reported.
-    pub fn set_event_capture(&mut self, on: bool) {
-        self.capture_events = on;
-        if on {
+    /// Arms FIFO threshold-crossing capture, keeping the newest `keep`
+    /// crossings between drains (a host feeding a ring of `keep`
+    /// entries loses nothing it would have retained); 0 turns capture
+    /// off and clears the buffer. Arming from off resyncs every
+    /// interface's captured state to its current occupancy, so only
+    /// *future* crossings are reported. Lowering the bound trims the
+    /// buffer at once, counting the excess as discarded.
+    pub fn set_event_capture(&mut self, keep: usize) {
+        if keep == 0 {
+            self.events.clear();
+            self.events_discarded = 0;
+        } else if self.capture_keep == 0 {
             for side in [&mut self.producers, &mut self.consumers] {
                 for node in side.iter_mut() {
                     for iface in node.iter_mut() {
@@ -649,13 +684,41 @@ impl StreamFabric {
                 }
             }
         }
+        self.capture_keep = keep;
+        self.trim_events(keep);
     }
 
-    /// Drains the captured FIFO threshold crossings, oldest first. The
-    /// host calls this each tick and forwards them (timestamped) to its
-    /// flight recorder.
-    pub fn drain_fifo_events(&mut self) -> std::vec::Drain<'_, FifoEvent> {
-        self.events.drain(..)
+    /// Drains the captured FIFO threshold crossings: the newest
+    /// `keep` (see [`set_event_capture`](Self::set_event_capture)),
+    /// oldest first, plus the count of older ones discarded since the
+    /// previous drain. The host forwards them (timestamped) to its
+    /// flight recorder whenever it needs the ring current — how often
+    /// it drains does not change what the ring ends up holding.
+    pub fn drain_fifo_events(&mut self) -> FifoEventDrain<'_> {
+        self.trim_events(self.capture_keep);
+        FifoEventDrain {
+            discarded: std::mem::take(&mut self.events_discarded),
+            events: self.events.drain(..),
+        }
+    }
+
+    /// Drops the oldest buffered crossings beyond `keep`, counting them.
+    fn trim_events(&mut self, keep: usize) {
+        let excess = self.events.len().saturating_sub(keep);
+        if excess > 0 {
+            self.events.drain(..excess);
+            self.events_discarded += excess as u64;
+        }
+    }
+
+    /// Keeps the capture buffer bounded: once it holds more than twice
+    /// the armed bound, trims it back to the bound (amortized O(1) per
+    /// crossing). Called after every operation that can capture, and
+    /// only once an operation's crossings are in final order.
+    fn bound_events(&mut self) {
+        if self.events.len() > self.capture_keep.saturating_mul(2) {
+            self.trim_events(self.capture_keep);
+        }
     }
 
     /// The fabric's parameters.
@@ -1033,7 +1096,7 @@ impl StreamFabric {
     pub fn reset_node_fifos(&mut self, node: usize) {
         for (port, p) in self.producers[node].iter_mut().enumerate() {
             p.fifo.reset();
-            if self.capture_events {
+            if self.capture_keep > 0 {
                 note_fifo_edges(
                     &mut self.events,
                     p,
@@ -1045,7 +1108,7 @@ impl StreamFabric {
         }
         for (port, c) in self.consumers[node].iter_mut().enumerate() {
             c.fifo.reset();
-            if self.capture_events {
+            if self.capture_keep > 0 {
                 note_fifo_edges(
                     &mut self.events,
                     c,
@@ -1055,6 +1118,7 @@ impl StreamFabric {
                 );
             }
         }
+        self.bound_events();
         // Occupancies changed: feedback decisions on routes touching this
         // node must be re-evaluated.
         self.wake_routes(|r| r.producer.node == node || r.consumer.node == node);
@@ -1075,8 +1139,9 @@ impl StreamFabric {
         if let (Some(tap), Some(tag)) = (self.tap.as_mut(), word.tag()) {
             tap.note_enqueue(tag, self.ticks);
         }
-        if self.capture_events {
+        if self.capture_keep > 0 {
             note_fifo_edges(&mut self.events, iface, port, true, self.ticks);
+            self.bound_events();
         }
         self.wake_routes(|r| r.producer == port);
         self.generation += 1;
@@ -1117,8 +1182,9 @@ impl StreamFabric {
             if let (Some(tap), Some(tag)) = (self.tap.as_mut(), w.tag()) {
                 tap.note_dequeue(tag, self.ticks);
             }
-            if self.capture_events {
+            if self.capture_keep > 0 {
                 note_fifo_edges(&mut self.events, iface, port, false, self.ticks);
+                self.bound_events();
             }
             // Freed space may deassert feedback-full on the next tick.
             self.wake_routes(|r| r.consumer == port);
@@ -1216,9 +1282,12 @@ impl StreamFabric {
         // event order (cycle-major, route order within a cycle — the
         // fold visits live routes in ascending id order and the sort is
         // stable).
-        if self.capture_events && self.events.len() > events_start + 1 {
+        // Only then may the capture bound trim: trimming the route-major
+        // fold output would drop crossings by route, not by age.
+        if self.capture_keep > 0 && self.events.len() > events_start + 1 {
             self.events[events_start..].sort_by_key(|e| e.cycle);
         }
+        self.bound_events();
     }
 
     /// Folds one route from cycle `from` (its current state) up to and
@@ -1228,7 +1297,7 @@ impl StreamFabric {
             return;
         };
         let depth = route.depth as u64;
-        let capture = self.capture_events;
+        let capture = self.capture_keep > 0;
         let mut t = from;
         while t < target {
             // Exact path: a word reaches the consumer end next cycle
@@ -1424,7 +1493,7 @@ impl StreamFabric {
                 &mut self.consumers,
                 self.tap.as_mut(),
                 &mut self.events,
-                self.capture_events,
+                self.capture_keep > 0,
                 &mut self.deliveries,
                 &mut self.drains,
                 cycle,
@@ -1445,6 +1514,7 @@ impl StreamFabric {
                 self.deactivate(idx);
             }
         }
+        self.bound_events();
     }
 }
 
@@ -1841,7 +1911,12 @@ impl Persist for StreamFabric {
         w.put_u64(self.folded_ops);
         w.put_u64(self.generation);
         self.tap.persist(w);
-        w.put_bool(self.capture_events);
+        // The capture bound is host policy, not fabric state: only
+        // whether capture is armed is encoded, and the host re-arms the
+        // bound after a restore. The discard count is not encoded either
+        // — a host folds captured crossings into its own state (and
+        // drains the count) before it checkpoints.
+        w.put_bool(self.capture_keep > 0);
         self.events.persist(w);
     }
 
@@ -1892,8 +1967,11 @@ impl Persist for StreamFabric {
             folded_ops: r.take_u64()?,
             generation: r.take_u64()?,
             tap: Option::restore(r)?,
-            capture_events: r.take_bool()?,
+            // Armed images keep every buffered crossing until the host
+            // re-arms its bound.
+            capture_keep: if r.take_bool()? { usize::MAX } else { 0 },
             events: Vec::restore(r)?,
+            events_discarded: 0,
         };
         fabric.live = fabric.restored_live_index()?;
         Ok(fabric)
@@ -1999,7 +2077,7 @@ mod tests {
         let p = PortRef::new(0, 0);
         let c = PortRef::new(2, 0);
         open(&mut f, p, c);
-        f.set_event_capture(true);
+        f.set_event_capture(1024);
 
         f.producer_push(p, Word::data(1)).unwrap();
         f.tick(); // injection drains the producer FIFO again
@@ -2023,10 +2101,69 @@ mod tests {
         assert!(evs.iter().all(|e| !e.producer && e.port == c));
 
         // Capture off: silence.
-        f.set_event_capture(false);
+        f.set_event_capture(0);
         f.producer_push(p, Word::data(2)).unwrap();
         f.tick();
         assert_eq!(f.drain_fifo_events().count(), 0);
+    }
+
+    #[test]
+    fn bounded_capture_keeps_the_newest_crossings_in_both_engines() {
+        // Bursts through two opposing channels, so one fold interleaves
+        // two routes' crossings, under a full-length capture and under
+        // tight bounds, driven dense and batched: each bounded drain must
+        // be the full capture's tail, with the rest counted.
+        let run = |keep: usize, dense: bool| {
+            let mut f = fabric();
+            let ends = [
+                (PortRef::new(0, 0), PortRef::new(2, 0)),
+                (PortRef::new(2, 0), PortRef::new(0, 0)),
+            ];
+            for (p, c) in ends {
+                open(&mut f, p, c);
+            }
+            f.set_event_capture(keep);
+            let mut drains = Vec::new();
+            for round in 0..3u32 {
+                for burst in 0..3 {
+                    for (p, _) in ends {
+                        for i in 0..5 {
+                            f.producer_push(p, Word::data(round * 100 + burst * 10 + i))
+                                .unwrap();
+                        }
+                    }
+                    if dense {
+                        for _ in 0..60 {
+                            f.tick_dense();
+                        }
+                    } else {
+                        // One long fold: the bound may trim only after
+                        // the cycle sort.
+                        f.advance_to(f.ticks() + 60);
+                    }
+                    for (_, c) in ends {
+                        while f.consumer_pop(c).unwrap().is_some() {}
+                    }
+                }
+                let d = f.drain_fifo_events();
+                let discarded = d.discarded();
+                drains.push((discarded, d.collect::<Vec<_>>()));
+            }
+            drains
+        };
+        for dense in [true, false] {
+            let full = run(1 << 20, dense);
+            for keep in [1, 2, 3, 7] {
+                let bounded = run(keep, dense);
+                for ((d_full, all), (discarded, kept)) in full.iter().zip(&bounded) {
+                    assert_eq!(*d_full, 0);
+                    assert!(all.len() > 2 * keep, "the burst must overflow the bound");
+                    assert_eq!(kept[..], all[all.len() - keep..], "keep {keep}");
+                    assert_eq!(*discarded as usize, all.len() - keep, "keep {keep}");
+                }
+            }
+        }
+        assert_eq!(run(1 << 20, true), run(1 << 20, false));
     }
 
     #[test]
@@ -2526,7 +2663,7 @@ mod tests {
         // identical re-encoding.
         let mut f = fabric();
         f.enable_word_tap();
-        f.set_event_capture(true);
+        f.set_event_capture(1024);
         let p = PortRef::new(0, 0);
         let c = PortRef::new(2, 0);
         open(&mut f, p, c);

@@ -56,6 +56,28 @@ grep -q '"event":"swap_failed".*"step":"2_reconfigure_spare"' "$flight" \
     || { echo "flight dump missing the failing swap step" >&2; exit 1; }
 rm -rf "$(dirname "$flight")"
 
+echo "==> flight recorder freshness (a long stream's dump ends at the end of the run)"
+# Hundreds of thousands of FIFO crossings with no control event between
+# them: the ring must keep the newest, so the last dumped event lies
+# within 1 ms of the report's final sim time.
+fresh="$(mktemp -d)"
+./target/release/vapres-cli sim --swap yes --samples 60000 \
+    --flight-dump "$fresh/flight.jsonl" > "$fresh/report.txt"
+last_ps="$(tail -n 1 "$fresh/flight.jsonl" | sed -n 's/^{"at_ps":\([0-9]*\),.*/\1/p')"
+awk -v last="$last_ps" '
+    /^sim time/ {
+        scale["s"] = 1e12; scale["ms"] = 1e9; scale["us"] = 1e6; scale["ps"] = 1
+        end = $4 * scale[$5]; found = 1
+    }
+    END {
+        if (!found || last == "") { print "no sim time or flight event to compare" > "/dev/stderr"; exit 1 }
+        if (end - last > 1e9) {
+            printf "flight dump is stale: last event at %.0f ps, run ended at %.0f ps\n", last, end > "/dev/stderr"
+            exit 1
+        }
+    }' "$fresh/report.txt"
+rm -rf "$fresh"
+
 echo "==> checkpoint round-trip smoke (sim --checkpoint-*, replay, --until-breach)"
 ckptdir="$(mktemp -d)"
 ./target/release/vapres-cli sim --swap yes --samples 2000 \

@@ -215,6 +215,34 @@ fn checkpoint_restore_checkpoint_is_byte_identical() {
     }
 }
 
+/// Checkpoints taken while the fabric holds FIFO crossings the ring has
+/// not absorbed yet — a few, and more than the ring's 512 entries: the
+/// image stores each crossing once, in the ring, and the restored run
+/// matches the never-stopped one.
+#[test]
+fn checkpoint_with_buffered_crossings_matches_never_stopped() {
+    for quiet_us in [5, 1_500] {
+        let (mut reference, spec) = e3_system(Method::Seamless);
+        let setup = reference.flight().unwrap().total_recorded();
+        reference.run_for(Ps::from_us(quiet_us));
+        let bytes = reference.checkpoint();
+        let mut restored = VapresSystem::restore(SystemConfig::prototype(), library(), &bytes)
+            .expect("snapshot restores into its own configuration");
+        let recorded = reference.flight().unwrap().total_recorded();
+        assert_eq!(restored.flight().unwrap().total_recorded(), recorded);
+        if quiet_us > 1_000 {
+            assert!(recorded - setup > 512, "{} crossings", recorded - setup);
+        }
+        finish(&mut reference, &spec, Method::Seamless);
+        finish(&mut restored, &spec, Method::Seamless);
+        assert_eq!(
+            observables(&mut reference),
+            observables(&mut restored),
+            "quiet {quiet_us} µs: restore diverged from never-stopped"
+        );
+    }
+}
+
 #[test]
 fn restore_rejects_version_mismatch() {
     let (mut sys, _) = e3_system(Method::Seamless);

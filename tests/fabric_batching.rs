@@ -44,7 +44,8 @@ fn small_params() -> FabricParams {
 fn new_fabric() -> StreamFabric {
     let mut f = StreamFabric::new(small_params()).expect("params valid");
     f.enable_word_tap();
-    f.set_event_capture(true);
+    // A bound no drain interval reaches: every crossing is compared.
+    f.set_event_capture(1 << 16);
     f
 }
 

@@ -138,3 +138,55 @@ fn standalone_recorder_capacity_one_wraparound() {
     assert_eq!(only[0].seq, 9);
     assert_eq!(only[0].event, FlightEvent::DcrWrite { node: 9 });
 }
+
+#[test]
+fn long_quiet_stream_keeps_the_newest_crossings_at_any_sync_cadence() {
+    // More than 65,536 FIFO crossings with no control event in between:
+    // the ring must end on the newest `CAPACITY` crossings, `seq` must
+    // count every one, and how often the host looked at the ring in the
+    // meantime must not show in the dump.
+    const CAPACITY: usize = 4_096;
+    const SLICE: Ps = Ps::from_us(250);
+    let run = |capacity: usize, poll: bool| {
+        let (mut sys, _) = fig5_system(capacity);
+        sys.iom_feed(0, 0..12_000u32);
+        let setup = sys.flight().expect("recorder armed").total_recorded();
+        for _ in 0..280 {
+            sys.run_for(SLICE);
+            if poll {
+                sys.flight();
+            }
+        }
+        assert_eq!(sys.iom_pending_input(0), 0, "the stream must drain");
+        let fr = sys.flight().expect("recorder armed");
+        let mut buf = Vec::new();
+        fr.write_jsonl(&mut buf).unwrap();
+        let tail_is_fifo = fr
+            .events()
+            .all(|e| matches!(e.event, FlightEvent::FifoEdge { .. }));
+        (
+            setup,
+            fr.total_recorded(),
+            tail_is_fifo,
+            String::from_utf8(buf).unwrap(),
+        )
+    };
+    // A ring wide enough to hold every crossing is the reference.
+    let (setup, total, _, everything) = run(1 << 17, false);
+    assert!(total - setup > 65_536, "only {} crossings", total - setup);
+    let lines: Vec<&str> = everything.lines().collect();
+    let newest: String = lines[lines.len() - CAPACITY..]
+        .iter()
+        .map(|l| format!("{l}\n"))
+        .collect();
+
+    let quiet = run(CAPACITY, false);
+    assert_eq!(quiet.1, total, "seq must count every crossing");
+    assert!(quiet.2, "no control event may hide in the tail");
+    assert_eq!(quiet.3, newest, "the ring must hold the newest crossings");
+    assert_eq!(
+        run(CAPACITY, true),
+        quiet,
+        "sync cadence leaked into the dump"
+    );
+}
