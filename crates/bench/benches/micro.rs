@@ -5,7 +5,9 @@
 //! FIFO operation, bitstream generation/parsing, channel establishment).
 //! Timed with the in-tree harness in [`vapres_bench::bench`].
 
-use vapres_bench::{banner, bench, bench_ns, black_box};
+use std::time::Instant;
+
+use vapres_bench::{banner, bench, black_box};
 use vapres_bitstream::crc::Crc32;
 use vapres_bitstream::stream::{ModuleUid, PartialBitstream};
 use vapres_fabric::geometry::{ClbRect, Device};
@@ -78,12 +80,12 @@ fn bench_fabric_churn() {
         }
         fabric
     };
-    let time = |name: &str, mut fabric: StreamFabric| {
-        // E3's shape: node 0 streams to node 1, which loops every word
-        // back, so both live routes carry traffic.
+    // E3's shape: node 0 streams to node 1, which loops every word back,
+    // so both live routes carry traffic.
+    let stream = |mut fabric: StreamFabric| {
         let (iom, prr) = (PortRef::new(0, 0), PortRef::new(1, 0));
         let mut i = 0u32;
-        bench_ns(name, || {
+        move |acc| {
             if fabric.producer_space(iom).unwrap() > 0 {
                 fabric.producer_push(iom, Word::data(i)).unwrap();
             }
@@ -94,13 +96,19 @@ fn bench_fabric_churn() {
             }
             while fabric.consumer_pop(iom).unwrap().is_some() {}
             i = i.wrapping_add(1);
-        })
+            acc
+        }
     };
-    let fresh = time("fabric_fresh_advance", build(0));
-    let churned = time("fabric_churned_advance", build(1_000));
+    let (mut fresh, mut churned) = (stream(build(0)), stream(build(1_000)));
+    let r = paired_ratios(&mut [
+        ("fabric_fresh_advance", &mut |n| ns_per_iter(&mut fresh, n)),
+        ("fabric_churned_advance", &mut |n| {
+            ns_per_iter(&mut churned, n)
+        }),
+    ]);
     println!(
-        "  churn overhead: churned/fresh {:.2}x (1000 released slots)",
-        churned / fresh
+        "  churn overhead: churned/fresh {:.2}x (1000 released slots, median of paired rounds)",
+        r[1]
     );
 }
 
@@ -144,6 +152,73 @@ fn bench_channel_establish() {
     });
 }
 
+/// The hot loop the overhead guards wrap: one multiply-add the compiler
+/// cannot elide, on an accumulator [`ns_per_iter`] threads through.
+fn hot_work(acc: u64) -> u64 {
+    black_box(acc.wrapping_mul(2_654_435_761).wrapping_add(1))
+}
+
+/// Runs `f` `n` times, threading an accumulator through the calls;
+/// returns ns per call. The accumulator is a local here, so it stays in
+/// a register in every variant: were it captured state, a store in a
+/// variant's never-taken instrumentation branch could alias it and force
+/// a reload per iteration that the bare loop does not pay, and the guard
+/// would time that instead of the branch.
+fn ns_per_iter(f: &mut impl FnMut(u64) -> u64, n: u64) -> f64 {
+    let mut acc = 0;
+    let t = Instant::now();
+    for _ in 0..n {
+        acc = f(acc);
+    }
+    black_box(acc);
+    t.elapsed().as_nanos() as f64 / n as f64
+}
+
+/// A variant for [`paired_ratios`]: a name and a closure that runs the
+/// loop body `n` times and returns ns per iteration (so the body itself
+/// is called statically, not through the `dyn`).
+type Variant<'a> = (&'a str, &'a mut dyn FnMut(u64) -> f64);
+
+/// Slowdown of each variant relative to `variants[0]`, robust to host
+/// drift. All variants are timed in many short rounds (~0.5 ms each),
+/// in rotating order, and a variant's figure is the median over rounds
+/// of its time divided by the baseline's time *in the same round*: load
+/// or clock changes slower than a round cancel out of every ratio, and
+/// the median drops the rounds a burst hit. Prints each variant's median
+/// ns/iter and returns the median ratios (`[0]` is 1).
+fn paired_ratios(variants: &mut [Variant<'_>]) -> Vec<f64> {
+    const ROUNDS: usize = 201;
+    const SLOT_NS: f64 = 500_000.0;
+    for (_, run) in variants.iter_mut() {
+        run(10_000);
+    }
+    let per_iter = variants[0].1(100_000).max(0.01);
+    let batch = (SLOT_NS / per_iter).max(1.0) as u64;
+    let k = variants.len();
+    let mut times = vec![Vec::with_capacity(ROUNDS); k];
+    let mut ratios = vec![Vec::with_capacity(ROUNDS); k];
+    for round in 0..ROUNDS {
+        let mut t = vec![0.0; k];
+        for j in 0..k {
+            let v = (round + j) % k;
+            t[v] = variants[v].1(batch);
+        }
+        for v in 0..k {
+            times[v].push(t[v]);
+            ratios[v].push(t[v] / t[0]);
+        }
+    }
+    let median = |xs: &mut Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    for (v, (name, _)) in variants.iter().enumerate() {
+        let ns = median(&mut times[v]);
+        println!("  {name:<44} {ns:>12.1} ns/iter");
+    }
+    ratios.iter_mut().map(median).collect()
+}
+
 fn bench_metrics_overhead() {
     use vapres_sim::telemetry::Telemetry;
 
@@ -151,38 +226,36 @@ fn bench_metrics_overhead() {
     // `Option` check, so a system that never calls `enable_telemetry`
     // pays a single predictable branch per site. Compare the same hot
     // loop bare, with a disabled (None) registry, and with a live one.
-    let mut acc = 0u64;
-    let mut work = move || {
-        acc = black_box(acc.wrapping_mul(2_654_435_761).wrapping_add(1));
-        acc
-    };
-
-    let bare = bench_ns("hot_loop_bare", || {
-        black_box(work());
-    });
-
     let mut registry = Telemetry::new();
     let id = registry.counter("bench_hot_total", &[]);
     let mut disabled: Option<Telemetry> = None;
-    let off = bench_ns("hot_loop_metrics_disabled", || {
-        black_box(work());
+    let mut enabled = Some(registry);
+    let mut bare = hot_work;
+    let mut off = |acc| {
+        let acc = hot_work(acc);
         if let Some(t) = disabled.as_mut() {
             t.inc(id, 1);
         }
-    });
-
-    let mut enabled = Some(registry);
-    let on = bench_ns("hot_loop_metrics_enabled", || {
-        black_box(work());
+        acc
+    };
+    let mut on = |acc| {
+        let acc = hot_work(acc);
         if let Some(t) = enabled.as_mut() {
             t.inc(id, 1);
         }
-    });
-
+        acc
+    };
+    let r = paired_ratios(&mut [
+        ("hot_loop_bare", &mut |n| ns_per_iter(&mut bare, n)),
+        ("hot_loop_metrics_disabled", &mut |n| {
+            ns_per_iter(&mut off, n)
+        }),
+        ("hot_loop_metrics_enabled", &mut |n| ns_per_iter(&mut on, n)),
+    ]);
     println!(
-        "  metrics overhead: disabled {:+.1}%, enabled {:+.1}% vs bare",
-        (off - bare) / bare * 100.0,
-        (on - bare) / bare * 100.0
+        "  metrics overhead: disabled {:+.1}%, enabled {:+.1}% vs bare (median of paired rounds)",
+        (r[1] - 1.0) * 100.0,
+        (r[2] - 1.0) * 100.0
     );
 }
 
@@ -198,28 +271,19 @@ fn bench_sampling_overhead() {
     // capturing a frame every 1024 iterations.
     let mut registry = Telemetry::new();
     let id = registry.counter("bench_sampled_total", &[]);
-    let mut acc = 0u64;
-    let mut work = move || {
-        acc = black_box(acc.wrapping_mul(2_654_435_761).wrapping_add(1));
-        acc
-    };
-
-    let bare = bench_ns("hot_loop_bare", || {
-        black_box(work());
-    });
-
     let disabled: Option<TimeSeries> = None;
-    let off = bench_ns("hot_loop_sampling_disabled", || {
-        black_box(work());
+    let mut enabled = Some(TimeSeries::new(Ps::new(1024), 64, Ps::ZERO));
+    let mut t_on: u64 = 0;
+    let mut bare = hot_work;
+    let mut off = |acc| {
+        let acc = hot_work(acc);
         if let Some(ts) = disabled.as_ref() {
             black_box(ts.next_sample_at());
         }
-    });
-
-    let mut enabled = Some(TimeSeries::new(Ps::new(1024), 64, Ps::ZERO));
-    let mut t_on: u64 = 0;
-    let on = bench_ns("hot_loop_sampling_enabled", || {
-        black_box(work());
+        acc
+    };
+    let mut on = |acc| {
+        let acc = hot_work(acc);
         registry.inc(id, 1);
         t_on += 1;
         if let Some(ts) = enabled.as_mut() {
@@ -227,12 +291,21 @@ fn bench_sampling_overhead() {
                 ts.capture(Ps::new(t_on), &registry);
             }
         }
-    });
-
+        acc
+    };
+    let r = paired_ratios(&mut [
+        ("hot_loop_bare", &mut |n| ns_per_iter(&mut bare, n)),
+        ("hot_loop_sampling_disabled", &mut |n| {
+            ns_per_iter(&mut off, n)
+        }),
+        ("hot_loop_sampling_enabled", &mut |n| {
+            ns_per_iter(&mut on, n)
+        }),
+    ]);
     println!(
-        "  sampling overhead: disabled {:+.1}%, enabled {:+.1}% vs bare",
-        (off - bare) / bare * 100.0,
-        (on - bare) / bare * 100.0
+        "  sampling overhead: disabled {:+.1}%, enabled {:+.1}% vs bare (median of paired rounds)",
+        (r[1] - 1.0) * 100.0,
+        (r[2] - 1.0) * 100.0
     );
 }
 
@@ -244,46 +317,47 @@ fn bench_profile_overhead() {
     // `enable_profiling` pays a single predictable branch per dispatch.
     // Compare the same hot loop bare, with a disabled (None) profiler,
     // and with a live one charging a work unit and timing a scope.
-    let mut acc = 0u64;
-    let mut work = move || {
-        acc = black_box(acc.wrapping_mul(2_654_435_761).wrapping_add(1));
-        acc
-    };
-
-    let bare = bench_ns("hot_loop_bare", || {
-        black_box(work());
-    });
-
+    let mut prof = Profiler::new(DEFAULT_RING_CAPACITY);
+    let unit = prof.work_mut().unit("bench/iters");
     let mut disabled: Option<Profiler> = None;
-    let off = bench_ns("hot_loop_profile_disabled", || {
-        black_box(work());
+    let mut enabled = Some(prof);
+    let mut bare = hot_work;
+    let mut off = |acc| {
+        let acc = hot_work(acc);
         if let Some(p) = disabled.as_mut() {
             p.begin("bench");
             p.end();
         }
-    });
-
-    let mut prof = Profiler::new(DEFAULT_RING_CAPACITY);
-    let unit = prof.work_mut().unit("bench/iters");
-    let mut enabled = Some(prof);
-    let on = bench_ns("hot_loop_profile_enabled", || {
-        black_box(work());
+        acc
+    };
+    let mut on = |acc| {
+        let acc = hot_work(acc);
         if let Some(p) = enabled.as_mut() {
             p.work_mut().add(unit, 1);
             p.begin("bench");
             p.end();
         }
-    });
-
+        acc
+    };
+    let r = paired_ratios(&mut [
+        ("hot_loop_bare", &mut |n| ns_per_iter(&mut bare, n)),
+        ("hot_loop_profile_disabled", &mut |n| {
+            ns_per_iter(&mut off, n)
+        }),
+        ("hot_loop_profile_enabled", &mut |n| ns_per_iter(&mut on, n)),
+    ]);
     println!(
-        "  profile overhead: disabled {:+.1}%, enabled {:+.1}% vs bare",
-        (off - bare) / bare * 100.0,
-        (on - bare) / bare * 100.0
+        "  profile overhead: disabled {:+.1}%, enabled {:+.1}% vs bare (median of paired rounds)",
+        (r[1] - 1.0) * 100.0,
+        (r[2] - 1.0) * 100.0
     );
 }
 
 fn main() {
-    banner("micro", "simulator hot paths (best-of-3 batches)");
+    banner(
+        "micro",
+        "simulator hot paths (best-of-3 batches; overhead guards: median of paired rounds)",
+    );
     println!();
     bench_fifo();
     bench_fabric_tick();

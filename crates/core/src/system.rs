@@ -770,9 +770,10 @@ impl VapresSystem {
                 word_trace,
                 profile,
                 cfg,
+                static_domain,
                 ..
             } = self;
-            let period_ps = cfg.static_clock.period().as_ps();
+            let period_ps = clocks.period(*static_domain).as_ps();
             let ki = cfg.params.ki;
             // Horizon scheduling would starve the per-edge VCD sampling
             // cadence; with tracing on, the fabric stays per-cycle.

@@ -11,8 +11,7 @@
 
 use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::time::{Freq, Ps};
-use std::collections::BinaryHeap;
-use std::{cmp, fmt};
+use std::fmt;
 
 /// Identifies a clock domain within one [`ClockScheduler`].
 ///
@@ -40,32 +39,24 @@ pub struct Edge {
 #[derive(Debug, Clone)]
 struct Domain {
     freq: Freq,
+    /// `freq.period()` in ps, cached so no edge pays the division.
+    /// Derived from `freq`, never persisted.
+    period_ps: u64,
     enabled: bool,
     /// Time of the next rising edge if enabled.
     next_edge: Ps,
     cycles: u64,
 }
 
-/// Entry in the edge heap. Reversed ordering turns `BinaryHeap` (max-heap)
-/// into a min-heap on `(time, domain)`.
-#[derive(Debug, PartialEq, Eq)]
-struct HeapEntry {
-    at: Ps,
-    domain: DomainId,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.domain.cmp(&self.domain))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<cmp::Ordering> {
-        Some(self.cmp(other))
+impl Domain {
+    fn new(freq: Freq, enabled: bool, next_edge: Ps, cycles: u64) -> Self {
+        Domain {
+            freq,
+            period_ps: freq.period().as_ps(),
+            enabled,
+            next_edge,
+            cycles,
+        }
     }
 }
 
@@ -77,6 +68,11 @@ impl PartialOrd for HeapEntry {
 /// or re-enable re-aligns the domain's next edge to one full *new* period
 /// after the current time — matching a glitch-free clock mux that completes
 /// the switch before the next edge.
+///
+/// The next edge is found by scanning the domains for the smallest
+/// `(next_edge, id)`: a modelled device has one static domain plus one per
+/// PRR (at most 13), so the scan touches a few cache lines where a heap
+/// would pay pushes, pops and stale entries on every edge.
 ///
 /// # Examples
 ///
@@ -101,7 +97,6 @@ impl PartialOrd for HeapEntry {
 #[derive(Debug, Default)]
 pub struct ClockScheduler {
     domains: Vec<Domain>,
-    heap: BinaryHeap<HeapEntry>,
     now: Ps,
 }
 
@@ -115,16 +110,7 @@ impl ClockScheduler {
     pub fn add_domain(&mut self, freq: Freq) -> DomainId {
         let id = DomainId(self.domains.len());
         let next = self.now + freq.period();
-        self.domains.push(Domain {
-            freq,
-            enabled: true,
-            next_edge: next,
-            cycles: 0,
-        });
-        self.heap.push(HeapEntry {
-            at: next,
-            domain: id,
-        });
+        self.domains.push(Domain::new(freq, true, next, 0));
         id
     }
 
@@ -150,6 +136,15 @@ impl ClockScheduler {
     /// Panics if `id` is not a domain of this scheduler.
     pub fn frequency(&self, id: DomainId) -> Freq {
         self.domains[id.0].freq
+    }
+
+    /// Returns the clock period of `id` (`frequency(id).period()`, cached).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a domain of this scheduler.
+    pub fn period(&self, id: DomainId) -> Ps {
+        Ps::new(self.domains[id.0].period_ps)
     }
 
     /// Returns how many rising edges `id` has delivered so far.
@@ -181,12 +176,9 @@ impl ClockScheduler {
     pub fn set_frequency(&mut self, id: DomainId, freq: Freq) {
         let dom = &mut self.domains[id.0];
         dom.freq = freq;
+        dom.period_ps = freq.period().as_ps();
         if dom.enabled {
-            dom.next_edge = self.now + freq.period();
-            self.heap.push(HeapEntry {
-                at: dom.next_edge,
-                domain: id,
-            });
+            dom.next_edge = self.now + Ps::new(dom.period_ps);
         }
     }
 
@@ -206,11 +198,33 @@ impl ClockScheduler {
         }
         dom.enabled = enabled;
         if enabled {
-            dom.next_edge = self.now + dom.freq.period();
-            self.heap.push(HeapEntry {
-                at: dom.next_edge,
-                domain: id,
-            });
+            dom.next_edge = self.now + Ps::new(dom.period_ps);
+        }
+    }
+
+    /// The enabled domain with the smallest `(next_edge, id)`, if any.
+    fn earliest(&self) -> Option<usize> {
+        let mut best: Option<(Ps, usize)> = None;
+        for (idx, dom) in self.domains.iter().enumerate() {
+            // Strict `<` keeps the lowest id among simultaneous edges.
+            if dom.enabled && best.is_none_or(|(at, _)| dom.next_edge < at) {
+                best = Some((dom.next_edge, idx));
+            }
+        }
+        best.map(|(_, idx)| idx)
+    }
+
+    /// Delivers the pending edge of domain `idx`, advancing `now` to it.
+    fn deliver(&mut self, idx: usize) -> Edge {
+        let dom = &mut self.domains[idx];
+        let at = dom.next_edge;
+        self.now = at;
+        dom.cycles += 1;
+        dom.next_edge = Ps::new(at.as_ps() + dom.period_ps);
+        Edge {
+            domain: DomainId(idx),
+            at,
+            cycle: dom.cycles,
         }
     }
 
@@ -218,29 +232,8 @@ impl ClockScheduler {
     ///
     /// Returns `None` when no domain is enabled (or none are registered).
     pub fn next_edge(&mut self) -> Option<Edge> {
-        loop {
-            let entry = self.heap.pop()?;
-            let dom = &mut self.domains[entry.domain.0];
-            // Stale entries arise when a domain was re-scheduled (frequency
-            // change, gating) after this entry was pushed; skip them.
-            if !dom.enabled || dom.next_edge != entry.at {
-                continue;
-            }
-            self.now = entry.at;
-            dom.cycles += 1;
-            let cycle = dom.cycles;
-            dom.next_edge = entry.at + dom.freq.period();
-            let next = dom.next_edge;
-            self.heap.push(HeapEntry {
-                at: next,
-                domain: entry.domain,
-            });
-            return Some(Edge {
-                domain: entry.domain,
-                at: entry.at,
-                cycle,
-            });
-        }
+        let idx = self.earliest()?;
+        Some(self.deliver(idx))
     }
 
     /// Advances time to `deadline` without delivering edges, updating every
@@ -254,18 +247,14 @@ impl ClockScheduler {
         if deadline <= self.now {
             return;
         }
-        for (idx, dom) in self.domains.iter_mut().enumerate() {
+        for dom in &mut self.domains {
             if !dom.enabled || dom.next_edge > deadline {
                 continue;
             }
-            let period = dom.freq.period().as_ps();
+            let period = dom.period_ps;
             let skipped = (deadline.as_ps() - dom.next_edge.as_ps()) / period + 1;
             dom.cycles += skipped;
             dom.next_edge = Ps::new(dom.next_edge.as_ps() + skipped * period);
-            self.heap.push(HeapEntry {
-                at: dom.next_edge,
-                domain: DomainId(idx),
-            });
         }
         self.now = deadline;
     }
@@ -275,22 +264,12 @@ impl ClockScheduler {
     /// If the next edge is later than `deadline`, no edge is consumed and
     /// `now` is advanced to `deadline`.
     pub fn next_edge_before(&mut self, deadline: Ps) -> Option<Edge> {
-        // Peek (skipping stale entries) without committing.
-        loop {
-            let Some(top) = self.heap.peek() else {
+        match self.earliest() {
+            Some(idx) if self.domains[idx].next_edge <= deadline => Some(self.deliver(idx)),
+            _ => {
                 self.now = deadline.max(self.now);
-                return None;
-            };
-            let dom = &self.domains[top.domain.0];
-            if !dom.enabled || dom.next_edge != top.at {
-                self.heap.pop();
-                continue;
+                None
             }
-            if top.at > deadline {
-                self.now = deadline.max(self.now);
-                return None;
-            }
-            return self.next_edge();
         }
     }
 }
@@ -305,39 +284,40 @@ impl Persist for ClockScheduler {
             d.next_edge.persist(w);
             d.cycles.persist(w);
         }
-        // The heap is derived state: exactly one live entry per enabled
-        // domain (at its `next_edge`) reproduces future edge order, and
-        // stale entries are skipped lazily anyway — so it is rebuilt on
-        // restore, never encoded.
+        // `period_ps` is derived from `freq` and recomputed on restore.
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let now = Ps::restore(r)?;
         let n = r.take_usize()?;
-        let mut sched = ClockScheduler {
-            domains: Vec::with_capacity(n.min(r.remaining())),
-            heap: BinaryHeap::new(),
-            now,
-        };
+        let mut domains = Vec::with_capacity(n.min(r.remaining()));
         for idx in 0..n {
             let freq = Freq::restore(r)?;
             let enabled = bool::restore(r)?;
             let next_edge = Ps::restore(r)?;
             let cycles = u64::restore(r)?;
-            sched.domains.push(Domain {
-                freq,
-                enabled,
-                next_edge,
-                cycles,
-            });
-            if enabled {
-                sched.heap.push(HeapEntry {
-                    at: next_edge,
-                    domain: DomainId(idx),
-                });
+            let dom = Domain::new(freq, enabled, next_edge, cycles);
+            if dom.period_ps == 0 {
+                return Err(PersistError::Corrupt(format!(
+                    "clock domain {idx}: {} Hz has a zero-ps period",
+                    freq.as_hz()
+                )));
             }
+            // Every scheduler keeps an enabled domain's next edge within
+            // one period of `now`; anything else would run time backwards
+            // or replay an unbounded stretch of edges.
+            let horizon = now.saturating_add(Ps::new(dom.period_ps));
+            if enabled && (next_edge < now || next_edge > horizon) {
+                return Err(PersistError::Corrupt(format!(
+                    "clock domain {idx}: next edge {} ps outside [{}, {}] ps",
+                    next_edge.as_ps(),
+                    now.as_ps(),
+                    horizon.as_ps()
+                )));
+            }
+            domains.push(dom);
         }
-        Ok(sched)
+        Ok(ClockScheduler { domains, now })
     }
 }
 
@@ -510,7 +490,7 @@ mod tests {
         for _ in 0..11 {
             s.next_edge().unwrap();
         }
-        s.set_frequency(a, Freq::mhz(40)); // leaves a stale heap entry
+        s.set_frequency(a, Freq::mhz(40));
         s.set_enabled(c, false);
 
         let mut w = Writer::new();
@@ -534,5 +514,75 @@ mod tests {
         let mut w2 = Writer::new();
         restored.persist(&mut w2);
         assert_eq!(w1.into_bytes(), w2.into_bytes());
+    }
+
+    fn small_image() -> Vec<u8> {
+        let mut s = ClockScheduler::new();
+        let a = s.add_domain(Freq::mhz(100));
+        s.add_domain(Freq::mhz(33));
+        let c = s.add_domain(Freq::mhz(50));
+        for _ in 0..5 {
+            s.next_edge().unwrap();
+        }
+        s.set_frequency(a, Freq::mhz(40));
+        s.set_enabled(c, false);
+        let mut w = Writer::new();
+        s.persist(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_a_zero_period_domain() {
+        let mut s = ClockScheduler::new();
+        s.add_domain(Freq::mhz(100));
+        let mut w = Writer::new();
+        s.persist(&mut w);
+        let mut bytes = w.into_bytes();
+        // now (8) + count (8), then the frequency: above 2 THz the period
+        // rounds to 0 ps, and fast_forward would divide by it.
+        bytes[16..24].copy_from_slice(&3_000_000_000_000u64.to_le_bytes());
+        assert!(matches!(
+            ClockScheduler::restore(&mut Reader::new(&bytes)),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_an_enabled_edge_outside_one_period_of_now() {
+        let bytes = small_image();
+        // Domain 0's next edge sits at offset 8 + 8 + (8 + 1).
+        for next in [0u64, u64::MAX] {
+            let mut forged = bytes.clone();
+            forged[25..33].copy_from_slice(&next.to_le_bytes());
+            assert!(matches!(
+                ClockScheduler::restore(&mut Reader::new(&forged)),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+    }
+
+    /// Every single-byte mutant of a small image is a typed error, or
+    /// restores, re-encodes to the bytes it consumed, and runs 2 µs.
+    #[test]
+    fn single_byte_mutants_are_rejected_or_run() {
+        let bytes = small_image();
+        for at in 0..bytes.len() {
+            for v in [0x00, 0x01, 0x07, 0xFF] {
+                let mut mutant = bytes.clone();
+                mutant[at] = v;
+                let mut r = Reader::new(&mutant);
+                let Ok(mut s) = ClockScheduler::restore(&mut r) else {
+                    continue;
+                };
+                let used = mutant.len() - r.remaining();
+                let mut w = Writer::new();
+                s.persist(&mut w);
+                assert_eq!(w.into_bytes(), &mutant[..used], "byte {at} := {v:#04x}");
+                let deadline = s.now() + Ps::from_us(2);
+                s.fast_forward(s.now() + Ps::from_us(1));
+                while s.next_edge_before(deadline).is_some() {}
+                assert_eq!(s.now(), deadline);
+            }
+        }
     }
 }

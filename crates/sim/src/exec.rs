@@ -14,9 +14,9 @@
 //! * sleeping components are *skipped* when their domain's edge arrives,
 //!   and when every component is asleep whole stretches of edges are
 //!   elided with [`ClockScheduler::fast_forward`];
-//! * `IdleUntil` wake-ups ride the [`TimerQueue`], merged with the edge
-//!   stream so a component sleeping until `t` is ticked by the first edge
-//!   at or after `t`;
+//! * `IdleUntil` wake-ups are kept in per-component wake slots, merged
+//!   with the edge stream so a component sleeping until `t` is ticked by
+//!   the first edge at or after `t`;
 //! * external events (a FIFO push from another domain, a DCR write, a
 //!   module install) wake components via [`Executor::wake`] or, from
 //!   inside a tick, via the [`Waker`] handle.
@@ -60,7 +60,6 @@
 //! ```
 
 use crate::clock::{ClockScheduler, DomainId, Edge};
-use crate::event::{TimerId, TimerQueue};
 use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::time::Ps;
 use crate::trace::{SignalId, Tracer};
@@ -102,7 +101,7 @@ pub struct DomainStats {
 }
 
 /// Executor work counters, per clock domain plus aggregates.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecStats {
     domains: Vec<DomainStats>,
 }
@@ -157,8 +156,20 @@ impl ExecStats {
 struct Comp {
     domain: DomainId,
     awake: bool,
-    /// Pending `IdleUntil` timer; `Some` only while asleep.
-    timer: Option<TimerId>,
+    /// Pending `IdleUntil` wake-up as `(due, seq)`; `Some` only while
+    /// asleep. A component has at most one, so this slot *is* the timer
+    /// queue. `seq` numbers every timer ever set, in order; it is only
+    /// kept so checkpoints stay in their established encoding.
+    timer: Option<(Ps, u64)>,
+}
+
+/// The earliest due over all wake slots.
+fn earliest_due(comps: &[Comp]) -> Option<Ps> {
+    comps
+        .iter()
+        .filter_map(|c| c.timer)
+        .map(|(due, _)| due)
+        .min()
 }
 
 /// Handle through which a component tick wakes *other* components (e.g.
@@ -207,7 +218,10 @@ pub struct Executor {
     domain_comps: Vec<Vec<ComponentId>>,
     awake_per_domain: Vec<usize>,
     awake_total: usize,
-    timers: TimerQueue<ComponentId>,
+    /// Earliest `due` over all wake slots (`None` when none is set).
+    earliest: Option<Ps>,
+    /// `seq` of the next timer set.
+    next_seq: u64,
     stats: ExecStats,
     wake_scratch: Vec<ComponentId>,
     sched_scratch: Vec<(ComponentId, Ps)>,
@@ -271,10 +285,8 @@ impl Executor {
     /// write, module install, …). Cancels a pending `IdleUntil` timer.
     /// Waking an awake component is a no-op; spurious wakes are safe.
     pub fn wake(&mut self, id: ComponentId) {
+        self.set_timer(id, None);
         let comp = &mut self.comps[id.0];
-        if let Some(t) = comp.timer.take() {
-            self.timers.cancel(t);
-        }
         if !comp.awake {
             comp.awake = true;
             self.awake_per_domain[comp.domain.0] += 1;
@@ -288,10 +300,8 @@ impl Executor {
     /// `IdleUntil` timer. The host must [`wake`](Self::wake) it when the
     /// condition changes; sleeping an asleep component is a no-op.
     pub fn sleep_component(&mut self, id: ComponentId) {
-        if let Some(t) = self.comps[id.0].timer.take() {
-            self.timers.cancel(t);
-        }
-        self.sleep(id, None);
+        self.set_timer(id, None);
+        self.sleep(id);
     }
 
     /// (Re)schedules a sleeping component to wake at absolute time `at`,
@@ -299,21 +309,29 @@ impl Executor {
     /// component — it will tick on its next edge anyway and report fresh
     /// activity then.
     pub fn schedule_wake_at(&mut self, id: ComponentId, at: Ps) {
-        let comp = &mut self.comps[id.0];
-        if comp.awake {
-            return;
+        if !self.comps[id.0].awake {
+            self.set_timer(id, Some(at));
         }
-        if let Some(t) = comp.timer.take() {
-            self.timers.cancel(t);
-        }
-        let timer = self.timers.schedule_at(at, id);
-        self.comps[id.0].timer = Some(timer);
     }
 
-    fn sleep(&mut self, id: ComponentId, timer: Option<TimerId>) {
+    /// Replaces `id`'s wake slot with a timer due at `due` (or clears it),
+    /// keeping `earliest` exact: a rescan is needed only when the slot
+    /// held the earliest due and the new one (if any) is later.
+    fn set_timer(&mut self, id: ComponentId, due: Option<Ps>) {
+        let new = due.map(|d| {
+            self.next_seq += 1;
+            (d, self.next_seq - 1)
+        });
+        let old = std::mem::replace(&mut self.comps[id.0].timer, new);
+        if due.is_some_and(|d| self.earliest.is_none_or(|e| d <= e)) {
+            self.earliest = due;
+        } else if old.is_some_and(|(d, _)| Some(d) == self.earliest) {
+            self.earliest = earliest_due(&self.comps);
+        }
+    }
+
+    fn sleep(&mut self, id: ComponentId) {
         let comp = &mut self.comps[id.0];
-        debug_assert!(comp.timer.is_none(), "awake component had a timer");
-        comp.timer = timer;
         if comp.awake {
             comp.awake = false;
             self.awake_per_domain[comp.domain.0] -= 1;
@@ -417,11 +435,11 @@ impl Executor {
         if now >= deadline {
             return false;
         }
-        match self.timers.next_due() {
+        match self.earliest {
             Some(t) if t <= deadline => {
                 // Elide edges strictly before t; the edge at t (if any)
                 // must still be delivered to the newly woken components.
-                let stop = Ps::new(t.as_ps() - 1);
+                let stop = Ps::new(t.as_ps().saturating_sub(1));
                 if stop > now {
                     self.accounted_fast_forward(clocks, stop);
                 }
@@ -498,10 +516,10 @@ impl Executor {
     fn apply_activity(&mut self, id: ComponentId, now: Ps, activity: Activity) {
         match activity {
             Activity::Active => {}
-            Activity::Quiescent => self.sleep(id, None),
+            Activity::Quiescent => self.sleep(id),
             Activity::IdleUntil(t) if t > now => {
-                let timer = self.timers.schedule_at(t, id);
-                self.sleep(id, Some(timer));
+                self.sleep(id);
+                self.set_timer(id, Some(t));
             }
             // An idle-until time that is not in the future means "keep
             // ticking me" — equivalent to Active.
@@ -509,16 +527,33 @@ impl Executor {
         }
     }
 
+    /// Wakes every component whose timer is due at or before `now`.
+    ///
+    /// Free unless the earliest timer is due; then one pass over the wake
+    /// slots wakes the due ones and finds the next earliest. Same-instant
+    /// timers wake in component order rather than the order they were set
+    /// in, which nothing can observe: a pop only sets an awake flag, and
+    /// dispatch order is registration order whoever woke first.
     fn pop_timers(&mut self, now: Ps) {
-        while let Some(id) = self.timers.pop_due(now) {
-            let comp = &mut self.comps[id.0];
-            comp.timer = None;
-            if !comp.awake {
-                comp.awake = true;
-                self.awake_per_domain[comp.domain.0] += 1;
-                self.awake_total += 1;
+        if self.earliest.is_none_or(|t| t > now) {
+            return;
+        }
+        let mut earliest = None;
+        for comp in &mut self.comps {
+            match comp.timer {
+                Some((due, _)) if due <= now => {
+                    comp.timer = None;
+                    if !comp.awake {
+                        comp.awake = true;
+                        self.awake_per_domain[comp.domain.0] += 1;
+                        self.awake_total += 1;
+                    }
+                }
+                Some((due, _)) => earliest = Some(earliest.map_or(due, |e: Ps| e.min(due))),
+                None => {}
             }
         }
+        self.earliest = earliest;
     }
 }
 
@@ -565,39 +600,88 @@ impl Persist for Executor {
         for c in &self.comps {
             w.put_usize(c.domain.0);
             c.awake.persist(w);
-            c.timer.map(TimerId::raw).persist(w);
+            c.timer.map(|(_, seq)| seq).persist(w);
         }
         // `domain_comps` sizing is observable through skip accounting, so
         // the number of domain slots is encoded even though their contents
         // (registration order per domain) are derived from `comps`.
         w.put_usize(self.domain_comps.len());
-        self.timers.persist(w);
+        // The wake slots, in the timer-queue layout this image has always
+        // used: `next_seq`, then every pending timer as (due, seq,
+        // component) in (due, seq) order.
+        w.put_u64(self.next_seq);
+        let mut timers: Vec<(Ps, u64, usize)> = self
+            .comps
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, c)| c.timer.map(|(due, seq)| (due, seq, idx)))
+            .collect();
+        timers.sort_unstable();
+        w.put_usize(timers.len());
+        for (due, seq, idx) in timers {
+            due.persist(w);
+            w.put_u64(seq);
+            w.put_usize(idx);
+        }
         self.stats.persist(w);
         self.trace.as_ref().map(|t| &t.tracer).cloned().persist(w);
         // Scratch vectors are empty between steps and never encoded.
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let corrupt = |msg: String| Err(PersistError::Corrupt(msg));
         let n = r.take_usize()?;
         if n > r.remaining() {
             return Err(PersistError::UnexpectedEof);
         }
         let mut comps = Vec::with_capacity(n);
+        // The seq each sleeping component's timer must carry; the due
+        // comes from the timer list below.
+        let mut seqs = Vec::with_capacity(n);
         for _ in 0..n {
             let domain = DomainId(r.take_usize()?);
             let awake = bool::restore(r)?;
-            let timer = Option::<u64>::restore(r)?.map(TimerId::from_raw);
-            if awake && timer.is_some() {
-                return Err(PersistError::Corrupt("awake component with timer".into()));
+            let seq = Option::<u64>::restore(r)?;
+            if awake && seq.is_some() {
+                return corrupt("awake component with timer".into());
             }
             comps.push(Comp {
                 domain,
                 awake,
-                timer,
+                timer: None,
             });
+            seqs.push(seq);
         }
         let n_domains = r.take_usize()?;
-        let timers = TimerQueue::restore(r)?;
+        // Domain slots carry no bytes of their own, but every one has a
+        // stats row further on: more slots than bytes left is corrupt.
+        if n_domains > r.remaining() {
+            return corrupt(format!("{n_domains} domain slots in a shorter image"));
+        }
+        let next_seq = r.take_u64()?;
+        let n_timers = r.take_usize()?;
+        let mut prev = None;
+        for _ in 0..n_timers {
+            let due = Ps::restore(r)?;
+            let seq = r.take_u64()?;
+            let idx = r.take_usize()?;
+            if seq >= next_seq {
+                return corrupt(format!("timer seq {seq} >= next_seq {next_seq}"));
+            }
+            if prev.is_some_and(|p| p >= (due, seq)) {
+                return corrupt(format!("timer ({}, {seq}) out of order", due.as_ps()));
+            }
+            prev = Some((due, seq));
+            match comps.get_mut(idx) {
+                Some(c) if seqs[idx] == Some(seq) && c.timer.is_none() => {
+                    c.timer = Some((due, seq));
+                }
+                _ => return corrupt(format!("timer seq {seq} names no sleeping component {idx}")),
+            }
+        }
+        if let Some(idx) = (0..n).find(|&i| seqs[i].is_some() && comps[i].timer.is_none()) {
+            return corrupt(format!("component {idx} has a timer but no timer entry"));
+        }
         let stats = ExecStats::restore(r)?;
         let trace = Option::<Tracer>::restore(r)?
             .map(|tracer| {
@@ -623,11 +707,12 @@ impl Persist for Executor {
             )));
         }
         let mut exec = Executor {
+            earliest: earliest_due(&comps),
             comps,
             domain_comps: vec![Vec::new(); n_domains],
             awake_per_domain: vec![0; n_domains],
             awake_total: 0,
-            timers,
+            next_seq,
             stats,
             trace,
             ..Executor::default()
@@ -646,6 +731,7 @@ impl Persist for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
     use crate::time::Freq;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -909,5 +995,215 @@ mod tests {
         assert!(!exec.step(&mut clocks, deadline, &mut host));
         assert_eq!(clocks.now(), deadline);
         assert!(!exec.step(&mut clocks, deadline, &mut host));
+    }
+
+    fn encode(exec: &Executor, clocks: &ClockScheduler) -> Vec<u8> {
+        let mut w = Writer::new();
+        exec.persist(&mut w);
+        clocks.persist(&mut w);
+        w.into_bytes()
+    }
+
+    /// Runs `segments` of a seeded churn schedule: each segment steps a
+    /// random number of times toward a random deadline (so it may stop
+    /// mid-run), then applies a random external wake, sleep, timer,
+    /// gating or frequency change. Tick results and waker calls are a
+    /// pure function of `(seed, component, edge)`, so a restored run
+    /// replays exactly what the unbroken one does. Returns the dispatch
+    /// log as `(component, domain, at_ps, cycle)`.
+    fn churn(
+        exec: &mut Executor,
+        clocks: &mut ClockScheduler,
+        seed: u64,
+        segments: std::ops::Range<u64>,
+    ) -> Vec<(usize, usize, u64, u64)> {
+        let n = exec.component_count();
+        let mut log = Vec::new();
+        let mut host = |waker: &mut Waker<'_>, id: ComponentId, edge: Edge| {
+            log.push((id.0, edge.domain.0, edge.at.as_ps(), edge.cycle));
+            let mut rng = SplitMix64::new(seed ^ (id.0 as u64) << 48 ^ edge.at.as_ps());
+            let other = ComponentId(rng.gen_usize(0..n));
+            let later = edge.at + Ps::from_ns(rng.gen_range(0..120));
+            match rng.gen_range(0..8) {
+                0 => waker.wake(other),
+                1 => waker.schedule_at(other, later),
+                2 => {
+                    waker.schedule_at(other, later);
+                    waker.wake(other);
+                }
+                _ => {}
+            }
+            match rng.gen_range(0..3) {
+                0 => Activity::Active,
+                1 => Activity::IdleUntil(later),
+                _ => Activity::Quiescent,
+            }
+        };
+        for seg in segments {
+            let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37) ^ seg);
+            let deadline = clocks.now() + Ps::from_ns(rng.gen_range(1..400));
+            for _ in 0..rng.gen_range(1..24) {
+                if !exec.step(clocks, deadline, &mut host) {
+                    break;
+                }
+            }
+            let comp = ComponentId(rng.gen_usize(0..n));
+            let dom = DomainId(rng.gen_usize(0..clocks.len()));
+            match rng.gen_range(0..6) {
+                0 => exec.wake(comp),
+                1 => exec.sleep_component(comp),
+                2 => exec.schedule_wake_at(comp, clocks.now() + Ps::from_ns(rng.gen_range(0..300))),
+                3 => clocks.set_enabled(dom, !clocks.is_enabled(dom)),
+                4 => clocks.set_frequency(dom, Freq::mhz([25, 33, 50, 100][rng.gen_usize(0..4)])),
+                _ => {}
+            }
+        }
+        log
+    }
+
+    #[test]
+    fn restore_under_timer_churn_matches_never_stopped() {
+        for seed in 1..=12u64 {
+            let mut clocks = ClockScheduler::new();
+            for mhz in [100, 33, 50] {
+                clocks.add_domain(Freq::mhz(mhz));
+            }
+            let mut exec = Executor::new();
+            for i in 0..7 {
+                exec.register(DomainId(i % 3));
+            }
+            if seed % 2 == 0 {
+                exec.enable_tracing();
+            }
+            let mut rng = SplitMix64::new(seed);
+            let stop = rng.gen_range(5..120);
+            let end = stop + rng.gen_range(20..120);
+            churn(&mut exec, &mut clocks, seed, 0..stop);
+            let image = encode(&exec, &clocks);
+
+            let mut r = Reader::new(&image);
+            let mut exec2 = Executor::restore(&mut r).unwrap();
+            let mut clocks2 = ClockScheduler::restore(&mut r).unwrap();
+            r.expect_end().unwrap();
+            assert_eq!(encode(&exec2, &clocks2), image, "seed {seed}: re-encode");
+
+            let want = churn(&mut exec, &mut clocks, seed, stop..end);
+            let got = churn(&mut exec2, &mut clocks2, seed, stop..end);
+            assert!(!want.is_empty(), "seed {seed}: nothing dispatched");
+            assert_eq!(got, want, "seed {seed}: dispatch log diverged");
+            assert_eq!(exec2.stats(), exec.stats(), "seed {seed}: stats diverged");
+            assert_eq!(encode(&exec2, &clocks2), encode(&exec, &clocks));
+        }
+    }
+
+    /// One component in one domain, asleep on a pending timer: the
+    /// smallest image with every section populated. Layout: count (8),
+    /// then domain (8), awake (1), timer seq (1 + 8); domain slots (8);
+    /// next_seq (8), timer count (8), then (due, seq, component) (24);
+    /// stats (8 + 32); trace tag (1).
+    fn one_sleeper() -> Vec<u8> {
+        let mut clocks = ClockScheduler::new();
+        let clk = clocks.add_domain(Freq::mhz(100));
+        let mut exec = Executor::new();
+        exec.register(clk);
+        exec.run_for(&mut clocks, Ps::from_ns(20), |_, _, e| {
+            Activity::IdleUntil(e.at + Ps::from_ns(50))
+        });
+        let mut w = Writer::new();
+        exec.persist(&mut w);
+        w.into_bytes()
+    }
+
+    const SLOTS: usize = 26;
+    const ENTRY_SEQ: usize = 58;
+    const ENTRY_COMP: usize = 66;
+
+    fn restore_err(bytes: &[u8]) -> PersistError {
+        Executor::restore(&mut Reader::new(bytes)).expect_err("corrupt image restored")
+    }
+
+    #[test]
+    fn one_sleeper_layout_is_as_documented() {
+        let bytes = one_sleeper();
+        assert_eq!(bytes.len(), 115);
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!(word(SLOTS), 1);
+        assert_eq!(word(ENTRY_SEQ), word(18), "entry seq is the component's");
+        assert_eq!(word(ENTRY_COMP), 0);
+        Executor::restore(&mut Reader::new(&bytes)).unwrap();
+    }
+
+    #[test]
+    fn restore_bounds_domain_slots_by_input_length() {
+        let mut bytes = one_sleeper();
+        // One flipped high byte: 2^56 slots of a Vec each.
+        bytes[SLOTS + 7] = 0x01;
+        assert!(matches!(restore_err(&bytes), PersistError::Corrupt(_)));
+    }
+
+    #[test]
+    fn restore_rejects_timers_that_do_not_match_a_sleeping_component() {
+        let base = one_sleeper();
+        // Entry names a component outside the table.
+        let mut bytes = base.clone();
+        bytes[ENTRY_COMP] = 5;
+        assert!(matches!(restore_err(&bytes), PersistError::Corrupt(_)));
+        // Entry's seq differs from the component's.
+        let mut bytes = base.clone();
+        bytes[18] ^= 0x01;
+        bytes[ENTRY_SEQ] ^= 0x02;
+        assert!(matches!(restore_err(&bytes), PersistError::Corrupt(_)));
+        // Component awake (its timer slot empty) but an entry names it.
+        let mut bytes = base[..17].to_vec();
+        bytes[16] = 1;
+        bytes.push(0);
+        bytes.extend_from_slice(&base[26..]);
+        assert!(matches!(restore_err(&bytes), PersistError::Corrupt(_)));
+        // Sleeping component with a timer, but no entry for it.
+        let mut bytes = base[..SLOTS + 16].to_vec();
+        bytes.extend_from_slice(&[0; 8]);
+        bytes.extend_from_slice(&base[ENTRY_COMP + 8..]);
+        assert!(matches!(restore_err(&bytes), PersistError::Corrupt(_)));
+    }
+
+    /// Every single-byte mutant of a one-component image and of a
+    /// three-domain churned image is a typed error, or restores,
+    /// re-encodes to the bytes it consumed, and runs 2 µs.
+    #[test]
+    fn single_byte_mutants_are_rejected_or_run() {
+        let mut clocks = ClockScheduler::new();
+        for mhz in [100, 33, 50] {
+            clocks.add_domain(Freq::mhz(mhz));
+        }
+        let mut exec = Executor::new();
+        for i in 0..4 {
+            exec.register(DomainId(i % 3));
+        }
+        churn(&mut exec, &mut clocks, 7, 0..40);
+        let mut w = Writer::new();
+        exec.persist(&mut w);
+        for bytes in [one_sleeper(), w.into_bytes()] {
+            for at in 0..bytes.len() {
+                for v in [0x00, 0x01, 0x07, 0xFF] {
+                    let mut mutant = bytes.clone();
+                    mutant[at] = v;
+                    let mut r = Reader::new(&mutant);
+                    let Ok(mut exec) = Executor::restore(&mut r) else {
+                        continue;
+                    };
+                    let used = mutant.len() - r.remaining();
+                    let mut w = Writer::new();
+                    exec.persist(&mut w);
+                    assert_eq!(w.into_bytes(), &mutant[..used], "byte {at} := {v:#04x}");
+                    let mut clocks = ClockScheduler::new();
+                    for mhz in [100, 33, 50] {
+                        clocks.add_domain(Freq::mhz(mhz));
+                    }
+                    exec.run_for(&mut clocks, Ps::from_us(2), |_, _, e| {
+                        Activity::IdleUntil(e.at + Ps::from_ns(30))
+                    });
+                }
+            }
+        }
     }
 }

@@ -10,12 +10,10 @@
 //! * [`clock`] — the [`clock::ClockScheduler`]: many independent clock
 //!   domains (VAPRES *local clock domains*), runtime frequency changes and
 //!   clock gating, rising edges delivered in deterministic global order.
-//! * [`event`] — [`event::TimerQueue`] for one-shot duration-style events
-//!   (storage transfers, reconfiguration completion).
 //! * [`exec`] — the activity-tracked [`exec::Executor`]: merges the clock
-//!   edge stream with the timer queue, maintains per-domain wake sets so
-//!   quiescent components are skipped instead of ticked, and counts
-//!   delivered edges / ticks / skips per domain.
+//!   edge stream with per-component `IdleUntil` wake slots, maintains
+//!   per-domain wake sets so quiescent components are skipped instead of
+//!   ticked, and counts delivered edges / ticks / skips per domain.
 //! * [`stats`] — measurement helpers ([`stats::GapTracker`] measures the
 //!   paper's "stream processing interruption" directly).
 //! * [`telemetry`] — the unified metrics registry ([`telemetry::Telemetry`]):
@@ -60,7 +58,6 @@
 //! ```
 
 pub mod clock;
-pub mod event;
 pub mod exec;
 pub mod flight;
 pub mod persist;
@@ -74,7 +71,6 @@ pub mod trace;
 pub mod watchdog;
 
 pub use clock::{ClockScheduler, DomainId, Edge};
-pub use event::{TimerId, TimerQueue};
 pub use exec::{Activity, ComponentId, DomainStats, ExecStats, Executor, Waker};
 pub use flight::{FlightEntry, FlightEvent, FlightRecorder};
 pub use persist::{Persist, PersistError, Reader, Writer};

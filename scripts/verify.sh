@@ -409,44 +409,30 @@ fi
 rm -rf "$fleetdir"
 
 echo "==> overhead guards (disabled instrumentation, sampling, profiling within 2% of bare; churned fabric within 1.5x of fresh)"
-# The disabled-telemetry and disabled-sampler paths must each stay one
-# predictable branch per site. At ~1 ns/iter the measurement is dominated
-# by code-alignment noise that swings both ways around the true value, so
-# the guard takes the best of up to four runs per metric: noise dips
-# under the threshold quickly, a genuine regression shifts every run.
+# The disabled-telemetry, -sampler and -profiler paths must each stay one
+# predictable branch per site. The micro bench times each bare loop and
+# its variants in 201 short rounds in rotating order and reports the
+# median of the per-round ratios, so host drift slower than a round
+# (another tenant, a clock change) cancels out of every ratio instead of
+# being filtered by retries. An always-on registry lookup in a disabled
+# path reads far above the bound.
 # The churn guard keeps the swap path history-independent: streaming on
 # a fabric behind 1,000 released channel slots must cost what it costs
 # on a fresh fabric, so a per-route scan over every slot ever issued
 # fails it.
-min_m=""
-min_s=""
-min_p=""
-min_c=""
-guards_ok() {
-    awk -v m="$min_m" -v s="$min_s" -v p="$min_p" -v c="$min_c" \
-        'BEGIN { exit !(m <= 2.0 && s <= 2.0 && p <= 2.0 && c <= 1.5) }'
-}
-for _ in 1 2 3 4; do
-    lines="$(cargo bench -q --offline -p vapres-bench --bench micro 2>/dev/null \
-        | grep 'overhead:')"
-    echo "$lines" | sed 's/^ */    /'
-    m="$(echo "$lines" | sed -n 's/.*metrics overhead: disabled \([+-][0-9.]*\)%.*/\1/p')"
-    s="$(echo "$lines" | sed -n 's/.*sampling overhead: disabled \([+-][0-9.]*\)%.*/\1/p')"
-    p="$(echo "$lines" | sed -n 's/.*profile overhead: disabled \([+-][0-9.]*\)%.*/\1/p')"
-    c="$(echo "$lines" | sed -n 's/.*churn overhead: churned\/fresh \([0-9.]*\)x.*/\1/p')"
-    [ -n "$m" ] && [ -n "$s" ] && [ -n "$p" ] && [ -n "$c" ] \
-        || { echo "overhead lines missing from micro bench" >&2; exit 1; }
-    min_m="$(awk -v a="${min_m:-$m}" -v b="$m" 'BEGIN { print (a < b) ? a : b }')"
-    min_s="$(awk -v a="${min_s:-$s}" -v b="$s" 'BEGIN { print (a < b) ? a : b }')"
-    min_p="$(awk -v a="${min_p:-$p}" -v b="$p" 'BEGIN { print (a < b) ? a : b }')"
-    min_c="$(awk -v a="${min_c:-$c}" -v b="$c" 'BEGIN { print (a < b) ? a : b }')"
-    if guards_ok; then
-        break
-    fi
-done
-guards_ok || {
+lines="$(cargo bench -q --offline -p vapres-bench --bench micro 2>/dev/null \
+    | grep 'overhead:')"
+echo "$lines" | sed 's/^ */    /'
+m="$(echo "$lines" | sed -n 's/.*metrics overhead: disabled \([+-][0-9.]*\)%.*/\1/p')"
+s="$(echo "$lines" | sed -n 's/.*sampling overhead: disabled \([+-][0-9.]*\)%.*/\1/p')"
+p="$(echo "$lines" | sed -n 's/.*profile overhead: disabled \([+-][0-9.]*\)%.*/\1/p')"
+c="$(echo "$lines" | sed -n 's/.*churn overhead: churned\/fresh \([0-9.]*\)x.*/\1/p')"
+[ -n "$m" ] && [ -n "$s" ] && [ -n "$p" ] && [ -n "$c" ] \
+    || { echo "overhead lines missing from micro bench" >&2; exit 1; }
+awk -v m="$m" -v s="$s" -v p="$p" -v c="$c" \
+    'BEGIN { exit !(m <= 2.0 && s <= 2.0 && p <= 2.0 && c <= 1.5) }' || {
     echo "overhead guard failed: disabled instrumentation/sampling/profiling above 2% of bare" \
-        "(best $min_m/$min_s/$min_p%) or churned fabric above 1.5x fresh (best ${min_c}x)" >&2
+        "($m/$s/$p%) or churned fabric above 1.5x fresh (${c}x)" >&2
     exit 1
 }
 

@@ -22,7 +22,7 @@ use vapres::core::switching::{halt_and_swap, seamless_swap, BitstreamSource, Swa
 use vapres::core::system::VapresSystem;
 use vapres::core::{PortRef, Ps, SplitMix64};
 use vapres::modules::{register_standard_modules, uids};
-use vapres::sim::persist::{PersistError, FORMAT_VERSION, MAGIC};
+use vapres::sim::persist::{fnv1a, PersistError, FORMAT_VERSION, MAGIC};
 
 /// External ADC sample interval in fabric cycles.
 const SAMPLE_INTERVAL: u64 = 200;
@@ -241,6 +241,31 @@ fn checkpoint_with_buffered_crossings_matches_never_stopped() {
             "quiet {quiet_us} µs: restore diverged from never-stopped"
         );
     }
+}
+
+/// The encoding itself, pinned: length and FNV-1a of E3 images at three
+/// fixed points — mid-stream before the swap (IOM and fabric timers
+/// pending), right after the seamless swap, and after the drain. A
+/// scheduler or codec refactor that claims "same format" must keep these;
+/// a deliberate encoding change updates them and says why.
+#[test]
+fn e3_checkpoint_images_are_pinned() {
+    let (mut sys, spec) = e3_system(Method::Seamless);
+    let mut images = Vec::new();
+    sys.run_for(Ps::from_us(317));
+    images.push(sys.checkpoint());
+    seamless_swap(&mut sys, &spec).unwrap();
+    images.push(sys.checkpoint());
+    sys.run_until(Ps::from_ms(100), |s| s.iom_pending_input(0) == 0);
+    sys.run_for(Ps::from_us(50));
+    images.push(sys.checkpoint());
+    let got: Vec<(usize, u64)> = images.iter().map(|b| (b.len(), fnv1a(b))).collect();
+    let pinned: [(usize, u64); 3] = [
+        (210_108, 0xa718_72ee_ba76_6557),
+        (639_175, 0x5c9c_c710_1168_5cd6),
+        (639_175, 0x572f_8b22_2a0b_a46d),
+    ];
+    assert_eq!(got, pinned, "E3 checkpoint encoding moved");
 }
 
 #[test]
