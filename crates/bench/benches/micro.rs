@@ -316,11 +316,17 @@ fn bench_profile_overhead() {
     // `Option<Box<..>>` check, so a system that never calls
     // `enable_profiling` pays a single predictable branch per dispatch.
     // Compare the same hot loop bare, with a disabled (None) profiler,
-    // and with a live one charging a work unit and timing a scope.
+    // and with a live one charging a work unit per iteration and timing
+    // it either exactly (`begin`/`end`, a name search and two clock
+    // reads every time) or sampled (`dispatch` on a resolved scope, the
+    // path every component dispatch takes).
     let mut prof = Profiler::new(DEFAULT_RING_CAPACITY);
     let unit = prof.work_mut().unit("bench/iters");
+    prof.begin("run");
+    let scope = prof.resolve("bench");
     let mut disabled: Option<Profiler> = None;
-    let mut enabled = Some(prof);
+    let mut exact_prof = Some(prof.clone());
+    let mut sampled_prof = Some(prof);
     let mut bare = hot_work;
     let mut off = |acc| {
         let acc = hot_work(acc);
@@ -330,26 +336,52 @@ fn bench_profile_overhead() {
         }
         acc
     };
-    let mut on = |acc| {
-        let acc = hot_work(acc);
-        if let Some(p) = enabled.as_mut() {
+    let mut exact = |acc| {
+        if let Some(p) = exact_prof.as_mut() {
             p.work_mut().add(unit, 1);
             p.begin("bench");
+            let acc = hot_work(acc);
             p.end();
+            return acc;
         }
-        acc
+        hot_work(acc)
+    };
+    let mut sampled = |acc| {
+        if let Some(p) = sampled_prof.as_mut() {
+            p.work_mut().add(unit, 1);
+            return p.dispatch(scope, || hot_work(acc));
+        }
+        hot_work(acc)
     };
     let r = paired_ratios(&mut [
         ("hot_loop_bare", &mut |n| ns_per_iter(&mut bare, n)),
         ("hot_loop_profile_disabled", &mut |n| {
             ns_per_iter(&mut off, n)
         }),
-        ("hot_loop_profile_enabled", &mut |n| ns_per_iter(&mut on, n)),
+        ("hot_loop_profile_exact", &mut |n| {
+            ns_per_iter(&mut exact, n)
+        }),
+        ("hot_loop_profile_sampled", &mut |n| {
+            ns_per_iter(&mut sampled, n)
+        }),
     ]);
     println!(
-        "  profile overhead: disabled {:+.1}%, enabled {:+.1}% vs bare (median of paired rounds)",
+        "  profile overhead: disabled {:+.1}%, exact {:+.1}%, sampled {:+.1}% vs bare (median of paired rounds)",
         (r[1] - 1.0) * 100.0,
-        (r[2] - 1.0) * 100.0
+        (r[2] - 1.0) * 100.0,
+        (r[3] - 1.0) * 100.0
+    );
+    let r = paired_ratios(&mut [
+        ("hot_loop_profile_exact", &mut |n| {
+            ns_per_iter(&mut exact, n)
+        }),
+        ("hot_loop_profile_sampled", &mut |n| {
+            ns_per_iter(&mut sampled, n)
+        }),
+    ]);
+    println!(
+        "  profile sampling overhead: sampled/exact {:.3} (median of paired rounds)",
+        r[1]
     );
 }
 

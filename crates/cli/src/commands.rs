@@ -1472,10 +1472,12 @@ pub fn cmd_profile(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         prof.write_top_table(&mut *out, top)?;
         writeln!(
             out,
-            "work plane: {} components; host plane: {} scopes, {} completed",
+            "work plane: {} components; host plane: {} scopes, {} completed \
+             (exec/* dispatches timed about 1 in {}, scaled to an estimate)",
             prof.work().len(),
             prof.scope_count(),
-            prof.completed()
+            prof.completed(),
+            vapres_sim::profile::DISPATCH_STRIDE_MEAN
         )?;
     }
     if let Some(path) = args.get("flame") {
@@ -2968,6 +2970,7 @@ mod tests {
             "top table names the run scope: {text}"
         );
         assert!(text.contains("work plane: "), "{text}");
+        assert!(text.contains("timed about 1 in 16"), "{text}");
 
         let flame_text = std::fs::read_to_string(&flame).unwrap();
         assert!(

@@ -25,7 +25,7 @@ use vapres_sim::clock::{ClockScheduler, DomainId, Edge};
 use vapres_sim::exec::{Activity, ComponentId, ExecStats, Executor};
 use vapres_sim::flight::{FifoEdgeKind, FifoSide, FlightEvent, FlightRecorder};
 use vapres_sim::persist::intern_static;
-use vapres_sim::profile::{CostModel, Profiler, WorkId, WorkUnits, DEFAULT_RING_CAPACITY};
+use vapres_sim::profile::{CostModel, Profiler, ScopeId, WorkId, WorkUnits, DEFAULT_RING_CAPACITY};
 use vapres_sim::stats::GapTracker;
 use vapres_sim::telemetry::Telemetry;
 use vapres_sim::time::Ps;
@@ -345,13 +345,12 @@ pub struct VapresSystem {
     pub(crate) bs_cache: Option<BitstreamCache>,
 }
 
-/// The self-profiler plus its pre-resolved work ids, so hot-loop
-/// charging is an array index, not a name lookup.
+/// The self-profiler plus its pre-resolved work and scope ids, so
+/// hot-loop charging is an array index, not a name lookup.
 struct SelfProfile {
     prof: Profiler,
-    /// Executor component id → (host scope name, work id), in executor
-    /// registration order.
-    comps: Vec<(&'static str, WorkId)>,
+    /// Per executor component, in executor registration order.
+    comps: Vec<CompProfile>,
     /// One unit per time-series sample captured.
     sampling: WorkId,
     /// One unit per swap methodology step entered.
@@ -369,6 +368,16 @@ struct SelfProfile {
     cache_bytes_saved: WorkId,
 }
 
+/// One executor component's profiler handles.
+struct CompProfile {
+    /// Host scope name, equal to the work component name.
+    name: &'static str,
+    work: WorkId,
+    /// The dispatch scope, with the open scope it was resolved under
+    /// (always `run` today); re-resolved when that parent differs.
+    scope: Option<(Option<ScopeId>, ScopeId)>,
+}
+
 impl SelfProfile {
     /// Registers the fixed component set in deterministic order (the
     /// executor's registration order, then the shared engines), so the
@@ -382,8 +391,12 @@ impl SelfProfile {
                 CompKind::Iom(i) => intern_static(&format!("exec/iom{i}")),
                 CompKind::Prr(i) => intern_static(&format!("exec/prr{i}")),
             };
-            let id = prof.work_mut().unit(name);
-            comps.push((name, id));
+            let work = prof.work_mut().unit(name);
+            comps.push(CompProfile {
+                name,
+                work,
+                scope: None,
+            });
         }
         let sampling = prof.work_mut().unit("sample");
         let swap_steps = prof.work_mut().unit("swap/steps");
@@ -422,8 +435,8 @@ impl SelfProfile {
             cache_bytes_saved,
         } = self;
         let w = prof.work_mut();
-        for (name, id) in comps.iter_mut() {
-            *id = w.unit(name);
+        for c in comps.iter_mut() {
+            c.work = w.unit(c.name);
         }
         *sampling = w.unit("sample");
         *swap_steps = w.unit("swap/steps");
@@ -432,6 +445,24 @@ impl SelfProfile {
         *sdram_bytes = w.unit("sdram/bytes");
         *cache_hits = w.unit("cache/hits");
         *cache_bytes_saved = w.unit("cache/bytes_saved");
+    }
+
+    /// Runs one dispatch of executor component `comp`: one work unit,
+    /// and one call of its scope under the open scope, sampled by
+    /// [`Profiler::dispatch`].
+    fn dispatch<R>(&mut self, comp: usize, f: impl FnOnce() -> R) -> R {
+        let c = &mut self.comps[comp];
+        self.prof.work_mut().add(c.work, 1);
+        let parent = self.prof.open_scope();
+        let scope = match c.scope {
+            Some((at, scope)) if at == parent => scope,
+            _ => {
+                let scope = self.prof.resolve(c.name);
+                c.scope = Some((parent, scope));
+                scope
+            }
+        };
+        self.prof.dispatch(scope, f)
     }
 }
 
@@ -782,12 +813,7 @@ impl VapresSystem {
                             id: ComponentId,
                             edge: Edge|
              -> Activity {
-                if let Some(p) = profile.as_deref_mut() {
-                    let (scope, unit) = p.comps[id.0];
-                    p.prof.work_mut().add(unit, 1);
-                    p.prof.begin(scope);
-                }
-                let act = match comp_kind[id.0] {
+                let mut tick = || match comp_kind[id.0] {
                     CompKind::Fabric => {
                         let act = tick_fabric(
                             fabric,
@@ -835,10 +861,10 @@ impl VapresSystem {
                         !tracing,
                     ),
                 };
-                if let Some(p) = profile.as_deref_mut() {
-                    p.prof.end();
+                match profile.as_deref_mut() {
+                    Some(p) => p.dispatch(id.0, tick),
+                    None => tick(),
                 }
-                act
             };
             exec.step(clocks, deadline, &mut host)
         }
@@ -1164,6 +1190,9 @@ impl VapresSystem {
     /// The *host plane* measures wall-clock nanoseconds per nested run
     /// scope. Like the live sink it is host plumbing, not simulation
     /// state: never persisted, and outside every determinism contract.
+    /// Component dispatches are counted exactly but timed about one in
+    /// [`DISPATCH_STRIDE_MEAN`](vapres_sim::profile::DISPATCH_STRIDE_MEAN)
+    /// ([`Profiler::dispatch`]), cheap enough to leave on.
     ///
     /// The dense reference loop ([`set_dense`](Self::set_dense)) is not
     /// instrumented — it exists for equivalence testing, and profiling

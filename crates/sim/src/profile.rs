@@ -21,6 +21,13 @@
 //! keeps the most recent completed scope intervals for the chrome-trace
 //! `"X"` duration track.
 //!
+//! Rare scopes (`run`, `sample`, caller-opened phases) are timed exactly
+//! with [`Profiler::begin`]/[`Profiler::end`]. Per-dispatch scopes are
+//! resolved once to a [`ScopeId`] and entered through
+//! [`Profiler::dispatch`], which counts every call but reads the clock
+//! for about one call in [`DISPATCH_STRIDE_MEAN`]: each timed duration is
+//! scaled by its stride, an unbiased estimate of the stride's total.
+//!
 //! Joining the planes, [`Profiler::cost_model`] emits one row per work
 //! component — `{work_units, host_ns, ns_per_unit}` — the measured input
 //! a shard partitioner needs. Per-route rows carry no scope of their own
@@ -29,11 +36,22 @@
 //! share.
 
 use crate::persist::{intern_static, Persist, PersistError, Reader, Writer};
+use crate::rng::SplitMix64;
+use std::collections::HashSet;
 use std::io::{self, Write};
 use std::time::Instant;
 
 /// Default capacity of the completed-scope ring.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
+
+/// Mean stride of [`Profiler::dispatch`]: a dispatch scope times about
+/// one call in this many. Strides are drawn uniformly from
+/// `1..=2 * DISPATCH_STRIDE_MEAN - 1`.
+pub const DISPATCH_STRIDE_MEAN: u64 = 16;
+
+/// Seed of the host-side stride generator (host plumbing: never
+/// persisted, and nothing observable depends on it).
+const STRIDE_SEED: u64 = 0x5EED;
 
 /// Handle to one registered work component (an index; `Copy`, cheap to
 /// store at instrumentation sites).
@@ -112,17 +130,32 @@ impl Persist for WorkUnits {
         }
     }
 
+    /// Rejects a repeated component name: [`unit`](Self::unit) would
+    /// fold it into the earlier entry, so the plane would re-encode
+    /// shorter than the image it came from.
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = r.take_usize()?;
         let mut out = WorkUnits::new();
+        let mut seen = HashSet::new();
         for _ in 0..n {
-            let name = r.take_string()?;
-            let id = out.unit(&name);
-            out.set(id, r.take_u64()?);
+            let name = intern_static(&r.take_string()?);
+            if !seen.insert(name) {
+                return Err(PersistError::Corrupt(format!(
+                    "work plane names component {name:?} twice"
+                )));
+            }
+            out.names.push(name);
+            out.units.push(r.take_u64()?);
         }
         Ok(out)
     }
 }
+
+/// Handle to one scope of the host-time tree, resolved once with
+/// [`Profiler::resolve`] (a node index; `Copy`, cheap to cache at a
+/// dispatch site).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScopeId(usize);
 
 /// One aggregated scope in the host-time tree.
 #[derive(Debug, Clone)]
@@ -134,6 +167,11 @@ struct Node {
     /// Nanoseconds spent in this node's direct children (so self time is
     /// `total_ns - child_ns`, exactly).
     child_ns: u64,
+    /// Length of the current [`Profiler::dispatch`] stride.
+    stride: u64,
+    /// Dispatches left in the current stride; the call that takes it to
+    /// zero is timed.
+    countdown: u64,
 }
 
 /// One open scope on the stack.
@@ -177,16 +215,19 @@ pub struct ScopeStat {
 pub struct CostRow {
     /// Work-plane component name.
     pub component: &'static str,
-    /// Deterministic work units.
+    /// Deterministic work units, exact.
     pub work_units: u64,
     /// Host nanoseconds attributed to the component (never part of any
-    /// determinism contract).
+    /// determinism contract). For `exec/*` rows, and the `fabric/route*`
+    /// rows apportioned from `exec/fabric`, this is the unbiased
+    /// estimate of [`Profiler::dispatch`]'s sampled timing.
     pub host_ns: u64,
 }
 
 /// The partition-ready cost model: one row per work component, in
-/// registration order. The work-unit column is deterministic; the host
-/// columns are not (and are skipped by structural comparisons).
+/// registration order. The work-unit column is deterministic and exact;
+/// the host columns are not (and are skipped by structural comparisons),
+/// and for dispatch components they are sampled estimates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostModel {
     /// The rows, in work-plane registration order.
@@ -311,9 +352,11 @@ pub struct Profiler {
     /// Once the ring is full: index of the oldest event (the slot the
     /// next completion overwrites).
     next: usize,
-    /// Completed scopes over the profiler's whole lifetime.
+    /// Completed scopes over the profiler's whole lifetime, timed or not.
     completed: u64,
     epoch: Instant,
+    /// Draws [`dispatch`](Self::dispatch) strides.
+    strides: SplitMix64,
 }
 
 impl Profiler {
@@ -334,6 +377,7 @@ impl Profiler {
             next: 0,
             completed: 0,
             epoch: Instant::now(),
+            strides: SplitMix64::new(STRIDE_SEED),
         }
     }
 
@@ -355,29 +399,51 @@ impl Profiler {
     }
 
     fn now_ns(&self) -> u64 {
+        #[cfg(test)]
+        if let Some(ns) = tests::FAKE_NOW_NS.with(std::cell::Cell::get) {
+            return ns;
+        }
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Opens a scope named `name` under the currently open scope.
-    pub fn begin(&mut self, name: &'static str) {
+    fn draw_stride(&mut self) -> u64 {
+        self.strides.gen_range(1..2 * DISPATCH_STRIDE_MEAN)
+    }
+
+    /// The currently open scope, or `None` at the root.
+    pub fn open_scope(&self) -> Option<ScopeId> {
+        self.stack.last().map(|f| ScopeId(f.node))
+    }
+
+    /// The scope named `name` under the currently open scope, created on
+    /// first use. The id stays valid for as long as that parent is the
+    /// open scope when it is used.
+    pub fn resolve(&mut self, name: &'static str) -> ScopeId {
         let parent = self.stack.last().map(|f| f.node);
-        let node = match self
+        if let Some(i) = self
             .nodes
             .iter()
             .position(|n| n.parent == parent && n.name == name)
         {
-            Some(i) => i,
-            None => {
-                self.nodes.push(Node {
-                    name,
-                    parent,
-                    calls: 0,
-                    total_ns: 0,
-                    child_ns: 0,
-                });
-                self.nodes.len() - 1
-            }
-        };
+            return ScopeId(i);
+        }
+        let stride = self.draw_stride();
+        self.nodes.push(Node {
+            name,
+            parent,
+            calls: 0,
+            total_ns: 0,
+            child_ns: 0,
+            stride,
+            countdown: stride,
+        });
+        ScopeId(self.nodes.len() - 1)
+    }
+
+    /// Opens a scope named `name` under the currently open scope, timed
+    /// exactly.
+    pub fn begin(&mut self, name: &'static str) {
+        let ScopeId(node) = self.resolve(name);
         let start_ns = self.now_ns();
         self.stack.push(Frame { node, start_ns });
     }
@@ -391,17 +457,59 @@ impl Profiler {
     pub fn end(&mut self) {
         let frame = self.stack.pop().expect("profiler scope stack underflow");
         let dur_ns = self.now_ns().saturating_sub(frame.start_ns);
-        let node = &mut self.nodes[frame.node];
-        node.calls += 1;
-        node.total_ns += dur_ns;
-        let name = node.name;
+        self.complete(frame.node, frame.start_ns, dur_ns, dur_ns);
+    }
+
+    /// Runs `f` as one call of the leaf scope `scope`, which must have
+    /// been resolved under the currently open scope.
+    ///
+    /// Every call counts in the scope's `calls` and in
+    /// [`completed`](Self::completed). Only the call that ends a stride
+    /// (drawn uniformly from `1..=2 * DISPATCH_STRIDE_MEAN - 1`) reads the
+    /// clock: its duration times the stride is charged to the scope's
+    /// total and to its parent's child time — an unbiased estimate of
+    /// the stride's total — and its real, unscaled interval goes to the
+    /// ring. The jitter keeps a periodic dispatch pattern (an IOM's
+    /// alternating inject and emit ticks) from aliasing with the stride.
+    pub fn dispatch<R>(&mut self, scope: ScopeId, f: impl FnOnce() -> R) -> R {
+        debug_assert_eq!(
+            self.nodes[scope.0].parent,
+            self.stack.last().map(|f| f.node),
+            "dispatch scope resolved under another parent"
+        );
+        let node = &mut self.nodes[scope.0];
+        node.countdown -= 1;
+        if node.countdown > 0 {
+            node.calls += 1;
+            self.completed += 1;
+            return f();
+        }
+        let stride = node.stride;
+        let start_ns = self.now_ns();
+        let out = f();
+        let dur_ns = self.now_ns().saturating_sub(start_ns);
+        let next = self.draw_stride();
+        let node = &mut self.nodes[scope.0];
+        node.stride = next;
+        node.countdown = next;
+        self.complete(scope.0, start_ns, dur_ns, dur_ns.saturating_mul(stride));
+        out
+    }
+
+    /// Charges one completed call of `node`: `charged_ns` to its total
+    /// and its parent's child time, the real interval to the ring.
+    fn complete(&mut self, node: usize, start_ns: u64, dur_ns: u64, charged_ns: u64) {
+        let n = &mut self.nodes[node];
+        n.calls += 1;
+        n.total_ns += charged_ns;
+        let name = n.name;
         if let Some(parent) = self.stack.last() {
-            self.nodes[parent.node].child_ns += dur_ns;
+            self.nodes[parent.node].child_ns += charged_ns;
         }
         let event = ScopeEvent {
             name,
             depth: self.stack.len() as u32,
-            start_ns: frame.start_ns,
+            start_ns,
             dur_ns,
         };
         if self.ring.len() < self.capacity {
@@ -593,7 +701,10 @@ impl Profiler {
     /// order. Host time comes from the scope with the component's exact
     /// name (summed across parents); `fabric/route*` components — folded
     /// inside the fabric tick, so they own no scope — split the
-    /// `exec/fabric` scope's self time by work-unit share.
+    /// `exec/fabric` scope's self time by work-unit share. Work units
+    /// are exact; for scopes entered through [`dispatch`](Self::dispatch)
+    /// (`exec/*`, and so the route rows) host time is the sampled
+    /// estimate.
     pub fn cost_model(&self) -> CostModel {
         let route_total: u64 = self
             .work
@@ -654,6 +765,207 @@ impl Drop for Scope<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// When set, [`Profiler::now_ns`] reads this instead of the host
+        /// clock, so estimator tests control every duration exactly.
+        pub(super) static FAKE_NOW_NS: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// Switches this thread's profilers to the fake clock, at 0.
+    fn fake_clock() {
+        FAKE_NOW_NS.with(|c| c.set(Some(0)));
+    }
+
+    /// Advances the fake clock by `ns`.
+    fn advance(ns: u64) {
+        FAKE_NOW_NS.with(|c| c.set(Some(c.get().expect("fake clock on") + ns)));
+    }
+
+    fn stat(p: &Profiler, name: &str) -> ScopeStat {
+        *p.scopes().iter().find(|s| s.name == name).unwrap()
+    }
+
+    #[test]
+    fn dispatch_counts_every_call_and_times_about_one_in_the_mean_stride() {
+        fake_clock();
+        let mut p = Profiler::new(DEFAULT_RING_CAPACITY);
+        p.begin("run");
+        let fabric = p.resolve("exec/fabric");
+        let iom = p.resolve("exec/iom0");
+        assert_eq!(p.resolve("exec/fabric"), fabric, "resolve is idempotent");
+        assert_eq!(p.open_scope(), Some(ScopeId(0)));
+        for i in 0..48_000u64 {
+            let scope = if i % 3 == 0 { iom } else { fabric };
+            assert_eq!(p.dispatch(scope, || i * 2), i * 2, "passes the result on");
+        }
+        p.end();
+        assert_eq!(stat(&p, "exec/fabric").calls, 32_000);
+        assert_eq!(stat(&p, "exec/iom0").calls, 16_000);
+        assert_eq!(stat(&p, "run").calls, 1);
+        assert_eq!(
+            p.completed(),
+            48_001,
+            "every dispatch completes, timed or not"
+        );
+        let timed = p.ring_events().count() as u64 - 1;
+        let mean = 48_000 / DISPATCH_STRIDE_MEAN;
+        assert!(
+            timed > mean * 9 / 10 && timed < mean * 11 / 10,
+            "{timed} timed dispatches, expected about {mean}"
+        );
+    }
+
+    /// An IOM alternates an inject tick and an emit tick, so its
+    /// dispatch durations have period 2. A fixed even stride would time
+    /// calls of one parity only: with stride 16 every timed call is the
+    /// 1,000 ns kind and the estimate is 1000 × 16 per 16 calls, 98 % over
+    /// the true 505 × 16 (started one call later, 98 % under). The
+    /// jittered stride lands on both parities and stays unbiased.
+    #[test]
+    fn jittered_strides_estimate_a_period_two_pattern() {
+        const CALLS: u64 = 160_000;
+        let dur = |i: u64| if i.is_multiple_of(2) { 10 } else { 1_000 };
+        let truth: u64 = (0..CALLS).map(dur).sum();
+        let fixed: u64 = (0..CALLS)
+            .filter(|i| i % 16 == 15)
+            .map(|i| dur(i) * 16)
+            .sum();
+        assert!(
+            fixed.abs_diff(truth) * 10 > truth * 9,
+            "fixed stride aliases"
+        );
+
+        fake_clock();
+        let mut p = Profiler::new(1 << 16);
+        p.begin("run");
+        let iom = p.resolve("exec/iom0");
+        for i in 0..CALLS {
+            p.dispatch(iom, || advance(dur(i)));
+        }
+        p.end();
+        let est = stat(&p, "exec/iom0").total_ns;
+        assert!(
+            est.abs_diff(truth) * 20 < truth,
+            "estimate {est} ns vs true {truth} ns"
+        );
+        assert_eq!(stat(&p, "exec/iom0").calls, CALLS);
+        assert_eq!(p.completed(), CALLS + 1);
+    }
+
+    #[test]
+    fn ring_holds_only_timed_unscaled_intervals() {
+        fake_clock();
+        let mut p = Profiler::new(1 << 16);
+        p.begin("run");
+        let prr = p.resolve("exec/prr0");
+        for i in 0..16_000u64 {
+            p.dispatch(prr, || {
+                advance(if i.is_multiple_of(2) { 10 } else { 1_000 })
+            });
+        }
+        let timed: Vec<_> = p.ring_events().copied().collect();
+        assert!(timed.len() < 2_000, "{} ring entries", timed.len());
+        let mut last_end = 0;
+        for e in &timed {
+            assert_eq!(e.name, "exec/prr0");
+            assert_eq!(e.depth, 1, "a dispatch nests under the open scope");
+            assert!(e.dur_ns == 10 || e.dur_ns == 1_000, "unscaled: {e:?}");
+            assert!(e.start_ns >= last_end, "real, ordered intervals: {e:?}");
+            last_end = e.start_ns + e.dur_ns;
+        }
+        let scaled: u64 = stat(&p, "exec/prr0").total_ns;
+        let real: u64 = timed.iter().map(|e| e.dur_ns).sum();
+        assert!(scaled > real * 8, "the tree gets the scaled estimate");
+    }
+
+    #[test]
+    fn parent_self_time_saturates_under_an_estimate() {
+        // The other seven calls of this stride fell in an earlier `run`
+        // that took no time; the eighth takes 1 µs and is charged 8 µs,
+        // more than `run` measured in total.
+        fake_clock();
+        let mut p = Profiler::new(8);
+        p.begin("run");
+        let fabric = p.resolve("exec/fabric");
+        p.nodes[fabric.0].stride = 8;
+        p.nodes[fabric.0].countdown = 8;
+        for _ in 0..7 {
+            p.dispatch(fabric, || {});
+        }
+        p.end();
+        p.begin("run");
+        p.dispatch(fabric, || advance(1_000));
+        p.end();
+        let run = stat(&p, "run");
+        assert_eq!(run.total_ns, 1_000);
+        assert_eq!(stat(&p, "exec/fabric").total_ns, 8_000);
+        assert_eq!(run.self_ns, 0, "saturates, never underflows");
+        assert_eq!(p.self_ns_named("run"), 0);
+        let mut out = Vec::new();
+        p.write_collapsed(&mut out).unwrap();
+        assert!(String::from_utf8(out).unwrap().contains("run 0\n"));
+    }
+
+    #[test]
+    fn rare_scopes_stay_exact_around_dispatches() {
+        fake_clock();
+        let mut p = Profiler::new(64);
+        p.begin("run");
+        let iom = p.resolve("exec/iom0");
+        for _ in 0..100 {
+            p.dispatch(iom, || advance(3));
+        }
+        p.begin("sample");
+        advance(250);
+        p.end();
+        p.end();
+        assert_eq!(stat(&p, "sample").total_ns, 250);
+        assert_eq!(stat(&p, "run").total_ns, 550);
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_component() {
+        let mut w = Writer::new();
+        w.put_usize(2);
+        for units in [5, 9] {
+            w.put_str("exec/fabric");
+            w.put_u64(units);
+        }
+        let bytes = w.into_bytes();
+        let err = WorkUnits::restore(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
+    }
+
+    /// Every single-byte mutant of a small plane is a typed error, or
+    /// decodes and re-encodes to exactly the bytes it consumed. (`0x30`
+    /// turns `exec/iom1` into a second `exec/iom0`.)
+    #[test]
+    fn single_byte_mutants_are_rejected_or_round_trip() {
+        let mut w = WorkUnits::new();
+        for (name, units) in [("exec/fabric", 7), ("exec/iom0", 3), ("exec/iom1", 300)] {
+            let id = w.unit(name);
+            w.set(id, units);
+        }
+        let mut wr = Writer::new();
+        w.persist(&mut wr);
+        let bytes = wr.into_bytes();
+        for at in 0..bytes.len() {
+            for v in [0x00, 0x01, 0x07, 0x30, 0xFF] {
+                let mut mutant = bytes.clone();
+                mutant[at] = v;
+                let mut r = Reader::new(&mutant);
+                let Ok(back) = WorkUnits::restore(&mut r) else {
+                    continue;
+                };
+                let used = mutant.len() - r.remaining();
+                let mut wr = Writer::new();
+                back.persist(&mut wr);
+                assert_eq!(wr.into_bytes(), &mutant[..used], "byte {at} := {v:#04x}");
+            }
+        }
+    }
 
     #[test]
     fn work_units_register_charge_and_iterate_in_order() {
