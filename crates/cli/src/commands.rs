@@ -1408,7 +1408,7 @@ pub fn cmd_health(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// scope (machine-dependent, outside every determinism contract).
 /// `--flame` exports the host tree as collapsed stacks (flamegraph
 /// input); `--cost-model` joins the planes into per-component
-/// `{work_units, host_ns, ns_per_unit}` rows a partitioner can consume.
+/// `{work_units, host_ns, ns_per_unit}` rows that `vapres diff` gates.
 pub fn cmd_profile(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use vapres_core::config::SystemConfig;
     use vapres_core::module::ModuleLibrary;
@@ -1917,17 +1917,13 @@ fn write_sweep_trajectory(
 }
 
 /// `vapres fleet`: a fleet of RSBs streaming concurrently with a
-/// rotating seamless-swap schedule, executed by the sharded engine under
-/// `--jobs N` worker threads. Every observable is byte-identical across
-/// job counts; `--cost-model` (a model written by `profile`/`sweep
-/// --profile yes`) switches the partition from round-robin to
-/// cost-balanced LPT.
+/// rotating seamless-swap schedule against one shared controlling
+/// region. Everything but the `host:` line is deterministic.
 pub fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use vapres_core::Ps;
     use vapres_kpn::FleetSpec;
 
     let rsbs: usize = args.get_num("rsbs", 8usize)?;
-    let jobs: usize = args.get_num("jobs", 1usize)?;
     let spec = FleetSpec {
         rsbs,
         samples: args.get_num("samples", 400u32)?,
@@ -1945,46 +1941,17 @@ pub fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             "--timeseries needs --sample-every N (microseconds of simulated time)".into(),
         ));
     }
-    let model = match args.get("cost-model") {
-        None => None,
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CmdError(format!("--cost-model {path}: {e}")))?;
-            Some(
-                vapres_core::CostModel::parse_json(&text)
-                    .map_err(|e| CmdError(format!("--cost-model {path}: {e}")))?,
-            )
-        }
-    };
-
     writeln!(
         out,
         "fleet: {} RSBs, {} swaps (seed {:#x})",
         spec.rsbs, spec.swaps, spec.seed
     )?;
     let started = std::time::Instant::now();
-    let result = vapres_kpn::run_fleet(&spec, jobs, model.as_ref()).map_err(CmdError)?;
+    let result = vapres_kpn::run_fleet(&spec, 1, None).map_err(CmdError)?;
     let wall_ms = started.elapsed().as_millis();
 
-    // Everything jobs-dependent lives on `partition:`/`host:` lines so
-    // invariance checks can filter them before byte-comparing reports.
-    let plan = &result.plan;
-    writeln!(
-        out,
-        "partition: mode={} jobs={} shards={}",
-        plan.mode(),
-        plan.jobs(),
-        plan.jobs()
-    )?;
-    for shard in 0..plan.jobs() {
-        let members = plan.members(shard);
-        let work: u64 = members.iter().map(|&r| result.rows[r].work_units).sum();
-        writeln!(
-            out,
-            "partition: shard {shard} <- rsbs {members:?} est_cost={} work_units={work}",
-            plan.est_cost(shard),
-        )?;
-    }
+    // The wall clock lives on the `host:` line alone, so determinism
+    // checks can filter it before byte-comparing reports.
     writeln!(
         out,
         "host: cpus={} wall_ms={wall_ms}",
@@ -2080,13 +2047,9 @@ pub fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 }
 
 /// Writes the fleet trajectory as JSON (hand-rolled, like the sweep
-/// trajectory). Deterministic everywhere except two labelled planes:
-/// the `"host"` line (CPU count, wall clock) and the `"partition"`
-/// lines (shard geometry — a pure function of `(spec, jobs, model)`
-/// but obviously jobs-dependent). Both carry their marker in the line
-/// itself so invariance checks can filter them before comparing; the
-/// per-RSB `"rsbs"` rows and merged `"work"` rows carry the byte-for-
-/// byte jobs-invariance contract.
+/// trajectory). Deterministic everywhere except the `"host"` line (CPU
+/// count, wall clock), which carries its marker in the line itself so
+/// determinism checks can filter it before comparing.
 fn write_fleet_trajectory(
     spec: &vapres_kpn::FleetSpec,
     result: &vapres_kpn::FleetResult,
@@ -2095,7 +2058,6 @@ fn write_fleet_trajectory(
 ) -> Result<(), CmdError> {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let opt = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |v| v.to_string());
-    let plan = &result.plan;
     writeln!(out, "{{")?;
     writeln!(out, "  \"bench\": \"fleet\",")?;
     writeln!(
@@ -2105,25 +2067,8 @@ fn write_fleet_trajectory(
     )?;
     writeln!(
         out,
-        "  \"host\": {{\"cpus\": {cpus}, \"jobs\": {}, \"wall_ms\": {wall_ms}}},",
-        plan.jobs()
+        "  \"host\": {{\"cpus\": {cpus}, \"wall_ms\": {wall_ms}}},"
     )?;
-    writeln!(
-        out,
-        "  \"partition\": {{\"mode\": \"{}\", \"shards\": {}}},",
-        plan.mode(),
-        plan.jobs()
-    )?;
-    for shard in 0..plan.jobs() {
-        let members = plan.members(shard);
-        let work: u64 = members.iter().map(|&r| result.rows[r].work_units).sum();
-        writeln!(
-            out,
-            "  \"partition_shard\": {{\"shard\": {shard}, \"rsbs\": {members:?}, \
-             \"est_cost\": {}, \"work_units\": {work}}},",
-            plan.est_cost(shard)
-        )?;
-    }
     writeln!(out, "  \"rsbs\": [")?;
     for (i, r) in result.rows.iter().enumerate() {
         write!(
@@ -2267,12 +2212,10 @@ fn known_flags(subcommand: &str) -> Option<&'static [&'static str]> {
         ],
         "fleet" => &[
             "rsbs",
-            "jobs",
             "samples",
             "interval",
             "swaps",
             "seed",
-            "cost-model",
             "jsonl",
             "flight",
             "bench",
@@ -2347,11 +2290,10 @@ pub fn usage() -> &'static str {
      \x20                [--sample-every US] [--timeseries out.jsonl] [--live-port N]\n\
      \x20                [--profile yes] [--cost-model out.json]\n\
      \x20                [--bitstream-cache 0,4]   (staged-cache capacity axis)\n\
-     \x20 fleet          [--rsbs N] [--jobs N] [--samples N] [--interval CYCLES]\n\
-     \x20                [--swaps N] [--seed S] [--cost-model model.json]\n\
-     \x20                [--jsonl out.jsonl] [--flight out.jsonl] [--bench out.json]\n\
-     \x20                [--sample-every US --timeseries out.jsonl]\n\
-     \x20                (sharded multi-RSB run; observables identical for any --jobs)\n\
+     \x20 fleet          [--rsbs N] [--samples N] [--interval CYCLES] [--swaps N]\n\
+     \x20                [--seed S] [--jsonl out.jsonl] [--flight out.jsonl]\n\
+     \x20                [--bench out.json] [--sample-every US --timeseries out.jsonl]\n\
+     \x20                (multi-RSB run sharing one controlling region)\n\
      \x20 diff           <baseline> <candidate> [--tolerance 0.05]   (exit 1 on regression)\n\
      \n\
      devices: lx25 (default) | lx60 | lx100\n\
@@ -2717,10 +2659,11 @@ mod tests {
             ("sweep", &["--profiles", "yes"]),
             ("sweep", &["--cost-modle", "out.json"]),
             ("fleet", &["--rsb", "8"]),
-            ("fleet", &["--job", "4"]),
             ("fleet", &["--swap", "3"]),
-            ("fleet", &["--cost-mode", "model.json"]),
             ("fleet", &["--flights", "f.jsonl"]),
+            // Removed with the multi-threaded fleet engine.
+            ("fleet", &["--jobs", "2"]),
+            ("fleet", &["--cost-model", "model.json"]),
         ];
         for (sub, tokens) in cases {
             let err = run(sub, tokens).unwrap_err();
@@ -3631,10 +3574,10 @@ mod tests {
     }
 
     #[test]
-    fn fleet_runs_and_is_byte_identical_across_job_counts() {
+    fn fleet_runs_and_is_byte_identical_across_runs() {
         let dir = std::env::temp_dir().join("vapres_cli_fleet_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let run_jobs = |jobs: &str, tag: &str| {
+        let run_once = |tag: &str| {
             let jsonl = dir.join(format!("{tag}.jsonl"));
             let flight = dir.join(format!("{tag}_flight.jsonl"));
             let bench = dir.join(format!("{tag}.json"));
@@ -3651,8 +3594,6 @@ mod tests {
                     "5",
                     "--seed",
                     "9",
-                    "--jobs",
-                    jobs,
                     "--jsonl",
                     jsonl.to_str().unwrap(),
                     "--flight",
@@ -3662,16 +3603,11 @@ mod tests {
                 ],
             )
             .unwrap();
-            // Everything jobs-dependent is confined to `partition:` and
-            // `host:` report lines and `"host"`/`"partition*"` JSON
-            // lines; the rest must be byte-identical.
+            // The wall clock is confined to the `host:` report line and
+            // the `"host"` JSON line; the rest must be byte-identical.
             let body: String = text
                 .lines()
-                .filter(|l| {
-                    !l.starts_with("wrote ")
-                        && !l.starts_with("partition:")
-                        && !l.starts_with("host:")
-                })
+                .filter(|l| !l.starts_with("wrote ") && !l.starts_with("host:"))
                 .fold(String::new(), |mut acc, l| {
                     acc.push_str(l);
                     acc.push('\n');
@@ -3685,30 +3621,26 @@ mod tests {
             std::fs::remove_file(&bench).ok();
             (body, merged, fl, traj)
         };
-        let a = run_jobs("1", "a");
-        let b = run_jobs("4", "b");
-        assert_eq!(a.0, b.0, "report differs between --jobs 1 and --jobs 4");
+        let a = run_once("a");
+        let b = run_once("b");
+        assert_eq!(a.0, b.0, "report differs between runs");
         assert_eq!(a.1, b.1, "merged telemetry JSONL differs");
         assert_eq!(a.2, b.2, "merged flight JSONL differs");
         let sans_host = |traj: &str| {
             traj.lines()
-                .filter(|l| !l.contains("\"host\"") && !l.contains("\"partition"))
+                .filter(|l| !l.contains("\"host\""))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
         assert_eq!(
             sans_host(&a.3),
             sans_host(&b.3),
-            "trajectory differs beyond host/partition lines"
+            "trajectory differs beyond the host line"
         );
         assert!(a.3.contains("\"bench\": \"fleet\""), "{}", a.3);
         assert!(a.3.contains("\"outcome\":\"ok\""), "{}", a.3);
-        assert!(
-            b.3.contains("\"partition\": {\"mode\": \"round-robin\", \"shards\": 4}"),
-            "{}",
-            b.3
-        );
-        assert!(b.3.contains("\"partition_shard\""), "{}", b.3);
+        assert!(!a.3.contains("\"partition"), "{}", a.3);
+        assert!(!a.0.contains("partition:"), "{}", a.0);
         assert!(
             a.0.contains("work: "),
             "report lists the merged work plane:\n{}",
@@ -3723,49 +3655,9 @@ mod tests {
     }
 
     #[test]
-    fn fleet_cost_model_guides_the_partition() {
-        let dir = std::env::temp_dir().join("vapres_cli_fleet_model_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let model = dir.join("model.json");
-        // A measured model first: profile the E3 scenario to get real
-        // ns-per-unit rows, then feed it back as the partition guide.
-        run(
-            "profile",
-            &["--samples", "200", "--cost-model", model.to_str().unwrap()],
-        )
-        .unwrap();
-        let text = run(
-            "fleet",
-            &[
-                "--rsbs",
-                "5",
-                "--samples",
-                "150",
-                "--swaps",
-                "2",
-                "--jobs",
-                "2",
-                "--cost-model",
-                model.to_str().unwrap(),
-            ],
-        )
-        .unwrap();
-        std::fs::remove_file(&model).ok();
-        assert!(
-            text.contains("partition: mode=cost-model jobs=2"),
-            "cost model must switch the partition mode:\n{text}"
-        );
-        // LPT under a real model: both shards take work.
-        assert!(text.contains("partition: shard 0 <- rsbs ["), "{text}");
-        assert!(text.contains("partition: shard 1 <- rsbs ["), "{text}");
-    }
-
-    #[test]
     fn fleet_rejects_bad_specs() {
         assert!(run("fleet", &["--rsbs", "0"]).is_err());
         assert!(run("fleet", &["--samples", "0"]).is_err());
         assert!(run("fleet", &["--timeseries", "ts.jsonl"]).is_err());
-        let err = run("fleet", &["--cost-model", "/nonexistent/model.json"]).unwrap_err();
-        assert!(err.0.contains("--cost-model"), "{}", err.0);
     }
 }

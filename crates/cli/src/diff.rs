@@ -16,9 +16,9 @@
 //!   rows matched by index: outcomes and health verdicts exactly, the
 //!   deterministic plane (sample counts, work units, estimated costs,
 //!   sim time) exactly, latency fields within tolerance. The `"host"`
-//!   and `"partition"` lines are context, not measurements, and are
-//!   skipped — a fleet recorded under any `--jobs` value gates any
-//!   other;
+//!   line is context, not a measurement, and is skipped, and so are the
+//!   `"partition"` lines that trajectories from the removed `--jobs`
+//!   engine carry — so those older trajectories still gate new ones;
 //! * **cost models** (`vapres profile --cost-model` / `vapres sim
 //!   --cost-model` / `vapres sweep --cost-model` exports) — rows matched
 //!   by component. The deterministic work-unit plane is compared
@@ -431,10 +431,9 @@ const FLEET_EXACT_FIELDS: &[&str] = &[
 ];
 
 /// Parses a fleet trajectory: the `"rsbs"` rows keyed by index and the
-/// merged `"work"` rows keyed by component. The `"host"` and
-/// `"partition"`/`"partition_shard"` lines are machine/jobs context and
-/// are never parsed — a fleet recorded under any `--jobs` value gates
-/// any other.
+/// merged `"work"` rows keyed by component. The `"host"` line, and the
+/// `"partition"`/`"partition_shard"` lines of older trajectories, are
+/// context and are never parsed.
 fn parse_fleet(text: &str) -> Result<(Vec<FleetRow>, BTreeMap<String, u64>), String> {
     let mut rows = Vec::new();
     let mut work = BTreeMap::new();
@@ -526,8 +525,8 @@ fn parse_fleet(text: &str) -> Result<(Vec<FleetRow>, BTreeMap<String, u64>), Str
 /// outcomes/verdicts exactly, the deterministic plane
 /// ([`FLEET_EXACT_FIELDS`], plus the merged work rows) exactly, latency
 /// fields within tolerance. The `"host"` and partition lines are
-/// skipped entirely, so artifacts recorded under different `--jobs`
-/// values (or machines) gate each other.
+/// skipped entirely, so artifacts recorded on different machines, or
+/// before and after the partition lines went, gate each other.
 fn diff_fleet(baseline: &str, candidate: &str, tol: f64) -> Result<Vec<String>, String> {
     let (b_rows, b_work) = parse_fleet(baseline)?;
     let (c_rows, c_work) = parse_fleet(candidate)?;
@@ -860,26 +859,20 @@ mod tests {
 {\"component\": \"icap/words\", \"work_units\": 4000}\n  ]\n}\n";
 
     #[test]
-    fn identical_fleets_pass_even_with_different_jobs_and_hosts() {
-        // Same deterministic planes, different machine AND different
-        // partition geometry — exactly what two runs under different
-        // --jobs values produce. Host and partition lines are context,
-        // not measurements.
+    fn identical_fleets_pass_across_hosts_and_partition_lines() {
+        // Same deterministic planes, a different machine, and none of the
+        // partition lines an older trajectory carries: the current
+        // format against the old one. Host and partition lines are
+        // context, not measurements.
         let other = FLEET
-            .replace("\"wall_ms\": 321", "\"wall_ms\": 7")
-            .replace("\"jobs\": 4", "\"jobs\": 1")
             .replace(
-                "\"partition\": {\"mode\": \"round-robin\", \"shards\": 4}",
-                "\"partition\": {\"mode\": \"round-robin\", \"shards\": 1}",
+                "\"host\": {\"cpus\": 8, \"jobs\": 4, \"wall_ms\": 321}",
+                "\"host\": {\"cpus\": 2, \"wall_ms\": 7}",
             )
-            .replace(
-                "\"partition_shard\": {\"shard\": 1, \"rsbs\": [1], \"est_cost\": 9000, \"work_units\": 9500},\n",
-                "",
-            )
-            .replace(
-                "\"partition_shard\": {\"shard\": 0, \"rsbs\": [0], \"est_cost\": 11000, \"work_units\": 11500}",
-                "\"partition_shard\": {\"shard\": 0, \"rsbs\": [0, 1], \"est_cost\": 20000, \"work_units\": 21000}",
-            );
+            .lines()
+            .filter(|l| !l.contains("\"partition"))
+            .collect::<Vec<_>>()
+            .join("\n");
         let (result, out) = run_diff(FLEET, &other, &[]);
         assert!(
             result.is_ok(),

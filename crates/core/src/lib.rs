@@ -23,6 +23,8 @@
 //!   halt-and-swap baseline;
 //! * [`scenario`] — design-space sweep: scenario grids, deterministic
 //!   per-scenario seeding, and the multi-threaded batch engine;
+//! * [`fleet`] — several RSBs sharing one controlling region, in
+//!   lockstep simulated time, with a fleet checkpoint envelope;
 //! * [`health`] — watchdog policy: declarative budgets over swap
 //!   deadlines, FIFO occupancy, and stream-interruption SLOs, folded
 //!   into a structured health report;
@@ -50,7 +52,6 @@ pub mod costs;
 pub mod fleet;
 pub mod health;
 pub mod module;
-pub mod multirsb;
 pub mod placement;
 pub mod scenario;
 pub mod socket;
@@ -60,10 +61,9 @@ pub mod system;
 pub use adaptive::{AdaptiveController, HysteresisPolicy, SwapPolicy};
 pub use api::{ApiError, ReconfigReport};
 pub use config::{NodeKind, SystemConfig};
-pub use fleet::{FleetEngine, FleetSystem, ShardPlan, ShardedMultiRsb, SharedRegister};
+pub use fleet::{FleetSystem, MultiRsbConfigError, ShardPlan, SharedRegister};
 pub use health::{evaluate_health, HealthPolicy};
 pub use module::{HardwareModule, ModuleIo, ModuleLibrary};
-pub use multirsb::{MultiRsbConfigError, MultiRsbSystem};
 pub use placement::{PlacementManager, PlacementStats};
 pub use scenario::{
     merge_telemetry, run_sweep_with, Scenario, ScenarioResult, ScenarioSummary, SwapMethod,

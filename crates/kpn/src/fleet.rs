@@ -5,11 +5,7 @@
 //! against the shared ICAP: the controlling region visits one RSB at a
 //! time, performing a seamless swap while every other RSB's data plane
 //! keeps streaming through the window. Execution goes through
-//! [`vapres_core::fleet::FleetSystem`], so the whole run is driven by
-//! the same call sequence whether it lands on the sequential oracle
-//! (`jobs <= 1`) or the sharded worker-thread engine — which is what
-//! makes every observable in [`FleetResult`] byte-identical across job
-//! counts.
+//! [`vapres_core::fleet::FleetSystem`], on one thread.
 //!
 //! # Determinism
 //!
@@ -22,16 +18,15 @@
 //!
 //! # Warm-start interplay
 //!
-//! [`run_fleet_from`] resumes a fleet from a
-//! `MultiRsbSystem::checkpoint` envelope. Because restore ≡
-//! never-stopped holds per RSB and the envelope is engine-independent,
-//! a fleet checkpointed mid-run finishes bit-identically under any job
-//! count — the §4h warm-start contract lifted to fleets.
+//! [`run_fleet_from`] resumes a fleet from a `FleetSystem::checkpoint`
+//! envelope. Because restore ≡ never-stopped holds per RSB, a fleet
+//! checkpointed mid-run finishes bit-identically to one that never
+//! stopped — the §4h warm-start contract lifted to fleets.
 
 use std::io::{self, Write};
 use std::sync::Arc;
 
-use vapres_core::fleet::{FleetSystem, ShardPlan, SharedRegister};
+use vapres_core::fleet::{FleetSystem, ShardPlan};
 use vapres_core::module::ModuleLibrary;
 use vapres_core::scenario::scenario_seed;
 use vapres_core::switching::{seamless_swap, BitstreamSource, SwapSpec};
@@ -58,9 +53,8 @@ const DRAIN_SLICE: Ps = Ps::from_ms(1);
 const DRAIN_SLICES: usize = 300;
 
 /// Parameters of one fleet run. The workload is deliberately
-/// heterogeneous — per-RSB sample counts and cadences spread around the
-/// base values, seeded from `seed` — so cost-model partitioning has
-/// real imbalance to flatten.
+/// heterogeneous: per-RSB sample counts and cadences spread around the
+/// base values, seeded from `seed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSpec {
     /// Number of RSBs in the data processing region.
@@ -135,35 +129,6 @@ impl FleetSpec {
         let icap_units = u64::from(self.swaps_for(rsb)) * 2_048;
         [("exec/fabric", stream_units), ("icap/words", icap_units)]
     }
-
-    /// Partition cost hints: with a measured [`CostModel`], each RSB's
-    /// estimated nanoseconds (`ns_per_unit` × estimated work units per
-    /// component, 1 ns/unit for components the model has not measured);
-    /// without one, the raw work-unit totals.
-    pub fn cost_hints(&self, model: Option<&CostModel>) -> Vec<u64> {
-        (0..self.rsbs)
-            .map(|rsb| {
-                self.work_estimate(rsb)
-                    .iter()
-                    .map(|&(component, units)| {
-                        let ns_per_unit =
-                            model.and_then(|m| m.ns_per_unit(component)).unwrap_or(1.0);
-                        (units as f64 * ns_per_unit) as u64
-                    })
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// The partition plan for `jobs` workers: cost-balanced LPT when a
-    /// model is supplied, round-robin otherwise. Deterministic either
-    /// way.
-    pub fn plan(&self, jobs: usize, model: Option<&CostModel>) -> ShardPlan {
-        match model {
-            Some(_) => ShardPlan::balanced(&self.cost_hints(model), jobs),
-            None => ShardPlan::round_robin(self.rsbs, jobs),
-        }
-    }
 }
 
 /// One RSB's harvested row.
@@ -171,8 +136,6 @@ impl FleetSpec {
 pub struct FleetRsbRow {
     /// RSB index.
     pub index: usize,
-    /// Shard that owned the RSB.
-    pub shard: usize,
     /// Total words fed: the bring-up batch plus one fresh batch per
     /// rotating visit (all batches are the RSB's heterogeneous size).
     pub samples_in: u32,
@@ -194,7 +157,7 @@ pub struct FleetRsbRow {
     pub sim_time_ps: u64,
     /// Total deterministic work units this RSB's profiler counted.
     pub work_units: u64,
-    /// The partition cost hint this RSB contributed.
+    /// The sum of [`FleetSpec::work_estimate`] for this RSB.
     pub est_cost: u64,
     /// Health verdict under the fleet budgets: the
     /// [`HealthPolicy::e3_seamless`] fabric limits (FIFO occupancy,
@@ -203,9 +166,8 @@ pub struct FleetRsbRow {
     pub healthy: bool,
 }
 
-/// Everything one fleet run produces. Every field except the partition
-/// geometry is byte-identical across `jobs` counts; the partition
-/// fields are a pure function of `(spec, jobs, cost model)`.
+/// Everything one fleet run produces, a pure function of the
+/// [`FleetSpec`].
 #[derive(Debug, Clone)]
 pub struct FleetResult {
     /// Per-RSB rows, ascending index.
@@ -220,7 +182,8 @@ pub struct FleetResult {
     /// Per-RSB tagged time-series JSONL, concatenated in index order
     /// (empty when sampling was off).
     pub timeseries: String,
-    /// The partition the fleet ran under.
+    /// The RSB-to-thread split: always `ShardPlan::round_robin(rsbs, 1)`,
+    /// since one thread runs every RSB.
     pub plan: ShardPlan,
     /// Simulated end time.
     pub sim_time: Ps,
@@ -258,15 +221,21 @@ impl MergedFlight {
     }
 }
 
-fn fleet_register() -> SharedRegister {
-    Arc::new(|lib: &mut ModuleLibrary| register_standard_modules(lib, 0))
+fn register(lib: &mut ModuleLibrary) {
+    register_standard_modules(lib, 0);
 }
 
 fn fleet_configs(rsbs: usize) -> Vec<SystemConfig> {
     (0..rsbs).map(|_| SystemConfig::prototype()).collect()
 }
 
-/// Runs a fleet from cold under `jobs` workers.
+fn build(spec: &FleetSpec) -> Result<FleetSystem, String> {
+    FleetSystem::new(fleet_configs(spec.rsbs), register)
+        .map_err(|e: MultiRsbConfigError| e.to_string())
+}
+
+/// Runs a fleet from cold. `_jobs` and `_model` are unused: one thread
+/// runs every RSB.
 ///
 /// # Errors
 ///
@@ -274,51 +243,51 @@ fn fleet_configs(rsbs: usize) -> Vec<SystemConfig> {
 /// string (prototype configurations never fail in practice).
 pub fn run_fleet(
     spec: &FleetSpec,
-    jobs: usize,
-    model: Option<&CostModel>,
+    _jobs: usize,
+    _model: Option<&CostModel>,
 ) -> Result<FleetResult, String> {
     spec.validate()?;
-    let plan = spec.plan(jobs, model);
-    let mut fleet = FleetSystem::new(fleet_configs(spec.rsbs), fleet_register(), plan)
-        .map_err(|e: MultiRsbConfigError| e.to_string())?;
+    let mut fleet = build(spec)?;
     let channels = setup(&mut fleet, spec);
     let outcomes = drive(&mut fleet, spec, &channels);
-    Ok(harvest(&mut fleet, spec, model, outcomes))
+    Ok(harvest(&mut fleet, spec, outcomes))
 }
 
 /// Builds a fleet, runs the setup phase only, and checkpoints it — the
 /// warm-start seam: [`run_fleet_from`] resumes the image and must
-/// finish byte-identically to [`run_fleet`] under any job count.
+/// finish byte-identically to [`run_fleet`]. `_jobs` is unused.
 ///
 /// # Errors
 ///
 /// As [`run_fleet`].
-pub fn checkpoint_after_setup(spec: &FleetSpec, jobs: usize) -> Result<Vec<u8>, String> {
+pub fn checkpoint_after_setup(spec: &FleetSpec, _jobs: usize) -> Result<Vec<u8>, String> {
     spec.validate()?;
-    let plan = spec.plan(jobs, None);
-    let mut fleet = FleetSystem::new(fleet_configs(spec.rsbs), fleet_register(), plan)
-        .map_err(|e: MultiRsbConfigError| e.to_string())?;
+    let mut fleet = build(spec)?;
     setup(&mut fleet, spec);
     Ok(fleet.checkpoint())
 }
 
 /// Resumes a fleet from a checkpoint envelope (taken by
-/// [`checkpoint_after_setup`] or any `MultiRsbSystem::checkpoint`) and
-/// runs the remaining schedule.
+/// [`checkpoint_after_setup`] or any `FleetSystem::checkpoint`) and
+/// runs the remaining schedule. `_jobs` and `_model` are unused.
 ///
 /// # Errors
 ///
 /// Spec validation errors or restore errors rendered as strings.
 pub fn run_fleet_from(
     spec: &FleetSpec,
-    jobs: usize,
-    model: Option<&CostModel>,
+    _jobs: usize,
+    _model: Option<&CostModel>,
     image: &[u8],
 ) -> Result<FleetResult, String> {
     spec.validate()?;
-    let plan = spec.plan(jobs, model);
-    let mut fleet = FleetSystem::restore(fleet_configs(spec.rsbs), fleet_register(), plan, image)
-        .map_err(|e| e.to_string())?;
+    let mut fleet = FleetSystem::restore(
+        fleet_configs(spec.rsbs),
+        Arc::new(register),
+        ShardPlan::round_robin(spec.rsbs, 1),
+        image,
+    )
+    .map_err(|e| e.to_string())?;
     // The setup phase established the loopback routes; their ids are
     // deterministic (first two channels of each RSB), so the resumed
     // schedule reconstructs them rather than carrying them in-band.
@@ -326,7 +295,7 @@ pub fn run_fleet_from(
         .map(|_| (ChannelId(0), ChannelId(1)))
         .collect();
     let outcomes = drive(&mut fleet, spec, &channels);
-    Ok(harvest(&mut fleet, spec, model, outcomes))
+    Ok(harvest(&mut fleet, spec, outcomes))
 }
 
 /// Phase 1 — bring-up: every RSB gets the E3 arrangement (FIR A live on
@@ -452,14 +421,7 @@ fn drive(
 }
 
 /// Phase 3 — per-RSB harvest and index-order merge.
-fn harvest(
-    fleet: &mut FleetSystem,
-    spec: &FleetSpec,
-    model: Option<&CostModel>,
-    outcomes: Vec<String>,
-) -> FleetResult {
-    let hints = spec.cost_hints(model);
-    let plan = fleet.plan().clone();
+fn harvest(fleet: &mut FleetSystem, spec: &FleetSpec, outcomes: Vec<String>) -> FleetResult {
     let mut rows = Vec::with_capacity(spec.rsbs);
     let mut merged_telemetry = Telemetry::new();
     let mut merged_work = CostModel::default();
@@ -477,7 +439,6 @@ fn harvest(
         timeseries.push_str(&h.timeseries);
         rows.push(FleetRsbRow {
             index: rsb,
-            shard: plan.shard_of(rsb),
             samples_in,
             interval,
             swaps: spec.swaps_for(rsb),
@@ -488,7 +449,11 @@ fn harvest(
             p99_e2e_ps: h.p99_e2e_ps,
             sim_time_ps: sim_time.as_ps(),
             work_units: h.work.rows.iter().map(|r| r.work_units).sum(),
-            est_cost: hints[rsb],
+            est_cost: spec
+                .work_estimate(rsb)
+                .iter()
+                .map(|&(_, units)| units)
+                .sum(),
             healthy: h.healthy,
         });
     }
@@ -501,12 +466,12 @@ fn harvest(
         merged_flight: MergedFlight { entries: flight },
         merged_work,
         timeseries,
-        plan,
+        plan: ShardPlan::round_robin(spec.rsbs, 1),
         sim_time,
     }
 }
 
-/// What one RSB ships back from its owning shard.
+/// What one RSB's harvest collects.
 struct RsbHarvest {
     drained: bool,
     samples_out: u64,
@@ -530,9 +495,8 @@ fn harvest_rsb(sys: &mut VapresSystem, rsb: usize) -> RsbHarvest {
     // for the rest of the rotating schedule (seconds of simulated time
     // under the serialized CF bring-up), which a continuous-stream
     // cadence budget would misread as an interruption. The slot misses
-    // still gate determinism: `missed_slots` is reported per row,
-    // byte-compared across job counts, and exact-matched by
-    // `vapres diff`.
+    // still gate determinism: `missed_slots` is reported per row and
+    // exact-matched by `vapres diff`.
     let policy = HealthPolicy {
         missed_slots_max: u64::MAX,
         excess_gap_max: Ps(u64::MAX),
@@ -593,14 +557,13 @@ mod tests {
     }
 
     /// Renders every deterministic observable of a result into one
-    /// comparable string (partition geometry excluded — it is a
-    /// function of the job count by design).
+    /// comparable string.
     fn render(r: &FleetResult) -> String {
         let mut out = String::new();
         for row in &r.rows {
             out.push_str(&format!(
                 "{} in={} iv={} swaps={} outcome={} drained={} out={} missed={} p99={:?} \
-                 sim={} work={}\n",
+                 sim={} work={} est={}\n",
                 row.index,
                 row.samples_in,
                 row.interval,
@@ -612,6 +575,7 @@ mod tests {
                 row.p99_e2e_ps,
                 row.sim_time_ps,
                 row.work_units,
+                row.est_cost,
             ));
         }
         let mut telemetry = Vec::new();
@@ -659,36 +623,28 @@ mod tests {
             sample_every: Some(Ps::from_us(500)),
             ..spec(6, 6)
         };
-        for jobs in [1, 3] {
-            let mut fleet = FleetSystem::new(
-                fleet_configs(spec.rsbs),
-                fleet_register(),
-                spec.plan(jobs, None),
-            )
-            .expect("prototype fleet");
-            let channels = setup(&mut fleet, &spec);
-            let outcomes = drive(&mut fleet, &spec, &channels);
-            let result = harvest(&mut fleet, &spec, None, outcomes);
-            let mut merged = Vec::new();
-            result.merged_flight.write_jsonl(&mut merged).unwrap();
-            let merged = String::from_utf8(merged).unwrap();
-            assert_eq!(merged.lines().count(), result.merged_flight.len());
-            assert!(!result.timeseries.is_empty(), "sampling was on");
-            assert_eq!(merged, text_merge(&mut fleet, spec.rsbs), "jobs={jobs}");
-        }
+        let mut fleet = build(&spec).expect("prototype fleet");
+        let channels = setup(&mut fleet, &spec);
+        let outcomes = drive(&mut fleet, &spec, &channels);
+        let result = harvest(&mut fleet, &spec, outcomes);
+        let mut merged = Vec::new();
+        result.merged_flight.write_jsonl(&mut merged).unwrap();
+        let merged = String::from_utf8(merged).unwrap();
+        assert_eq!(merged.lines().count(), result.merged_flight.len());
+        assert!(!result.timeseries.is_empty(), "sampling was on");
+        assert_eq!(merged, text_merge(&mut fleet, spec.rsbs));
     }
 
     #[test]
-    fn fleet_is_jobs_invariant() {
-        let spec = spec(5, 7);
-        let seq = run_fleet(&spec, 1, None).expect("sequential fleet");
-        let expected = render(&seq);
-        assert!(expected.contains("outcome=ok"), "swaps ran:\n{expected}");
-        for row in &seq.rows {
+    fn warm_start_matches_cold() {
+        let spec = spec(3, 3);
+        let cold = run_fleet(&spec, 1, None).expect("cold");
+        assert_eq!(cold.plan, ShardPlan::round_robin(spec.rsbs, 1));
+        for row in &cold.rows {
+            assert_eq!(row.outcome, "ok", "RSB {}", row.index);
             assert!(row.drained, "RSB {} failed to drain", row.index);
             // Swap-state replay can emit a boundary word, so the sink
-            // sees at least the fed stream (exact counts are covered by
-            // the cross-jobs render equality below).
+            // sees at least the fed stream.
             assert!(
                 row.samples_out >= u64::from(row.samples_in),
                 "RSB {}",
@@ -696,55 +652,10 @@ mod tests {
             );
             assert!(row.work_units > 0, "RSB {} counted no work", row.index);
         }
-        for jobs in [2, 4] {
-            let par = run_fleet(&spec, jobs, None).expect("sharded fleet");
-            assert_eq!(render(&par), expected, "jobs={jobs} diverged");
-        }
-    }
-
-    #[test]
-    fn warm_start_matches_cold_under_any_jobs() {
-        let spec = spec(3, 3);
-        let cold = render(&run_fleet(&spec, 1, None).expect("cold"));
-        // Checkpoint under one job count, resume under others: the §4h
-        // restore ≡ never-stopped contract lifted to fleets.
-        let image = checkpoint_after_setup(&spec, 2).expect("checkpoint");
-        for jobs in [1, 2] {
-            let warm = run_fleet_from(&spec, jobs, None, &image).expect("warm");
-            assert_eq!(render(&warm), cold, "warm jobs={jobs} diverged");
-        }
-    }
-
-    #[test]
-    fn cost_model_plan_is_deterministic_and_balances_load() {
-        let spec = spec(8, 4);
-        let model = CostModel {
-            rows: vec![
-                vapres_core::CostRow {
-                    component: "exec/fabric",
-                    work_units: 1_000,
-                    host_ns: 4_000,
-                },
-                vapres_core::CostRow {
-                    component: "icap/words",
-                    work_units: 100,
-                    host_ns: 2_500,
-                },
-            ],
-        };
-        let a = spec.plan(3, Some(&model));
-        let b = spec.plan(3, Some(&model));
-        assert_eq!(a, b, "cost-model assignment must be deterministic");
-        assert_eq!(a.mode(), "cost-model");
-        // LPT keeps the spread tighter than the worst shard being empty:
-        // every shard got at least one RSB and a nonzero cost share.
-        for shard in 0..a.jobs() {
-            assert!(!a.members(shard).is_empty());
-            assert!(a.est_cost(shard) > 0);
-        }
-        // The hints really vary (heterogeneous workload) — otherwise the
-        // balance assertion above is vacuous.
-        let hints = spec.cost_hints(Some(&model));
-        assert!(hints.iter().any(|&h| h != hints[0]), "hints: {hints:?}");
+        // Checkpoint after setup and resume: the §4h restore ≡
+        // never-stopped contract lifted to fleets.
+        let image = checkpoint_after_setup(&spec, 1).expect("checkpoint");
+        let warm = run_fleet_from(&spec, 1, None, &image).expect("warm");
+        assert_eq!(render(&warm), render(&cold), "warm start diverged");
     }
 }

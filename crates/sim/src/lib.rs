@@ -33,7 +33,7 @@
 //!   deterministic per-component work units (persisted like every other
 //!   observable) plus host wall-time scopes (never persisted; dispatch
 //!   scopes timed about one call in 16 and scaled), joined into a
-//!   partition-ready [`profile::CostModel`].
+//!   per-component [`profile::CostModel`].
 //!
 //! Higher layers (`vapres-stream`, `vapres-core`) pull edges from the
 //! scheduler — directly, or through the executor's activity tracking — and

@@ -29,8 +29,8 @@
 //! scaled by its stride, an unbiased estimate of the stride's total.
 //!
 //! Joining the planes, [`Profiler::cost_model`] emits one row per work
-//! component — `{work_units, host_ns, ns_per_unit}` — the measured input
-//! a shard partitioner needs. Per-route rows carry no scope of their own
+//! component — `{work_units, host_ns, ns_per_unit}` — which `vapres
+//! profile --cost-model` exports and `vapres diff` gates. Per-route rows carry no scope of their own
 //! (routes are folded inside the fabric tick), so their host time is
 //! apportioned from the `exec/fabric` scope's self time by work-unit
 //! share.
@@ -224,10 +224,10 @@ pub struct CostRow {
     pub host_ns: u64,
 }
 
-/// The partition-ready cost model: one row per work component, in
-/// registration order. The work-unit column is deterministic and exact;
-/// the host columns are not (and are skipped by structural comparisons),
-/// and for dispatch components they are sampled estimates.
+/// The cost model: one row per work component, in registration order.
+/// The work-unit column is deterministic and exact; the host columns are
+/// not (and are skipped by structural comparisons), and for dispatch
+/// components they are sampled estimates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostModel {
     /// The rows, in work-plane registration order.
@@ -283,61 +283,6 @@ impl CostModel {
         writeln!(w, "  ]")?;
         writeln!(w, "}}")?;
         Ok(())
-    }
-
-    /// Parses a model back from [`write_json`](Self::write_json) output
-    /// (the format `vapres profile --cost-model` emits), so a measured
-    /// model can feed fleet partitioning. Component names are interned
-    /// (the registry hands out `&'static str`), tolerant of field order
-    /// and surrounding whitespace; rows keep file order.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed line, or a missing
-    /// `"cost_model"` format stamp.
-    pub fn parse_json(text: &str) -> Result<CostModel, String> {
-        if !text.contains("\"cost_model\"") {
-            return Err("not a cost-model file (no \"cost_model\" stamp)".into());
-        }
-        fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-            let pat = format!("\"{key}\":");
-            let rest = &line[line.find(&pat)? + pat.len()..];
-            let rest = rest.trim_start();
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(rest[..end].trim().trim_matches('"'))
-        }
-        let mut rows = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if !line.contains("\"component\"") {
-                continue;
-            }
-            let component = field(line, "component")
-                .ok_or_else(|| format!("row without component name: {line}"))?;
-            let work_units: u64 = field(line, "work_units")
-                .ok_or_else(|| format!("row without work_units: {line}"))?
-                .parse()
-                .map_err(|e| format!("bad work_units in {line}: {e}"))?;
-            let host_ns: u64 = field(line, "host_ns")
-                .ok_or_else(|| format!("row without host_ns: {line}"))?
-                .parse()
-                .map_err(|e| format!("bad host_ns in {line}: {e}"))?;
-            rows.push(CostRow {
-                component: crate::persist::intern_static(component),
-                work_units,
-                host_ns,
-            });
-        }
-        Ok(CostModel { rows })
-    }
-
-    /// Host nanoseconds per work unit for `component`, or `None` when
-    /// the model has no such row (or the row saw no work).
-    pub fn ns_per_unit(&self, component: &str) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.component == component && r.work_units > 0)
-            .map(|r| r.host_ns as f64 / r.work_units as f64)
     }
 }
 
@@ -1216,18 +1161,13 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_json_roundtrips() {
+    fn cost_model_json_has_one_line_per_component() {
         let model = CostModel {
             rows: vec![
                 CostRow {
                     component: "exec/fabric",
                     work_units: 120,
                     host_ns: 480,
-                },
-                CostRow {
-                    component: "icap/words",
-                    work_units: 9_075,
-                    host_ns: 1_000,
                 },
                 CostRow {
                     component: "idle",
@@ -1239,12 +1179,14 @@ mod tests {
         let mut buf = Vec::new();
         model.write_json(&mut buf).expect("write");
         let text = String::from_utf8(buf).expect("utf8");
-        let back = CostModel::parse_json(&text).expect("parse");
-        assert_eq!(back, model);
-        assert_eq!(back.ns_per_unit("exec/fabric"), Some(4.0));
-        assert_eq!(back.ns_per_unit("idle"), None);
-        assert_eq!(back.ns_per_unit("missing"), None);
-        assert!(CostModel::parse_json("{\"type\":\"telemetry\"}").is_err());
+        assert_eq!(
+            text,
+            "{\n  \"cost_model\": 1,\n  \"components\": [\n    \
+             {\"component\":\"exec/fabric\",\"work_units\":120,\"host_ns\":480,\
+             \"ns_per_unit\":4.000000},\n    \
+             {\"component\":\"idle\",\"work_units\":0,\"host_ns\":7,\
+             \"ns_per_unit\":0.000000}\n  ]\n}\n"
+        );
     }
 
     /// Burns a little real time so durations are nonzero on any clock.

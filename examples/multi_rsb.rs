@@ -9,13 +9,12 @@
 //! Run with: `cargo run --release --example multi_rsb`
 
 use vapres::core::config::SystemConfig;
-use vapres::core::multirsb::MultiRsbSystem;
-use vapres::core::{PortRef, Ps};
+use vapres::core::{FleetSystem, PortRef, Ps};
 use vapres::kpn::{deploy, map_pipeline, Pipeline};
 use vapres::modules::{register_standard_modules, uids};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut multi = MultiRsbSystem::new(
+    let mut multi = FleetSystem::new(
         vec![SystemConfig::prototype(), SystemConfig::prototype()],
         |lib| register_standard_modules(lib, 0),
     )?;

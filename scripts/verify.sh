@@ -354,55 +354,49 @@ grep -q '"component":"fabric/route' "$profdir/model_j1.json" \
     || { echo "merged sweep cost model missing per-route components" >&2; exit 1; }
 rm -rf "$profdir"
 
-echo "==> fleet smoke (sharded multi-RSB run byte-identical across --jobs, diff-gated)"
+echo "==> fleet smoke (multi-RSB run byte-identical across runs, diff-gated)"
 fleetdir="$(mktemp -d)"
-fleet_run() { # $1 = jobs, $2 = output tag, $3 = extra flags
+fleet_run() { # $1 = output tag
     ./target/release/vapres-cli fleet \
-        --rsbs 6 --swaps 6 --samples 200 --interval 50 --jobs "$1" $3 \
-        --jsonl "$fleetdir/merged_$2.jsonl" --flight "$fleetdir/flight_$2.jsonl" \
-        --bench "$fleetdir/BENCH_$2.json" > "$fleetdir/report_$2.txt"
+        --rsbs 6 --swaps 6 --samples 200 --interval 50 \
+        --jsonl "$fleetdir/merged_$1.jsonl" --flight "$fleetdir/flight_$1.jsonl" \
+        --bench "$fleetdir/BENCH_$1.json" > "$fleetdir/report_$1.txt"
 }
-./target/release/vapres-cli profile --samples 200 \
-    --cost-model "$fleetdir/model.json" >/dev/null
-fleet_run 1 j1 ""
-fleet_run 4 j4 ""
-fleet_run 1 lpt1 "--cost-model $fleetdir/model.json"
-fleet_run 4 lpt4 "--cost-model $fleetdir/model.json"
-# The determinism contract: everything jobs-dependent lives on marked
-# lines (`partition:`/`host:` in the report, `"partition"`/`"host"` in
-# the trajectory). Filter those and the sharded run must byte-match the
-# sequential oracle — under both partition modes (the est_cost column
-# is a function of the model, so each mode compares against its own
-# --jobs 1 oracle); the merged JSONL and flight are unmarked and must
-# match exactly.
-for pair in "j1 j4" "lpt1 lpt4"; do
-    set -- $pair
-    base="$1"; t="$2"
-    cmp -s <(grep -v -e '^wrote ' -e '^partition:' -e '^host:' "$fleetdir/report_$base.txt") \
-           <(grep -v -e '^wrote ' -e '^partition:' -e '^host:' "$fleetdir/report_$t.txt") \
-        || { echo "fleet report differs between $base and $t" >&2; exit 1; }
-    for f in merged flight; do
-        cmp -s "$fleetdir/${f}_$base.jsonl" "$fleetdir/${f}_$t.jsonl" \
-            || { echo "fleet $f JSONL differs between $base and $t" >&2; exit 1; }
-    done
-    cmp -s <(grep -v -e '"host"' -e '"partition' "$fleetdir/BENCH_$base.json") \
-           <(grep -v -e '"host"' -e '"partition' "$fleetdir/BENCH_$t.json") \
-        || { echo "fleet BENCH_fleet.json differs between $base and $t" >&2; exit 1; }
+fleet_run a
+fleet_run b
+# The determinism contract: the wall clock lives on the `host:` report
+# line and the `"host"` trajectory line alone. Filter those and two runs
+# must byte-match; the merged JSONL and flight must match exactly.
+cmp -s <(grep -v -e '^wrote ' -e '^host:' "$fleetdir/report_a.txt") \
+       <(grep -v -e '^wrote ' -e '^host:' "$fleetdir/report_b.txt") \
+    || { echo "fleet report differs between two runs" >&2; exit 1; }
+for f in merged flight; do
+    cmp -s "$fleetdir/${f}_a.jsonl" "$fleetdir/${f}_b.jsonl" \
+        || { echo "fleet $f JSONL differs between two runs" >&2; exit 1; }
 done
-grep -q 'partition: mode=cost-model jobs=4' "$fleetdir/report_lpt4.txt" \
-    || { echo "fleet --cost-model did not switch to LPT partitioning" >&2; exit 1; }
-grep -q 'aggregate: 6 healthy, 0 breached, 0 undrained' "$fleetdir/report_j1.txt" \
+cmp -s <(grep -v '"host"' "$fleetdir/BENCH_a.json") \
+       <(grep -v '"host"' "$fleetdir/BENCH_b.json") \
+    || { echo "fleet BENCH_fleet.json differs between two runs" >&2; exit 1; }
+grep -q 'aggregate: 6 healthy, 0 breached, 0 undrained' "$fleetdir/report_a.txt" \
     || { echo "fleet report missing healthy aggregate line" >&2; exit 1; }
-# vapres diff understands fleet trajectories: artifacts from different
-# job counts gate each other (host/partition context is skipped), and
-# an injected work-unit drift on the deterministic plane must trip it.
+# The fleet runs on one thread: the removed --jobs flag must be rejected
+# as an unknown option.
+if jobs_err="$(./target/release/vapres-cli fleet --jobs 2 2>&1)"; then
+    echo "fleet accepted the removed --jobs flag" >&2
+    exit 1
+fi
+echo "$jobs_err" | grep -q 'unknown option --jobs' \
+    || { echo "fleet --jobs failed for the wrong reason: $jobs_err" >&2; exit 1; }
+# vapres diff understands fleet trajectories: the two runs gate each
+# other (the host line is skipped), and an injected work-unit drift on
+# the deterministic plane must trip it.
 ./target/release/vapres-cli diff \
-    "$fleetdir/BENCH_j1.json" "$fleetdir/BENCH_j4.json" >/dev/null \
-    || { echo "fleet trajectory cross-jobs diff reported a regression" >&2; exit 1; }
+    "$fleetdir/BENCH_a.json" "$fleetdir/BENCH_b.json" >/dev/null \
+    || { echo "fleet trajectory self-diff reported a regression" >&2; exit 1; }
 sed 's/"work_units":\([0-9][0-9]*\)/"work_units":1\1/' \
-    "$fleetdir/BENCH_j1.json" > "$fleetdir/BENCH_drift.json"
+    "$fleetdir/BENCH_a.json" > "$fleetdir/BENCH_drift.json"
 if ./target/release/vapres-cli diff \
-    "$fleetdir/BENCH_j1.json" "$fleetdir/BENCH_drift.json" >/dev/null 2>&1; then
+    "$fleetdir/BENCH_a.json" "$fleetdir/BENCH_drift.json" >/dev/null 2>&1; then
     echo "diff missed an injected fleet work-unit drift" >&2
     exit 1
 fi

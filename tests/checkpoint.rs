@@ -317,13 +317,12 @@ fn restore_rejects_bad_magic_and_truncation() {
 
 // ---------------------------------------------------------------------------
 // Fleet-scale golden equivalence: restore ≡ never-stopped for a 3-RSB
-// `MultiRsbSystem`, restored into BOTH fleet engines (the sequential
-// oracle and the sharded worker-thread engine) from the same envelope.
+// `FleetSystem`.
 // ---------------------------------------------------------------------------
 
 use std::sync::Arc;
 
-use vapres::core::{ChannelId, FleetSystem, Freq, MultiRsbSystem, ShardPlan, SharedRegister};
+use vapres::core::{ChannelId, FleetSystem, Freq, ShardPlan, SharedRegister};
 
 const FLEET_RSBS: usize = 3;
 
@@ -343,7 +342,7 @@ fn fleet_register() -> SharedRegister {
 /// Per-RSB E3 arrangement with every checkpointable observation channel
 /// on, plus a heterogeneous input stream. Returns each RSB's
 /// (upstream, downstream) channel ids for the swap leg.
-fn fleet_e3_setup(m: &mut MultiRsbSystem) -> Vec<(ChannelId, ChannelId)> {
+fn fleet_e3_setup(m: &mut FleetSystem) -> Vec<(ChannelId, ChannelId)> {
     (0..FLEET_RSBS)
         .map(|rsb| {
             m.with_rsb(rsb, move |sys| {
@@ -371,109 +370,103 @@ fn fleet_e3_setup(m: &mut MultiRsbSystem) -> Vec<(ChannelId, ChannelId)> {
         .collect()
 }
 
-/// The post-checkpoint leg, identical for every engine: a streaming
-/// stretch, one seamless swap per RSB, then a sliced drain and settle.
-/// A macro because `MultiRsbSystem` and `FleetSystem` share the method
-/// surface but no trait.
-macro_rules! fleet_drive_leg {
-    ($m:expr, $channels:expr) => {{
-        $m.run_for(Ps::from_us(200));
-        for rsb in 0..FLEET_RSBS {
-            let (upstream, downstream) = $channels[rsb];
-            $m.with_rsb(rsb, move |sys| {
-                let spec = SwapSpec {
-                    active_node: 1,
-                    spare_node: 2,
-                    source: BitstreamSource::Sdram("fir_b".into()),
-                    upstream,
-                    downstream,
-                    clk_sel: false,
-                    timeout: Ps::from_ms(10),
-                };
-                seamless_swap(sys, &spec)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
-            })
-            .unwrap();
-            $m.run_for(Ps::from_us(150));
+/// The post-checkpoint leg: a streaming stretch, one seamless swap per
+/// RSB, then a sliced drain and settle.
+fn fleet_drive_leg(m: &mut FleetSystem, channels: &[(ChannelId, ChannelId)]) {
+    m.run_for(Ps::from_us(200));
+    for (rsb, &(upstream, downstream)) in channels.iter().enumerate() {
+        m.with_rsb(rsb, |sys| {
+            let spec = SwapSpec {
+                active_node: 1,
+                spare_node: 2,
+                source: BitstreamSource::Sdram("fir_b".into()),
+                upstream,
+                downstream,
+                clk_sel: false,
+                timeout: Ps::from_ms(10),
+            };
+            seamless_swap(sys, &spec).map(|_| ())
+        })
+        .unwrap();
+        m.run_for(Ps::from_us(150));
+    }
+    for _ in 0..60 {
+        let done = (0..FLEET_RSBS).all(|rsb| m.with_rsb(rsb, |s| s.iom_pending_input(0) == 0));
+        if done {
+            break;
         }
-        for _ in 0..60 {
-            let done = (0..FLEET_RSBS).all(|rsb| $m.with_rsb(rsb, |s| s.iom_pending_input(0) == 0));
-            if done {
-                break;
-            }
-            $m.run_for(Ps::from_ms(1));
-        }
-        $m.run_for(Ps::from_us(50));
-    }};
+        m.run_for(Ps::from_ms(1));
+    }
+    m.run_for(Ps::from_us(50));
 }
 
 /// Every per-RSB observable, folded into one comparable string.
-macro_rules! fleet_observables {
-    ($m:expr) => {{
-        let mut out = String::new();
-        for rsb in 0..FLEET_RSBS {
-            let per: String = $m.with_rsb(rsb, move |sys| {
-                let mut s = String::new();
-                s.push_str(&format!("rsb={rsb} now={}\n", sys.now().as_ps()));
-                s.push_str(&format!("outputs={:?}\n", sys.iom_output(0)));
-                s.push_str(&format!("gap={:?}\n", sys.iom_gap(0)));
-                let wt = sys.word_trace().expect("word trace enabled");
-                s.push_str(&format!(
-                    "word_trace tagged={} completed={} latencies={:?}\n",
-                    wt.tagged(),
-                    wt.completed(),
-                    wt.latencies_ps()
-                ));
-                let mut buf = Vec::new();
-                sys.snapshot_metrics()
-                    .unwrap()
-                    .write_jsonl(&mut buf)
-                    .unwrap();
-                s.push_str(&String::from_utf8(buf).unwrap());
-                let mut buf = Vec::new();
-                sys.flight().unwrap().write_jsonl(&mut buf).unwrap();
-                s.push_str(&String::from_utf8(buf).unwrap());
-                s
-            });
-            out.push_str(&per);
-        }
-        out
-    }};
+fn fleet_observables(m: &mut FleetSystem) -> String {
+    let mut out = String::new();
+    for rsb in 0..FLEET_RSBS {
+        let per = m.with_rsb(rsb, |sys| {
+            let mut s = String::new();
+            s.push_str(&format!("rsb={rsb} now={}\n", sys.now().as_ps()));
+            s.push_str(&format!("outputs={:?}\n", sys.iom_output(0)));
+            s.push_str(&format!("gap={:?}\n", sys.iom_gap(0)));
+            let wt = sys.word_trace().expect("word trace enabled");
+            s.push_str(&format!(
+                "word_trace tagged={} completed={} latencies={:?}\n",
+                wt.tagged(),
+                wt.completed(),
+                wt.latencies_ps()
+            ));
+            let mut buf = Vec::new();
+            sys.snapshot_metrics()
+                .unwrap()
+                .write_jsonl(&mut buf)
+                .unwrap();
+            s.push_str(&String::from_utf8(buf).unwrap());
+            let mut buf = Vec::new();
+            sys.flight().unwrap().write_jsonl(&mut buf).unwrap();
+            s.push_str(&String::from_utf8(buf).unwrap());
+            s
+        });
+        out.push_str(&per);
+    }
+    out
 }
 
 /// The fleet golden equivalence: checkpoint a 3-RSB fleet mid-stream,
-/// restore the same envelope into the sequential oracle AND the sharded
-/// engine, run all three to the end of the scenario — every per-RSB
-/// observable must match bit for bit.
+/// restore the envelope, and run both to the end of the scenario — every
+/// per-RSB observable and the final checkpoint bytes must match bit for
+/// bit.
 #[test]
 fn fleet_restore_equivalence_three_rsbs() {
     let register = fleet_register();
     let mut reference =
-        MultiRsbSystem::new(fleet_configs(), |lib| register(lib)).expect("valid fleet configs");
+        FleetSystem::new(fleet_configs(), |lib| register(lib)).expect("valid fleet configs");
     let channels = fleet_e3_setup(&mut reference);
     reference.run_for(Ps::from_us(300));
 
     let bytes = reference.checkpoint();
     let at_checkpoint = reference.now();
 
-    fleet_drive_leg!(reference, channels);
-    let golden = fleet_observables!(reference);
+    fleet_drive_leg(&mut reference, &channels);
+    let golden = fleet_observables(&mut reference);
 
-    for jobs in [1usize, 2] {
-        let plan = ShardPlan::round_robin(FLEET_RSBS, jobs);
-        let mut restored = FleetSystem::restore(fleet_configs(), register.clone(), plan, &bytes)
-            .expect("fleet envelope restores");
-        assert_eq!(
-            restored.now(),
-            at_checkpoint,
-            "jobs={jobs}: resumed at the wrong instant"
-        );
-        fleet_drive_leg!(restored, channels);
-        assert_eq!(
-            fleet_observables!(restored),
-            golden,
-            "jobs={jobs}: fleet restore diverged from never-stopped"
-        );
-    }
+    let plan = ShardPlan::round_robin(FLEET_RSBS, 1);
+    let mut restored = FleetSystem::restore(fleet_configs(), register, plan, &bytes)
+        .expect("fleet envelope restores");
+    assert_eq!(
+        restored.now(),
+        at_checkpoint,
+        "resumed at the wrong instant"
+    );
+    fleet_drive_leg(&mut restored, &channels);
+    assert_eq!(
+        fleet_observables(&mut restored),
+        golden,
+        "fleet restore diverged from never-stopped"
+    );
+    assert_eq!(
+        restored.checkpoint(),
+        reference.checkpoint(),
+        "fleet restore left different checkpoint bytes"
+    );
 }

@@ -1,15 +1,15 @@
-//! Randomized lockstep equivalence of the sharded fleet engine.
+//! Randomized restore ≡ never-stopped equivalence of the fleet.
 //!
-//! The sharded engine's contract is: for ANY interleaving of `run_for`
-//! and `with_rsb` calls and ANY job count, every observable is
-//! bit-identical to the sequential oracle. The unit tests prove that on
-//! hand-written schedules; this test drives both engines through
-//! seeded-random schedules — random stride lengths, random software
-//! events against random RSBs (feeds, probes, nested local runs,
-//! cadence changes) — and compares a digest of every RSB after EVERY
-//! op, then the full observable set at the end. The op list is a plain
-//! `Vec` built from a `SplitMix64` seed, so any failure replays
-//! exactly.
+//! The fleet checkpoint contract is: for ANY interleaving of `run_for`
+//! and `with_rsb` calls, a fleet checkpointed at any point and restored
+//! continues bit-identically to one that never stopped. This test drives
+//! fleets through seeded-random schedules — random stride lengths,
+//! random software events against random RSBs (feeds, probes, nested
+//! local runs, cadence changes) — checkpoints and restores one copy at a
+//! seeded op index, and compares a digest of every RSB after EVERY op,
+//! then the full observable set and the checkpoint bytes at the end. The
+//! op list is a plain `Vec` built from a `SplitMix64` seed, so any
+//! failure replays exactly.
 
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ enum Op {
 enum Action {
     /// Feed `n` more input words.
     Feed(u32),
-    /// Zero-cost read (still exercises the align barrier).
+    /// Zero-cost read (still runs the alignment loop).
     Probe,
     /// Nested local run: the target advances under software control
     /// while the others wait, then everyone re-aligns.
@@ -65,13 +65,12 @@ fn schedule(seed: u64, n: usize) -> Vec<Op> {
         .collect()
 }
 
-fn register() -> SharedRegister {
-    Arc::new(|lib: &mut ModuleLibrary| register_standard_modules(lib, 0))
+fn configs() -> Vec<SystemConfig> {
+    (0..RSBS).map(|_| SystemConfig::prototype()).collect()
 }
 
-fn build(jobs: usize) -> FleetSystem {
-    let configs: Vec<SystemConfig> = (0..RSBS).map(|_| SystemConfig::prototype()).collect();
-    let mut fleet = FleetSystem::new(configs, register(), ShardPlan::round_robin(RSBS, jobs))
+fn build() -> FleetSystem {
+    let mut fleet = FleetSystem::new(configs(), |lib| register_standard_modules(lib, 0))
         .expect("prototype fleet builds");
     for rsb in 0..RSBS {
         fleet.with_rsb(rsb, move |sys| {
@@ -91,6 +90,13 @@ fn build(jobs: usize) -> FleetSystem {
         });
     }
     fleet
+}
+
+fn restore(image: &[u8]) -> FleetSystem {
+    let register: SharedRegister =
+        Arc::new(|lib: &mut ModuleLibrary| register_standard_modules(lib, 0));
+    FleetSystem::restore(configs(), register, ShardPlan::round_robin(RSBS, 1), image)
+        .expect("fleet envelope restores")
 }
 
 fn apply(fleet: &mut FleetSystem, op: Op) {
@@ -158,32 +164,43 @@ fn observables(fleet: &mut FleetSystem) -> String {
 }
 
 #[test]
-fn randomized_schedules_are_lockstep_across_engines() {
+fn randomized_schedules_restore_like_never_stopped() {
     for seed in [0xA11CE, 0xB0B, 0xC0FFEE] {
         let ops = schedule(seed, 40);
-        let mut oracle = build(1);
-        let mut sharded: Vec<FleetSystem> = [2, 4].iter().map(|&j| build(j)).collect();
-        for (i, &op) in ops.iter().enumerate() {
-            apply(&mut oracle, op);
-            let want = digest(&mut oracle);
-            for fleet in &mut sharded {
-                apply(fleet, op);
-                assert_eq!(
-                    digest(fleet),
-                    want,
-                    "seed {seed:#x}, op {i} ({op:?}), jobs {}: diverged mid-schedule",
-                    fleet.plan().jobs()
-                );
-            }
+        let cut = SplitMix64::new(!seed).gen_usize(0..ops.len() + 1);
+        let mut never_stopped = build();
+        let want: Vec<String> = ops
+            .iter()
+            .map(|&op| {
+                apply(&mut never_stopped, op);
+                digest(&mut never_stopped)
+            })
+            .collect();
+
+        let mut fleet = build();
+        for &op in &ops[..cut] {
+            apply(&mut fleet, op);
         }
-        let golden = observables(&mut oracle);
-        for fleet in &mut sharded {
-            let jobs = fleet.plan().jobs();
+        let image = fleet.checkpoint();
+        drop(fleet);
+        let mut fleet = restore(&image);
+        assert_eq!(
+            fleet.checkpoint(),
+            image,
+            "seed {seed:#x}: restore then checkpoint changed the image"
+        );
+        for (i, &op) in ops.iter().enumerate().skip(cut) {
+            apply(&mut fleet, op);
             assert_eq!(
-                observables(fleet),
-                golden,
-                "seed {seed:#x}, jobs {jobs}: final observables diverged"
+                digest(&mut fleet),
+                want[i],
+                "seed {seed:#x}, restored at op {cut}, op {i} ({op:?}): diverged"
             );
         }
+        assert_eq!(
+            observables(&mut fleet),
+            observables(&mut never_stopped),
+            "seed {seed:#x}, restored at op {cut}: final observables diverged"
+        );
     }
 }
