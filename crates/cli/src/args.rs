@@ -28,7 +28,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// [`ArgError`] when a `--flag` has no value.
+    /// [`ArgError`] when a `--flag` has no value or is given twice (a
+    /// repeated flag would otherwise silently keep its last value).
     pub fn parse<I, S>(tokens: I) -> Result<Self, ArgError>
     where
         I: IntoIterator<Item = S>,
@@ -41,7 +42,9 @@ impl Args {
                 let value = iter
                     .next()
                     .ok_or_else(|| ArgError(format!("--{key} needs a value")))?;
-                out.options.insert(key.to_string(), value);
+                if out.options.insert(key.to_string(), value).is_some() {
+                    return Err(ArgError(format!("--{key} given more than once")));
+                }
             } else {
                 out.positionals.push(tok);
             }
@@ -67,6 +70,20 @@ impl Args {
     pub fn require(&self, key: &str) -> Result<&str, ArgError> {
         self.get(key)
             .ok_or_else(|| ArgError(format!("missing required --{key}")))
+    }
+
+    /// A `yes`/`no` switch, `no` when absent.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError`] naming the flag on any other value, so `--stats true`
+    /// fails instead of silently meaning no.
+    pub fn flag(&self, key: &str) -> Result<bool, ArgError> {
+        match self.get(key) {
+            None | Some("no") => Ok(false),
+            Some("yes") => Ok(true),
+            Some(v) => Err(ArgError(format!("--{key}: expected yes or no, got {v:?}"))),
+        }
     }
 
     /// A numeric option with default.
@@ -112,6 +129,45 @@ mod tests {
     #[test]
     fn missing_value_errors() {
         assert!(Args::parse(["--device"]).is_err());
+    }
+
+    #[test]
+    fn switches_take_only_yes_or_no_and_flags_only_once() {
+        // (tokens, key, expected: Ok(value) or Err(substring naming the flag))
+        let cases: &[(&[&str], &str, Result<bool, &str>)] = &[
+            (&[], "stats", Ok(false)),
+            (&["--stats", "yes"], "stats", Ok(true)),
+            (&["--stats", "no"], "stats", Ok(false)),
+            (
+                &["--stats", "true"],
+                "stats",
+                Err("--stats: expected yes or no"),
+            ),
+            (&["--art", "1"], "art", Err("--art: expected yes or no")),
+            (
+                &["--cold", "YES"],
+                "cold",
+                Err("--cold: expected yes or no"),
+            ),
+            (
+                &["--samples", "10", "--samples", "20"],
+                "samples",
+                Err("--samples given more than once"),
+            ),
+            (
+                &["--a", "x", "pos", "--a", "x"],
+                "a",
+                Err("--a given more than once"),
+            ),
+        ];
+        for (tokens, key, want) in cases {
+            let got = Args::parse(tokens.iter().copied()).and_then(|a| a.flag(key));
+            match (want, got) {
+                (Ok(w), Ok(g)) => assert_eq!(*w, g, "{tokens:?}"),
+                (Err(w), Err(e)) => assert!(e.0.contains(w), "{tokens:?}: {e}"),
+                (w, g) => panic!("{tokens:?}: wanted {w:?}, got {g:?}"),
+            }
+        }
     }
 
     #[test]

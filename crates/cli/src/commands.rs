@@ -1,16 +1,21 @@
 //! The `vapres` subcommands, testable against any `Write` sink.
 
 use crate::args::{ArgError, Args};
+use crate::live::LiveServer;
 use std::fmt;
 use std::io::Write;
 use vapres_bitstream::stream::{ModuleUid, PartialBitstream};
 use vapres_bitstream::timing;
+use vapres_core::scenario::SwapMethod;
+use vapres_core::system::VapresSystem;
+use vapres_core::{evaluate_health, HealthPolicy, Ps, SwapReport};
 use vapres_fabric::geometry::{ClbRect, Device};
 use vapres_fabric::resources::{ResourceBudget, ResourceKind};
-use vapres_floorplan::planner::{plan, PrrRequest};
+use vapres_floorplan::planner::{plan, PlanOutcome, PrrRequest};
 use vapres_floorplan::report::utilization_report;
 use vapres_floorplan::resources::{comm_arch_slices, static_region_slices};
 use vapres_floorplan::sysdef::{generate_mhs, generate_ucf, parse_ucf};
+use vapres_sim::watchdog::HealthReport;
 use vapres_stream::params::FabricParams;
 
 /// A command failure (message already formatted for the user).
@@ -56,10 +61,17 @@ fn read_err(path: &str, e: std::io::Error) -> CmdError {
     CmdError(format!("cannot read {path}: {e}"))
 }
 
-/// Opens `path` for buffered writing with a path-naming error.
-fn create_output(path: &str) -> Result<std::io::BufWriter<std::fs::File>, CmdError> {
-    std::fs::File::create(path)
+/// Creates `path` and fills it through `write`, naming the path in any
+/// failure.
+fn write_file(
+    path: &str,
+    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> Result<(), CmdError> {
+    let mut file = std::fs::File::create(path)
         .map(std::io::BufWriter::new)
+        .map_err(|e| write_err(path, e))?;
+    write(&mut file)
+        .and_then(|()| file.flush())
         .map_err(|e| write_err(path, e))
 }
 
@@ -115,24 +127,26 @@ pub fn cmd_resources(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// `vapres floorplan --prrs 640,640 [--device lx25] [--ucf out.ucf] [--art yes]`.
-pub fn cmd_floorplan(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
+/// Floorplans the `--prrs` slice counts on `--device`: the requests
+/// (named `prr0`, `prr1`, ...) and the planner's outcome.
+fn plan_prrs(args: &Args) -> Result<(Vec<PrrRequest>, PlanOutcome), CmdError> {
     let device = device_by_name(args.get_or("device", "lx25"))?;
-    let prrs: Vec<u32> = args
+    let requests = args
         .require("prrs")?
         .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| CmdError(format!("bad slice count {s:?}")))
-        })
-        .collect::<Result<_, _>>()?;
-    let requests: Vec<PrrRequest> = prrs
-        .iter()
         .enumerate()
-        .map(|(i, &s)| PrrRequest::new(format!("prr{i}"), s))
-        .collect();
+        .map(|(i, s)| match s.trim().parse() {
+            Ok(slices) => Ok(PrrRequest::new(format!("prr{i}"), slices)),
+            Err(_) => Err(CmdError(format!("bad slice count {s:?}"))),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let outcome = plan(&device, &requests).map_err(|e| CmdError(e.to_string()))?;
+    Ok((requests, outcome))
+}
+
+/// `vapres floorplan --prrs 640,640 [--device lx25] [--ucf out.ucf] [--art yes]`.
+pub fn cmd_floorplan(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
+    let (requests, outcome) = plan_prrs(args)?;
     for (placement, (req, alloc)) in outcome
         .floorplan
         .prrs()
@@ -146,7 +160,7 @@ pub fn cmd_floorplan(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         )?;
     }
     writeln!(out, "wasted slices: {}", outcome.wasted_slices(&requests))?;
-    if args.get_or("art", "no") == "yes" {
+    if args.flag("art")? {
         writeln!(out, "{}", outcome.floorplan.ascii_art())?;
     }
     if let Some(path) = args.get("ucf") {
@@ -173,23 +187,8 @@ pub fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     if let Some(path) = args.get("metrics") {
         return cmd_report_metrics(path, out);
     }
-    let device = device_by_name(args.get_or("device", "lx25"))?;
     let params = fabric_params(args)?;
-    let prrs: Vec<u32> = args
-        .require("prrs")?
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| CmdError(format!("bad slice count {s:?}")))
-        })
-        .collect::<Result<_, _>>()?;
-    let requests: Vec<PrrRequest> = prrs
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| PrrRequest::new(format!("prr{i}"), s))
-        .collect();
-    let outcome = plan(&device, &requests).map_err(|e| CmdError(e.to_string()))?;
+    let (_, outcome) = plan_prrs(args)?;
     write!(out, "{}", utilization_report(&params, &outcome.floorplan))?;
     Ok(())
 }
@@ -205,7 +204,6 @@ fn fmt_labels(labels: &[(String, String)]) -> String {
 /// `vapres report --metrics snapshot.jsonl` — digest a telemetry
 /// snapshot into the paper-facing observability summary.
 fn cmd_report_metrics(path: &str, out: &mut dyn Write) -> Result<(), CmdError> {
-    use vapres_core::Ps;
     use vapres_sim::telemetry::{parse_jsonl, Record};
 
     let text = std::fs::read_to_string(path).map_err(|e| read_err(path, e))?;
@@ -527,29 +525,23 @@ fn stage_by_name(name: &str) -> Result<vapres_core::ModuleUid, CmdError> {
 /// FIR A (node 1) → IOM, with FIR B staged in SDRAM. For a seamless
 /// swap the FIR B bitstream targets the spare PRR (node 2); for the
 /// halt-and-swap baseline it targets the active PRR (node 1) so the
-/// module is replaced in place. Returns the ready-to-run swap spec.
-fn setup_e3_swap(
-    sys: &mut vapres_core::system::VapresSystem,
-    halt: bool,
-) -> Result<vapres_core::switching::SwapSpec, CmdError> {
-    use vapres_core::switching::{BitstreamSource, SwapSpec};
-    use vapres_core::{PortRef, Ps};
+/// module is replaced in place. Returns the drive state poised before
+/// the swap.
+fn setup_e3(sys: &mut VapresSystem, halt: bool, fail_swap: bool) -> Result<CkptMeta, CmdError> {
+    use vapres_core::PortRef;
     use vapres_modules::uids;
 
     let core = |e: vapres_core::ApiError| CmdError(e.to_string());
     sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
         .map_err(core)?;
-    if halt {
-        sys.install_bitstream(0, uids::FIR_B, "fir_b_prr0.bit")
-            .map_err(core)?;
-        sys.vapres_cf2array("fir_b_prr0.bit", "fir_b")
-            .map_err(core)?;
+    let (prr, fir_b) = if halt {
+        (0, "fir_b_prr0.bit")
     } else {
-        sys.install_bitstream(1, uids::FIR_B, "fir_b_prr1.bit")
-            .map_err(core)?;
-        sys.vapres_cf2array("fir_b_prr1.bit", "fir_b")
-            .map_err(core)?;
-    }
+        (1, "fir_b_prr1.bit")
+    };
+    sys.install_bitstream(prr, uids::FIR_B, fir_b)
+        .map_err(core)?;
+    sys.vapres_cf2array(fir_b, "fir_b").map_err(core)?;
     sys.vapres_cf2icap("fir_a_prr0.bit").map_err(core)?;
     let upstream = sys
         .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
@@ -559,52 +551,66 @@ fn setup_e3_swap(
         .map_err(core)?;
     sys.bring_up_node(0, false).map_err(core)?;
     sys.bring_up_node(1, false).map_err(core)?;
-    Ok(SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
+    Ok(CkptMeta {
+        phase: if halt {
+            CkptPhase::PendingHalt
+        } else {
+            CkptPhase::PendingSeamless
+        },
+        fail_swap,
+        upstream: upstream.0 as u64,
+        downstream: downstream.0 as u64,
+        ordinal: 0,
     })
 }
 
+/// Starts the `--live-port` endpoint when asked for and announces its
+/// address. The server serves until dropped.
+fn start_live(args: &Args, out: &mut dyn Write) -> Result<Option<LiveServer>, CmdError> {
+    if args.get("live-port").is_none() {
+        return Ok(None);
+    }
+    let port = args.get_num("live-port", 0u16)?;
+    let server =
+        LiveServer::start(port).map_err(|e| CmdError(format!("--live-port {port}: {e}")))?;
+    writeln!(
+        out,
+        "live endpoint: http://127.0.0.1:{}/metrics /health /flight",
+        server.port()
+    )?;
+    Ok(Some(server))
+}
+
 /// Writes the system's flight ring to `path` as JSON Lines.
-fn write_flight_dump(
-    sys: &mut vapres_core::system::VapresSystem,
-    path: &str,
-) -> Result<(), CmdError> {
-    let mut file = create_output(path)?;
-    sys.dump_flight_jsonl(&mut file)
-        .and_then(|()| file.flush())
-        .map_err(|e| write_err(path, e))?;
-    Ok(())
+fn write_flight_dump(sys: &mut VapresSystem, path: &str) -> Result<(), CmdError> {
+    write_file(path, |f| sys.dump_flight_jsonl(f))
 }
 
 /// Magic bytes opening a CLI checkpoint file: a driver-meta envelope
 /// (what remains of the scenario) followed by the raw system snapshot.
 const CKPT_MAGIC: [u8; 8] = *b"VAPRESRP";
 /// Version of the envelope, independent of the snapshot format version.
-/// v2 appends the checkpoint ordinal, so a replay can stamp a `restore`
-/// flight event naming the image it resumed from.
+/// v2 appends the checkpoint ordinal, so a restored run can stamp a
+/// `restore` flight event naming the image it resumed from.
 const CKPT_META_VERSION: u32 = 2;
 
-/// Where the run stood when the checkpoint was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where the drive stands in its scenario.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum CkptPhase {
     /// A plain pipeline run: nothing left but draining the input.
+    #[default]
     NoSwap,
-    /// The E3 swap has not happened yet; replay performs it.
+    /// The E3 swap has not happened yet; the drive performs it.
     PendingSeamless,
     /// Like [`CkptPhase::PendingSeamless`] but via halt-and-swap.
     PendingHalt,
-    /// The swap already completed before the checkpoint.
+    /// The swap already completed; the drive only drains.
     SwapDone,
 }
 
-/// The driver metadata a replay needs to finish the scenario.
-#[derive(Debug, Clone, Copy)]
+/// The drive's state: what a fresh run carries from phase to phase, and
+/// what a checkpoint records so a restored run can finish the scenario.
+#[derive(Debug, Clone, Copy, Default)]
 struct CkptMeta {
     phase: CkptPhase,
     /// The run deliberately pointed the swap at a missing SDRAM array.
@@ -613,7 +619,7 @@ struct CkptMeta {
     upstream: u64,
     downstream: u64,
     /// Sequence number of the checkpoint within its run (`ckpt_NNNN`);
-    /// replay stamps it into the `restore` flight event.
+    /// a restored run stamps it into the `restore` flight event.
     ordinal: u64,
 }
 
@@ -678,10 +684,10 @@ fn parse_checkpoint_file(bytes: &[u8]) -> Result<(CkptMeta, &[u8]), CmdError> {
     ))
 }
 
-/// Periodic checkpoint emission for `vapres sim`.
+/// Periodic checkpoint emission: the drive's optional sink.
 struct CkptSink<'a> {
     dir: &'a str,
-    every: vapres_core::Ps,
+    every: Ps,
     seq: u32,
 }
 
@@ -689,7 +695,7 @@ impl CkptSink<'_> {
     /// Writes one numbered checkpoint file and reports it.
     fn emit(
         &mut self,
-        sys: &mut vapres_core::system::VapresSystem,
+        sys: &mut VapresSystem,
         meta: &CkptMeta,
         out: &mut dyn Write,
     ) -> Result<(), CmdError> {
@@ -709,18 +715,28 @@ impl CkptSink<'_> {
     }
 }
 
-/// Runs the system for up to `budget`, pausing every `sink.every` of
-/// simulated time to emit a checkpoint; stops early once `done` holds at
-/// a slice boundary. Returns whether `done` held on exit.
-fn run_checkpointed(
-    sys: &mut vapres_core::system::VapresSystem,
-    budget: vapres_core::Ps,
-    sink: &mut CkptSink<'_>,
+/// Runs one phase of the drive for up to `budget`, stopping early once
+/// `done` holds (with no `done`, for the whole budget). With a sink the
+/// run pauses every `sink.every` of simulated time to write a checkpoint
+/// stamped with `meta`. Returns whether `done` held on exit.
+fn run_phase(
+    sys: &mut VapresSystem,
+    budget: Ps,
+    done: Option<fn(&VapresSystem) -> bool>,
+    sink: Option<&mut CkptSink<'_>>,
     meta: &CkptMeta,
-    done: impl Fn(&vapres_core::system::VapresSystem) -> bool,
     out: &mut dyn Write,
 ) -> Result<bool, CmdError> {
-    use vapres_core::Ps;
+    let Some(sink) = sink else {
+        return Ok(match done {
+            Some(done) => sys.run_until(budget, done),
+            None => {
+                sys.run_for(budget);
+                false
+            }
+        });
+    };
+    let done = done.unwrap_or(|_| false);
     let mut elapsed: u64 = 0;
     while elapsed < budget.as_ps() {
         if done(sys) {
@@ -734,387 +750,457 @@ fn run_checkpointed(
     Ok(done(sys))
 }
 
-/// The shared tail of `vapres replay` and `vapres sim --restore`:
-/// restore the snapshot, finish whatever the metadata says remains of
-/// the scenario, and (optionally) re-judge the watchdog monitors.
-fn replay_from(path: &str, until_breach: bool, out: &mut dyn Write) -> Result<(), CmdError> {
-    use vapres_core::config::SystemConfig;
-    use vapres_core::module::ModuleLibrary;
+/// Performs the E3 swap `meta` describes. On a failure or a panic the
+/// flight ring is dumped to `flight_path` before the error propagates,
+/// so the tail of the ring is the causal trail into the failure.
+fn perform_swap(
+    sys: &mut VapresSystem,
+    meta: &CkptMeta,
+    flight_path: Option<&str>,
+    out: &mut dyn Write,
+) -> Result<SwapReport, CmdError> {
     use vapres_core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
-    use vapres_core::system::VapresSystem;
-    use vapres_core::{evaluate_health, ChannelId, HealthPolicy, Ps};
-    use vapres_modules::register_standard_modules;
+    use vapres_core::ChannelId;
 
-    let bytes = std::fs::read(path).map_err(|e| read_err(path, e))?;
-    let (meta, image) = parse_checkpoint_file(&bytes)?;
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys = VapresSystem::restore(SystemConfig::prototype(), lib, image)
-        .map_err(|e| CmdError(format!("{path}: {e}")))?;
-    sys.note_flight(vapres_sim::flight::FlightEvent::Restore {
-        ordinal: meta.ordinal,
-    });
-    sys.note_flight(vapres_sim::flight::FlightEvent::Replay { until_breach });
-    writeln!(
-        out,
-        "restored {path}: t={}, {} input words pending",
-        sys.now(),
-        sys.iom_pending_input(0)
-    )?;
-
-    let report = match meta.phase {
-        CkptPhase::PendingSeamless | CkptPhase::PendingHalt => {
-            let spec = SwapSpec {
-                active_node: 1,
-                spare_node: 2,
-                source: BitstreamSource::Sdram(if meta.fail_swap {
-                    "nonexistent".into()
-                } else {
-                    "fir_b".into()
-                }),
-                upstream: ChannelId(meta.upstream as usize),
-                downstream: ChannelId(meta.downstream as usize),
-                clk_sel: false,
-                timeout: Ps::from_ms(10),
-            };
-            let swapped = if meta.phase == CkptPhase::PendingHalt {
-                halt_and_swap(&mut sys, &spec)
-            } else {
-                seamless_swap(&mut sys, &spec)
-            };
-            let report = swapped.map_err(|e| CmdError(format!("swap failed: {e}")))?;
-            writeln!(
-                out,
-                "swap       : {} total ({} reconfig, {} state words)",
-                report.total(),
-                report.reconfig.total(),
-                report.state_words
-            )?;
-            Some(report)
-        }
-        CkptPhase::NoSwap | CkptPhase::SwapDone => None,
+    // `--fail-swap` names a missing array: the swap dies reconfiguring,
+    // exercising the flight-dump-on-failure path.
+    let array = if meta.fail_swap {
+        "nonexistent"
+    } else {
+        "fir_b"
     };
-
-    let done = sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0);
-    if !done {
-        return Err(CmdError("replay stalled before consuming input".into()));
-    }
-    sys.run_for(Ps::from_us(100));
-    writeln!(out, "samples out: {}", sys.iom_output(0).len())?;
-    writeln!(out, "sim time   : {}", sys.now())?;
-    if let Some(tput) = sys.iom_gap(0).throughput_per_s() {
-        writeln!(out, "throughput : {:.3} MS/s", tput / 1e6)?;
-    }
-
-    if until_breach {
-        let health = evaluate_health(&mut sys, &HealthPolicy::e3_seamless(), report.as_ref());
-        health.write_text(out)?;
-        if health.healthy() {
-            writeln!(out, "no breach reproduced")?;
+    let spec = SwapSpec {
+        active_node: 1,
+        spare_node: 2,
+        source: BitstreamSource::Sdram(array.into()),
+        upstream: ChannelId(meta.upstream as usize),
+        downstream: ChannelId(meta.downstream as usize),
+        clk_sel: false,
+        timeout: Ps::from_ms(10),
+    };
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if meta.phase == CkptPhase::PendingHalt {
+            halt_and_swap(sys, &spec)
         } else {
-            let first = health
-                .breaches()
-                .next()
-                .map_or_else(|| "?".to_string(), |b| b.monitor.name.clone());
+            seamless_swap(sys, &spec)
+        }
+    }));
+    let swapped = match caught {
+        Ok(r) => r,
+        Err(panic) => {
+            if let Some(path) = flight_path {
+                let _ = write_flight_dump(sys, path);
+            }
+            std::panic::resume_unwind(panic);
+        }
+    };
+    swapped.or_else(|e| {
+        if let Some(path) = flight_path {
+            write_flight_dump(sys, path)?;
+            writeln!(out, "wrote {path}: flight ring at failure")?;
+        }
+        Err(CmdError(format!("swap failed: {e}")))
+    })
+}
+
+/// The one scenario drive: pre-swap run → swap → drain → settle, entered
+/// at `meta.phase`. A fresh run enters with its input fed and a
+/// `pre_swap` budget; a restored run enters at the phase its checkpoint
+/// recorded, so a pending swap happens at once. A pipeline (`NoSwap`)
+/// only drains. Returns the swap report when this drive swapped.
+fn drive(
+    sys: &mut VapresSystem,
+    mut meta: CkptMeta,
+    pre_swap: Option<Ps>,
+    mut sink: Option<&mut CkptSink<'_>>,
+    flight_path: Option<&str>,
+    out: &mut dyn Write,
+) -> Result<Option<SwapReport>, CmdError> {
+    let mut report = None;
+    if matches!(
+        meta.phase,
+        CkptPhase::PendingSeamless | CkptPhase::PendingHalt
+    ) {
+        if let Some(budget) = pre_swap {
+            run_phase(sys, budget, None, sink.as_deref_mut(), &meta, out)?;
+        }
+        report = Some(perform_swap(sys, &meta, flight_path, out)?);
+        meta.phase = CkptPhase::SwapDone;
+        // The moment right after the handoff is the most useful restore
+        // point, and the drain below may already be satisfied (the input
+        // finishes feeding during the ~72 ms reconfiguration) — emit it
+        // unconditionally rather than only at slice boundaries.
+        if let Some(sink) = sink.as_deref_mut() {
+            sink.emit(sys, &meta, out)?;
+        }
+    }
+    // E3 has drained once its input is consumed; a pipeline also waits
+    // for its output to start.
+    let (budget, done): (Ps, fn(&VapresSystem) -> bool) = if meta.phase == CkptPhase::NoSwap {
+        (Ps::from_ms(100), |s| {
+            s.iom_pending_input(0) == 0 && !s.iom_output(0).is_empty()
+        })
+    } else {
+        (Ps::from_ms(300), |s| s.iom_pending_input(0) == 0)
+    };
+    if !run_phase(sys, budget, Some(done), sink, &meta, out)? {
+        return Err(CmdError("simulation stalled before consuming input".into()));
+    }
+    // Let in-flight words drain: a variable-rate pipeline may emit fewer
+    // or more words than it consumed, so run a fixed settle window.
+    sys.run_for(Ps::from_us(100));
+    Ok(report)
+}
+
+/// How `--health` reports the watchdog verdicts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HealthOut {
+    /// The text verdicts, after the run summary.
+    Text,
+    /// Only the JSONL verdict block on stdout (the live `/health` form).
+    Jsonl,
+}
+
+/// A `vapres sim` run, parsed once from its flags. A flag that cannot
+/// apply to the run is rejected here by name, before anything runs.
+struct RunSpec<'a> {
+    /// `--restore`: resume a checkpoint, which carries its own scenario.
+    restore: Option<&'a str>,
+    /// `--swap`: `none` streams the `--stages` pipeline; `seamless` and
+    /// `halt` run the paper's E3 scenario.
+    swap: SwapMethod,
+    stages: &'a str,
+    samples: u32,
+    interval: u64,
+    fail_swap: bool,
+    /// `--checkpoint-every` (µs of simulated time) and its directory.
+    checkpoint: Option<(u64, &'a str)>,
+    health: Option<HealthOut>,
+    profile: bool,
+    stats: bool,
+    /// `--metrics`/`--trace-json`/`--prom` asked for a telemetry export.
+    telemetry: bool,
+    trace_words: u32,
+    sample_every_us: u64,
+    bitstream_cache: usize,
+}
+
+impl<'a> RunSpec<'a> {
+    fn parse(args: &'a Args) -> Result<Self, CmdError> {
+        let health = match args.get_or("health", "no") {
+            "no" => None,
+            "yes" => Some(HealthOut::Text),
+            "jsonl" => Some(HealthOut::Jsonl),
+            v => {
+                return Err(CmdError(format!(
+                    "--health: expected yes, jsonl or no, got {v:?}"
+                )))
+            }
+        };
+        let restore = args.get("restore");
+        if let Some(key) = args
+            .keys()
+            .find(|k| restore.is_some() && !matches!(*k, "restore" | "health"))
+        {
             return Err(CmdError(format!(
-                "breach reproduced: {first} ({} of {} monitors)",
-                health.breaches().count(),
-                health.verdicts().len()
+                "--{key} cannot apply with --restore (the checkpoint carries the \
+                 whole scenario; only --health can be added)"
             )));
         }
+        let swap = SwapMethod::parse(args.get_or("swap", "none"))
+            .map_err(|e| CmdError(format!("--swap: {e}")))?;
+        let e3 = swap != SwapMethod::None;
+        if e3 && args.get("stages").is_some() {
+            return Err(CmdError(format!(
+                "--stages cannot apply with --swap {swap} (the E3 scenario streams FIR A, then FIR B)"
+            )));
+        }
+        if !e3 && args.get("fail-swap").is_some() {
+            return Err(CmdError(
+                "--fail-swap cannot apply without --swap seamless|halt".into(),
+            ));
+        }
+        let interval = args.get_num("interval", if e3 { 500 } else { 1 })?;
+        if interval == 0 {
+            return Err(CmdError("--interval must be >= 1".into()));
+        }
+        let checkpoint = match (
+            args.get_num("checkpoint-every", 0u64)?,
+            args.get("checkpoint-dir"),
+        ) {
+            (0, None) => None,
+            (us, Some(dir)) if us > 0 => Some((us, dir)),
+            _ => {
+                return Err(CmdError(
+                    "--checkpoint-every N (microseconds of simulated time) and \
+                     --checkpoint-dir DIR go together"
+                        .into(),
+                ))
+            }
+        };
+        let sample_every_us = args.get_num("sample-every", 0u64)?;
+        let sampled = [
+            "timeseries",
+            "timeseries-trace",
+            "timeseries-csv",
+            "live-port",
+        ];
+        if sample_every_us == 0 && sampled.iter().any(|k| args.get(k).is_some()) {
+            return Err(CmdError(
+                "--timeseries/--timeseries-trace/--timeseries-csv/--live-port need \
+                 --sample-every N (microseconds of simulated time)"
+                    .into(),
+            ));
+        }
+        let profile = args.flag("profile")?;
+        if (args.get("flame").is_some() || args.get("cost-model").is_some()) && !profile {
+            return Err(CmdError("--flame/--cost-model need --profile yes".into()));
+        }
+        Ok(RunSpec {
+            restore,
+            swap,
+            stages: args.get_or("stages", "scaler"),
+            samples: args.get_num("samples", if e3 { 20_000 } else { 1_000 })?,
+            interval,
+            fail_swap: args.flag("fail-swap")?,
+            checkpoint,
+            health,
+            profile,
+            stats: args.flag("stats")?,
+            telemetry: ["metrics", "trace-json", "prom"]
+                .iter()
+                .any(|k| args.get(k).is_some()),
+            trace_words: args.get_num("trace-words", 0u32)?,
+            sample_every_us,
+            bitstream_cache: args.get_num("bitstream-cache", 0usize)?,
+        })
     }
-    Ok(())
 }
 
-/// `vapres replay <checkpoint> [--until-breach yes]` — resume a
-/// checkpoint written by `vapres sim --checkpoint-every` and drive the
-/// rest of the scenario: the swap (if it had not happened yet), the
-/// drain, the settle. With `--until-breach yes` the watchdog monitors
-/// are re-judged at the end and the command exits non-zero naming the
-/// first breached monitor — divergence-point replay: bisect a long run
-/// by its checkpoints, then replay the one right before the breach.
-pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    let path = args.positionals().first().ok_or_else(|| {
-        CmdError("usage: vapres replay <checkpoint.vapresck> [--until-breach yes]".into())
-    })?;
-    replay_from(path, args.get_or("until-breach", "no") == "yes", out)
-}
-
-/// `vapres sim [--stages scaler,avg] [--samples N] [--interval CYCLES]
-/// [--stats yes] [--vcd out.vcd] [--swap yes] [--metrics out.jsonl]
-/// [--trace-json out.json] [--prom out.prom] [--trace-words N]
-/// [--flight-dump out.jsonl] [--fail-swap yes]` — deploy a kernel
-/// pipeline on the prototype system, stream samples through it on the
-/// event-driven executor, and report throughput (plus executor work
-/// counters and a VCD waveform dump on request).
+/// `vapres sim` — the one front-end for streaming runs and the paper's
+/// E3 scenario.
 ///
-/// `--swap yes` runs the paper's E3 scenario instead of a pipeline:
-/// FIR A streams live while FIR B is reconfigured into the spare PRR,
-/// then the nine-step seamless swap hands the stream over. The metrics
-/// flags enable the telemetry registry and export a snapshot (JSON
-/// lines), a chrome://tracing timeline, and Prometheus-style text.
+/// `--swap none` (the default) deploys the `--stages` kernel pipeline on
+/// the prototype system and streams samples through it on the
+/// event-driven executor. `--swap seamless` runs E3 (Fig. 5): FIR A
+/// streams live while FIR B is reconfigured into the spare PRR, then the
+/// nine-step seamless swap hands the stream over; `--swap halt` runs the
+/// halt-and-swap baseline, which stops the stream and reconfigures in
+/// place. `--fail-swap yes` points the swap at a missing SDRAM array.
 ///
-/// `--trace-words N` tags every Nth streamed word with a provenance
-/// sequence ID and reports end-to-end latency percentiles;
-/// `--flight-dump` arms the always-on flight recorder and writes its
-/// ring to the given path — on a swap failure or panic the dump happens
-/// before the error propagates, so the tail of the ring is the causal
-/// trail into the failure. `--fail-swap yes` (with `--swap yes`) points
-/// the swap at a missing SDRAM array to demonstrate exactly that.
+/// Output modes ride on the same run. `--health yes` judges the
+/// watchdog monitors after the run summary and exits non-zero on a
+/// breach (`--health jsonl` prints only the JSONL verdict block);
+/// `--profile yes` arms the self-profiler and prints its top scopes,
+/// with `--flame`/`--cost-model` exports. `--metrics`/`--trace-json`/
+/// `--prom` export telemetry, `--trace-words N` tags every Nth word for
+/// end-to-end latency, `--flight-dump` writes the flight ring (before
+/// the error on a failed swap), `--sample-every` with `--timeseries*`
+/// captures a time series, and `--live-port` serves it mid-run.
 ///
 /// `--checkpoint-every N --checkpoint-dir D` pauses the run every N
 /// microseconds of simulated time and writes a numbered, bit-exact
-/// system snapshot (`D/ckpt_NNNN.vapresck`) that `vapres replay` — or
-/// `vapres sim --restore <file>` — resumes from. Checkpoint boundaries
-/// change where the drain loop samples its stop condition, so a
-/// checkpointed run may report a slightly later sim time than an
-/// uncheckpointed one; each run is itself fully deterministic.
+/// snapshot (`D/ckpt_NNNN.vapresck`). `--restore <file>` resumes one
+/// through the same drive, entering at the phase it records: a pending
+/// swap is performed, then the stream drains. With `--health`, that is
+/// divergence-point replay: bisect a long run by its checkpoints, then
+/// restore the one right before the breach. Checkpoint boundaries change
+/// where the drain samples its stop condition, so a checkpointed run may
+/// report a slightly later sim time than an uncheckpointed one; each run
+/// is itself fully deterministic.
 pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
+    let spec = RunSpec::parse(args)?;
+    // `--health jsonl` is the machine-readable form: exactly the
+    // serialization the live `/health` endpoint publishes, and nothing
+    // else on stdout.
+    let jsonl = spec.health == Some(HealthOut::Jsonl);
+    let mut quiet = std::io::sink();
+    let log: &mut dyn Write = if jsonl { &mut quiet } else { &mut *out };
+    let Some(health) = run_sim(&spec, args, log)? else {
+        return Ok(());
+    };
+    if jsonl {
+        health.write_jsonl(out)?;
+    } else {
+        health.write_text(out)?;
+    }
+    if health.healthy() {
+        return Ok(());
+    }
+    let breached: Vec<&str> = health.breaches().map(|v| v.monitor.name.as_str()).collect();
+    Err(CmdError(format!(
+        "health check failed: {} of {} monitors breached ({})",
+        breached.len(),
+        health.verdicts().len(),
+        breached.join(", ")
+    )))
+}
+
+/// Builds a fresh system for `spec` with the requested instruments
+/// armed and the live endpoint started, then sets up the E3 scenario or
+/// deploys the pipeline. Returns the drive state before its first phase
+/// and the live server, which serves until dropped.
+fn build_fresh(
+    spec: &RunSpec<'_>,
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<(VapresSystem, CkptMeta, Option<LiveServer>), CmdError> {
     use vapres_core::config::SystemConfig;
     use vapres_core::module::ModuleLibrary;
-    use vapres_core::switching::{seamless_swap, BitstreamSource};
-    use vapres_core::system::VapresSystem;
-    use vapres_core::Ps;
     use vapres_kpn::{deploy, map_pipeline, Pipeline};
-    use vapres_modules::register_standard_modules;
-
-    if let Some(path) = args.get("restore") {
-        // Resuming an existing checkpoint: the snapshot already carries
-        // the whole scenario state, so every setup flag is moot.
-        return replay_from(path, false, out);
-    }
-
-    let ckpt_every: u64 = args.get_num("checkpoint-every", 0u64)?;
-    let mut ckpt = match (ckpt_every, args.get("checkpoint-dir")) {
-        (0, None) => None,
-        (0, Some(_)) => {
-            return Err(CmdError(
-                "--checkpoint-dir needs --checkpoint-every N (microseconds of simulated time)"
-                    .into(),
-            ))
-        }
-        (_, None) => {
-            return Err(CmdError(
-                "--checkpoint-every needs --checkpoint-dir DIR".into(),
-            ))
-        }
-        (us, Some(dir)) => {
-            std::fs::create_dir_all(dir).map_err(|e| write_err(dir, e))?;
-            Some(CkptSink {
-                dir,
-                every: Ps::from_us(us),
-                seq: 0,
-            })
-        }
-    };
-
-    let swap = args.get_or("swap", "no") == "yes";
-    let samples: u32 = args.get_num("samples", if swap { 20_000 } else { 1_000 })?;
-    let interval: u64 = args.get_num("interval", if swap { 500 } else { 1 })?;
-    if interval == 0 {
-        return Err(CmdError("--interval must be >= 1".into()));
-    }
-    let trace_words: u32 = args.get_num("trace-words", 0u32)?;
-    let flight_path = args.get("flight-dump");
-    let sample_every_us: u64 = args.get_num("sample-every", 0u64)?;
-    let wants_timeseries = args.get("timeseries").is_some()
-        || args.get("timeseries-trace").is_some()
-        || args.get("timeseries-csv").is_some();
-    if (wants_timeseries || args.get("live-port").is_some()) && sample_every_us == 0 {
-        return Err(CmdError(
-            "--timeseries/--timeseries-trace/--timeseries-csv/--live-port need \
-             --sample-every N (microseconds of simulated time)"
-                .into(),
-        ));
-    }
-    let profile = args.get_or("profile", "no") == "yes";
-    if (args.get("flame").is_some() || args.get("cost-model").is_some()) && !profile {
-        return Err(CmdError("--flame/--cost-model need --profile yes".into()));
-    }
-    let bitstream_cache: usize = args.get_num("bitstream-cache", 0usize)?;
-    let stages = args
-        .get_or("stages", "scaler")
-        .split(',')
-        .map(stage_by_name)
-        .collect::<Result<Vec<_>, _>>()?;
 
     let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
+    vapres_modules::register_standard_modules(&mut lib, 0);
     let mut sys =
         VapresSystem::new(SystemConfig::prototype(), lib).map_err(|e| CmdError(e.to_string()))?;
     if args.get("vcd").is_some() {
         sys.enable_tracing();
     }
-    let want_metrics = args.get("metrics").is_some()
-        || args.get("trace-json").is_some()
-        || args.get("prom").is_some();
-    if want_metrics {
+    if spec.telemetry {
         sys.enable_telemetry();
     }
-    if trace_words > 0 {
-        sys.enable_word_trace(trace_words);
+    if spec.trace_words > 0 {
+        sys.enable_word_trace(spec.trace_words);
     }
-    if profile {
+    if spec.profile {
         sys.enable_profiling();
     }
-    if bitstream_cache > 0 {
-        sys.enable_bitstream_cache(bitstream_cache);
+    if spec.bitstream_cache > 0 {
+        sys.enable_bitstream_cache(spec.bitstream_cache);
     }
-    if flight_path.is_some() {
+    if args.get("flight-dump").is_some() {
         sys.enable_flight_recorder(vapres_sim::flight::DEFAULT_CAPACITY);
     }
-    if sample_every_us > 0 {
+    if spec.sample_every_us > 0 {
         sys.enable_timeseries(
-            Ps::from_us(sample_every_us),
+            Ps::from_us(spec.sample_every_us),
             vapres_core::TimeSeries::DEFAULT_CAPACITY,
         );
     }
-    // Held until the run finishes: dropping the server stops the
-    // responder thread.
-    let _live = match args.get("live-port") {
-        None => None,
-        Some(spec) => {
-            let port: u16 = spec
-                .parse()
-                .map_err(|_| CmdError(format!("--live-port: cannot parse {spec:?}")))?;
-            let server = crate::live::LiveServer::start(port)
-                .map_err(|e| CmdError(format!("--live-port {port}: {e}")))?;
-            let payloads = server.payloads();
-            sys.set_live_sink(
-                vapres_core::HealthPolicy::e3_seamless(),
-                Box::new(move |snap| {
-                    let mut p = payloads.lock().expect("live payload lock");
-                    p.metrics = snap.prometheus.clone();
-                    p.health = snap.health.clone();
-                    p.flight = snap.flight.clone();
-                }),
-            );
-            writeln!(
-                out,
-                "live endpoint: http://127.0.0.1:{}/metrics /health /flight",
-                server.port()
-            )?;
-            Some(server)
-        }
-    };
-    sys.iom_set_input_interval(0, interval);
+    let live = start_live(args, out)?;
+    if let Some(server) = &live {
+        let payloads = server.payloads();
+        sys.set_live_sink(
+            HealthPolicy::e3_seamless(),
+            Box::new(move |snap| {
+                let mut p = payloads.lock().expect("live payload lock");
+                p.metrics = snap.prometheus.clone();
+                p.health = snap.health.clone();
+                p.flight = snap.flight.clone();
+            }),
+        );
+    }
+    sys.iom_set_input_interval(0, spec.interval);
 
-    if swap {
-        let mut spec = setup_e3_swap(&mut sys, false)?;
-        let fail_swap = args.get_or("fail-swap", "no") == "yes";
-        if fail_swap {
-            // A deliberately broken source: the swap dies reconfiguring
-            // the spare, exercising the flight-dump-on-failure path.
-            spec.source = BitstreamSource::Sdram("nonexistent".into());
-        }
-        let meta = CkptMeta {
-            phase: CkptPhase::PendingSeamless,
-            fail_swap,
-            upstream: spec.upstream.0 as u64,
-            downstream: spec.downstream.0 as u64,
-            ordinal: 0,
-        };
-
-        sys.iom_feed(0, 0..samples);
-        match &mut ckpt {
-            None => sys.run_for(Ps::from_ms(1)),
-            Some(sink) => {
-                run_checkpointed(&mut sys, Ps::from_ms(1), sink, &meta, |_| false, out)?;
-            }
-        }
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            seamless_swap(&mut sys, &spec)
-        }));
-        let swapped = match caught {
-            Ok(r) => r,
-            Err(panic) => {
-                // Flush the causal trail before the panic continues up.
-                if let Some(path) = flight_path {
-                    let _ = write_flight_dump(&mut sys, path);
-                }
-                std::panic::resume_unwind(panic);
-            }
-        };
-        let report = match swapped {
-            Ok(r) => r,
-            Err(e) => {
-                if let Some(path) = flight_path {
-                    write_flight_dump(&mut sys, path)?;
-                    writeln!(out, "wrote {path}: flight ring at failure")?;
-                }
-                return Err(CmdError(format!("swap failed: {e}")));
-            }
-        };
-        let drained = CkptMeta {
-            phase: CkptPhase::SwapDone,
-            ..meta
-        };
-        // The moment right after the handoff is the most useful replay
-        // point, and the drain below may already be satisfied (the input
-        // finishes feeding during the ~72 ms reconfiguration) — emit it
-        // unconditionally rather than only at slice boundaries.
-        if let Some(sink) = &mut ckpt {
-            sink.emit(&mut sys, &drained, out)?;
-        }
-        let done = match &mut ckpt {
-            None => sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0),
-            Some(sink) => run_checkpointed(
-                &mut sys,
-                Ps::from_ms(300),
-                sink,
-                &drained,
-                |s| s.iom_pending_input(0) == 0,
-                out,
-            )?,
-        };
-        if !done {
-            return Err(CmdError(
-                "swap scenario stalled before consuming input".into(),
-            ));
-        }
-        sys.run_for(Ps::from_us(100));
-        writeln!(out, "pipeline   : fir-a -> fir-b (seamless swap)")?;
-        writeln!(
-            out,
-            "swap       : {} total ({} reconfig, {} state words)",
-            report.total(),
-            report.reconfig.total(),
-            report.state_words
-        )?;
-    } else {
+    let meta = if spec.swap == SwapMethod::None {
+        let stages = spec
+            .stages
+            .split(',')
+            .map(stage_by_name)
+            .collect::<Result<Vec<_>, _>>()?;
         let pipeline = Pipeline::new(stages);
         let mapping = map_pipeline(sys.config(), &pipeline).map_err(|e| CmdError(e.to_string()))?;
         deploy(&mut sys, &pipeline, &mapping).map_err(|e| CmdError(e.to_string()))?;
+        CkptMeta::default()
+    } else {
+        setup_e3(&mut sys, spec.swap == SwapMethod::Halt, spec.fail_swap)?
+    };
+    Ok((sys, meta, live))
+}
 
-        sys.iom_feed(0, 0..samples);
-        let stream_done =
-            |s: &VapresSystem| s.iom_pending_input(0) == 0 && !s.iom_output(0).is_empty();
-        let done = match &mut ckpt {
-            None => sys.run_until(Ps::from_ms(100), stream_done),
-            Some(sink) => {
-                let meta = CkptMeta {
-                    phase: CkptPhase::NoSwap,
-                    fail_swap: false,
-                    upstream: 0,
-                    downstream: 0,
-                    ordinal: 0,
-                };
-                run_checkpointed(&mut sys, Ps::from_ms(100), sink, &meta, stream_done, out)?
-            }
-        };
-        if !done {
-            return Err(CmdError("simulation stalled before consuming input".into()));
+/// Builds or restores the system, drives the scenario, prints the run
+/// summary and every requested export, and returns the watchdog verdicts
+/// when `--health` asked for them.
+fn run_sim(
+    spec: &RunSpec<'_>,
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<Option<HealthReport>, CmdError> {
+    let flight_path = args.get("flight-dump");
+    // The live server is held until the run finishes: dropping it stops
+    // the responder thread.
+    let (mut sys, report, fed, _live) = match spec.restore {
+        Some(path) => {
+            let bytes = std::fs::read(path).map_err(|e| read_err(path, e))?;
+            let (meta, image) = parse_checkpoint_file(&bytes)?;
+            let mut lib = vapres_core::module::ModuleLibrary::new();
+            vapres_modules::register_standard_modules(&mut lib, 0);
+            let mut sys =
+                VapresSystem::restore(vapres_core::config::SystemConfig::prototype(), lib, image)
+                    .map_err(|e| CmdError(format!("{path}: {e}")))?;
+            sys.note_flight(vapres_sim::flight::FlightEvent::Restore {
+                ordinal: meta.ordinal,
+            });
+            sys.note_flight(vapres_sim::flight::FlightEvent::Replay {
+                until_breach: spec.health.is_some(),
+            });
+            writeln!(
+                out,
+                "restored {path}: t={}, {} input words pending",
+                sys.now(),
+                sys.iom_pending_input(0)
+            )?;
+            let report = drive(&mut sys, meta, None, None, None, out)?;
+            (sys, report, None, None)
         }
-        // Let in-flight words drain: a variable-rate pipeline may emit fewer
-        // or more words than it consumed, so run a fixed settle window.
-        sys.run_for(Ps::from_us(100));
-        writeln!(out, "pipeline   : {}", args.get_or("stages", "scaler"))?;
-    }
+        None => {
+            let mut ckpt = match spec.checkpoint {
+                None => None,
+                Some((us, dir)) => {
+                    std::fs::create_dir_all(dir).map_err(|e| write_err(dir, e))?;
+                    Some(CkptSink {
+                        dir,
+                        every: Ps::from_us(us),
+                        seq: 0,
+                    })
+                }
+            };
+            let (mut sys, meta, live) = build_fresh(spec, args, out)?;
+            sys.iom_feed(0, 0..spec.samples);
+            let pre_swap = (meta.phase != CkptPhase::NoSwap).then(|| Ps::from_ms(1));
+            let report = drive(&mut sys, meta, pre_swap, ckpt.as_mut(), flight_path, out)?;
+            let pipeline = match spec.swap {
+                SwapMethod::None => spec.stages,
+                SwapMethod::Seamless => "fir-a -> fir-b (seamless swap)",
+                SwapMethod::Halt => "fir-a -> fir-b (halt-and-swap)",
+            };
+            writeln!(out, "pipeline   : {pipeline}")?;
+            (sys, report, Some((spec.samples, spec.interval)), live)
+        }
+    };
+    write_summary(&sys, report.as_ref(), fed, out)?;
+    let policy = HealthPolicy::e3_seamless();
+    let health = spec
+        .health
+        .map(|_| evaluate_health(&mut sys, &policy, report.as_ref()));
+    write_exports(&mut sys, spec, args, out)?;
+    Ok(health)
+}
 
-    writeln!(
-        out,
-        "samples in : {samples} (1 per {interval} fabric cycles)"
-    )?;
+/// The run summary, the same block for fresh and restored runs: the swap
+/// this run performed, the stream counts and timing, and the staged
+/// bitstream cache. A fresh run also names what it fed.
+fn write_summary(
+    sys: &VapresSystem,
+    report: Option<&SwapReport>,
+    fed: Option<(u32, u64)>,
+    out: &mut dyn Write,
+) -> Result<(), CmdError> {
+    if let Some(r) = report {
+        writeln!(
+            out,
+            "swap       : {} total ({} reconfig, {} state words)",
+            r.total(),
+            r.reconfig.total(),
+            r.state_words
+        )?;
+    }
+    if let Some((samples, interval)) = fed {
+        writeln!(
+            out,
+            "samples in : {samples} (1 per {interval} fabric cycles)"
+        )?;
+    }
     writeln!(out, "samples out: {}", sys.iom_output(0).len())?;
     writeln!(out, "sim time   : {}", sys.now())?;
     if let Some(tput) = sys.iom_gap(0).throughput_per_s() {
@@ -1136,11 +1222,22 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             s.compression_ratio()
         )?;
     }
+    Ok(())
+}
 
-    if trace_words > 0 {
+/// Everything a run was asked to report beyond the summary: word-trace
+/// percentiles, the flight ring, executor counters, the VCD, telemetry
+/// and time-series exports, and the profile block.
+fn write_exports(
+    sys: &mut VapresSystem,
+    spec: &RunSpec<'_>,
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<(), CmdError> {
+    if spec.trace_words > 0 {
         // Harvest latencies into the telemetry registry (if enabled) and
         // print the end-to-end percentiles directly from the trace.
-        if want_metrics {
+        if spec.telemetry {
             let _ = sys.snapshot_metrics();
         }
         let tr = sys.word_trace().expect("word trace was enabled above");
@@ -1168,18 +1265,18 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         writeln!(out)?;
     }
 
-    if profile {
+    if spec.profile {
         // Mark the export point before the flight ring is written, so a
         // dumped ring shows where the profiler's numbers were taken.
         sys.note_profile_dump();
     }
-    if let Some(path) = flight_path {
-        write_flight_dump(&mut sys, path)?;
+    if let Some(path) = args.get("flight-dump") {
+        write_flight_dump(sys, path)?;
         let n = sys.flight().map_or(0, |f| f.events().count());
         writeln!(out, "wrote {path}: flight ring ({n} events)")?;
     }
 
-    if args.get_or("stats", "no") == "yes" {
+    if spec.stats {
         let stats = sys.exec_stats();
         writeln!(out, "\nexecutor work counters (event-driven scheduling):")?;
         for (dom, d) in stats.domains() {
@@ -1201,21 +1298,14 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 
     if let Some(path) = args.get("vcd") {
         let tracer = sys.tracer().expect("tracing was enabled above");
-        let mut file = create_output(path)?;
-        tracer
-            .write_vcd(&mut file)
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
+        write_file(path, |f| tracer.write_vcd(f))?;
         writeln!(out, "wrote {path}: {} signal changes", tracer.len())?;
     }
 
-    if want_metrics {
+    if spec.telemetry {
         let t = sys.snapshot_metrics().expect("telemetry was enabled above");
         if let Some(path) = args.get("metrics") {
-            let mut file = create_output(path)?;
-            t.write_jsonl(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
+            write_file(path, |f| t.write_jsonl(f))?;
             writeln!(
                 out,
                 "wrote {path}: {} metrics + {} spans",
@@ -1224,17 +1314,11 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             )?;
         }
         if let Some(path) = args.get("trace-json") {
-            let mut file = create_output(path)?;
-            t.write_chrome_trace(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
+            write_file(path, |f| t.write_chrome_trace(f))?;
             writeln!(out, "wrote {path}: chrome://tracing timeline")?;
         }
         if let Some(path) = args.get("prom") {
-            let mut file = create_output(path)?;
-            t.write_prometheus(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
+            write_file(path, |f| t.write_prometheus(f))?;
             writeln!(out, "wrote {path}: prometheus text")?;
         }
     }
@@ -1249,227 +1333,40 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             ts.interval()
         )?;
         if let Some(path) = args.get("timeseries") {
-            let mut file = create_output(path)?;
-            ts.write_jsonl(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
+            write_file(path, |f| ts.write_jsonl(f))?;
             writeln!(out, "wrote {path}: time-series JSONL")?;
         }
         if let Some(path) = args.get("timeseries-trace") {
-            let mut file = create_output(path)?;
             // With the profiler armed, its completed-scope ring rides in
             // the same file as an "X" duration track (tid 1) next to the
             // counter track (tid 0).
-            match sys.profiler() {
-                Some(p) => ts.write_chrome_trace_with_events(&mut file, p.chrome_events()),
-                None => ts.write_chrome_trace(&mut file),
-            }
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
-            if sys.profiler().is_some() {
-                writeln!(out, "wrote {path}: chrome://tracing counter + scope tracks")?;
-            } else {
-                writeln!(out, "wrote {path}: chrome://tracing counter track")?;
-            }
+            write_file(path, |f| match sys.profiler() {
+                Some(p) => ts.write_chrome_trace_with_events(f, p.chrome_events()),
+                None => ts.write_chrome_trace(f),
+            })?;
+            let tracks = match sys.profiler() {
+                Some(_) => "counter + scope tracks",
+                None => "counter track",
+            };
+            writeln!(out, "wrote {path}: chrome://tracing {tracks}")?;
         }
         if let Some(path) = args.get("timeseries-csv") {
-            let mut file = create_output(path)?;
-            ts.write_csv(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
+            write_file(path, |f| ts.write_csv(f))?;
             writeln!(out, "wrote {path}: per-metric CSV")?;
         }
     }
 
-    if profile {
+    if spec.profile {
+        // Two planes: deterministic work units (byte-identical across
+        // runs, gated exactly by `vapres diff`) and host wall time per
+        // nested scope (machine-dependent, outside every determinism
+        // contract). `--cost-model` joins them per component.
         let model = sys
             .profile_cost_model()
             .expect("profiler was enabled above");
         let prof = sys.profiler().expect("profiler was enabled above");
-        writeln!(out, "\nprofile: top scopes by host self time")?;
+        writeln!(out, "\ntop 10 scopes by host self time:")?;
         prof.write_top_table(&mut *out, 10)?;
-        if let Some(path) = args.get("flame") {
-            let mut file = create_output(path)?;
-            prof.write_collapsed(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
-            writeln!(out, "wrote {path}: collapsed stacks (flamegraph input)")?;
-        }
-        if let Some(path) = args.get("cost-model") {
-            let mut file = create_output(path)?;
-            model
-                .write_json(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
-            writeln!(
-                out,
-                "wrote {path}: cost model ({} components)",
-                model.rows.len()
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// `vapres health [--halt yes] [--samples N] [--interval CYCLES]
-/// [--flight-dump out.jsonl]` — run the paper's E3 swap scenario under
-/// the watchdog and print a monitor-by-monitor health report.
-///
-/// The default (seamless swap) passes every monitor: zero missed sample
-/// slots, bounded FIFO occupancy, swap phases within budget. `--halt
-/// yes` runs the halt-and-swap baseline instead, which breaches the
-/// stream-interruption monitors — the command then exits non-zero, so
-/// it doubles as a regression gate for seamlessness.
-pub fn cmd_health(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use vapres_core::config::SystemConfig;
-    use vapres_core::module::ModuleLibrary;
-    use vapres_core::switching::{halt_and_swap, seamless_swap};
-    use vapres_core::system::VapresSystem;
-    use vapres_core::{evaluate_health, HealthPolicy, Ps};
-    use vapres_modules::register_standard_modules;
-
-    let halt = args.get_or("halt", "no") == "yes";
-    let samples: u32 = args.get_num("samples", 20_000u32)?;
-    let interval: u64 = args.get_num("interval", 500u64)?;
-    if interval == 0 {
-        return Err(CmdError("--interval must be >= 1".into()));
-    }
-
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys =
-        VapresSystem::new(SystemConfig::prototype(), lib).map_err(|e| CmdError(e.to_string()))?;
-    sys.enable_telemetry();
-    sys.enable_flight_recorder(vapres_sim::flight::DEFAULT_CAPACITY);
-    sys.iom_set_input_interval(0, interval);
-    let spec = setup_e3_swap(&mut sys, halt)?;
-
-    sys.iom_feed(0, 0..samples);
-    sys.run_for(Ps::from_ms(1));
-    let method = if halt {
-        "halt-and-swap"
-    } else {
-        "seamless swap"
-    };
-    let report = if halt {
-        halt_and_swap(&mut sys, &spec)
-    } else {
-        seamless_swap(&mut sys, &spec)
-    }
-    .map_err(|e| CmdError(e.to_string()))?;
-    let done = sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0);
-    if !done {
-        return Err(CmdError(
-            "swap scenario stalled before consuming input".into(),
-        ));
-    }
-    sys.run_for(Ps::from_us(100));
-
-    let jsonl = args.get_or("jsonl", "no") == "yes";
-    let health = evaluate_health(&mut sys, &HealthPolicy::e3_seamless(), Some(&report));
-    if jsonl {
-        // Machine-readable form: exactly the serialization the live
-        // `/health` endpoint publishes — one `verdict` line per monitor,
-        // one `health` summary line, nothing else on stdout.
-        health.write_jsonl(out)?;
-    } else {
-        writeln!(
-            out,
-            "scenario: E3 ({method}, {samples} samples, 1 per {interval} cycles)"
-        )?;
-        health.write_text(out)?;
-    }
-    if let Some(path) = args.get("flight-dump") {
-        write_flight_dump(&mut sys, path)?;
-        if !jsonl {
-            writeln!(out, "wrote {path}: flight ring")?;
-        }
-    }
-    if health.healthy() {
-        Ok(())
-    } else {
-        Err(CmdError(format!(
-            "health check failed: {} of {} monitors breached",
-            health.breaches().count(),
-            health.verdicts().len()
-        )))
-    }
-}
-
-/// `vapres profile [--halt yes] [--samples N] [--interval CYCLES]
-/// [--top N] [--flame out.folded] [--cost-model out.json]
-/// [--flight-dump out.jsonl]` — run the paper's E3 swap scenario with
-/// the self-profiler armed and print the top-N scopes by host self
-/// time.
-///
-/// The profiler keeps two planes: deterministic *work units* (component
-/// ticks dispatched, route spans, swap steps, ICAP words, storage
-/// bytes — byte-identical across runs) and *host wall time* per nested
-/// scope (machine-dependent, outside every determinism contract).
-/// `--flame` exports the host tree as collapsed stacks (flamegraph
-/// input); `--cost-model` joins the planes into per-component
-/// `{work_units, host_ns, ns_per_unit}` rows that `vapres diff` gates.
-pub fn cmd_profile(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use vapres_core::config::SystemConfig;
-    use vapres_core::module::ModuleLibrary;
-    use vapres_core::switching::{halt_and_swap, seamless_swap};
-    use vapres_core::system::VapresSystem;
-    use vapres_core::Ps;
-    use vapres_modules::register_standard_modules;
-
-    let halt = args.get_or("halt", "no") == "yes";
-    let samples: u32 = args.get_num("samples", 20_000u32)?;
-    let interval: u64 = args.get_num("interval", 500u64)?;
-    if interval == 0 {
-        return Err(CmdError("--interval must be >= 1".into()));
-    }
-    let top: usize = args.get_num("top", 10usize)?;
-
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys =
-        VapresSystem::new(SystemConfig::prototype(), lib).map_err(|e| CmdError(e.to_string()))?;
-    sys.enable_telemetry();
-    sys.enable_profiling();
-    sys.enable_flight_recorder(vapres_sim::flight::DEFAULT_CAPACITY);
-    sys.iom_set_input_interval(0, interval);
-    let spec = setup_e3_swap(&mut sys, halt)?;
-
-    sys.iom_feed(0, 0..samples);
-    sys.run_for(Ps::from_ms(1));
-    let report = if halt {
-        halt_and_swap(&mut sys, &spec)
-    } else {
-        seamless_swap(&mut sys, &spec)
-    }
-    .map_err(|e| CmdError(e.to_string()))?;
-    let done = sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0);
-    if !done {
-        return Err(CmdError(
-            "swap scenario stalled before consuming input".into(),
-        ));
-    }
-    sys.run_for(Ps::from_us(100));
-
-    let method = if halt {
-        "halt-and-swap"
-    } else {
-        "seamless swap"
-    };
-    writeln!(
-        out,
-        "scenario: E3 ({method}, {samples} samples, 1 per {interval} cycles), \
-         swap {} ",
-        report.total()
-    )?;
-    let model = sys
-        .profile_cost_model()
-        .expect("profiler was enabled above");
-    sys.note_profile_dump();
-    {
-        let prof = sys.profiler().expect("profiler was enabled above");
-        writeln!(out, "top {top} scopes by host self time:")?;
-        prof.write_top_table(&mut *out, top)?;
         writeln!(
             out,
             "work plane: {} components; host plane: {} scopes, {} completed \
@@ -1479,31 +1376,18 @@ pub fn cmd_profile(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             prof.completed(),
             vapres_sim::profile::DISPATCH_STRIDE_MEAN
         )?;
-    }
-    if let Some(path) = args.get("flame") {
-        let mut file = create_output(path)?;
-        sys.profiler()
-            .expect("profiler was enabled above")
-            .write_collapsed(&mut file)
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
-        writeln!(out, "wrote {path}: collapsed stacks (flamegraph input)")?;
-    }
-    if let Some(path) = args.get("cost-model") {
-        let mut file = create_output(path)?;
-        model
-            .write_json(&mut file)
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
-        writeln!(
-            out,
-            "wrote {path}: cost model ({} components)",
-            model.rows.len()
-        )?;
-    }
-    if let Some(path) = args.get("flight-dump") {
-        write_flight_dump(&mut sys, path)?;
-        writeln!(out, "wrote {path}: flight ring")?;
+        if let Some(path) = args.get("flame") {
+            write_file(path, |f| prof.write_collapsed(f))?;
+            writeln!(out, "wrote {path}: collapsed stacks (flamegraph input)")?;
+        }
+        if let Some(path) = args.get("cost-model") {
+            write_file(path, |f| model.write_json(f))?;
+            writeln!(
+                out,
+                "wrote {path}: cost model ({} components)",
+                model.rows.len()
+            )?;
+        }
     }
     Ok(())
 }
@@ -1527,10 +1411,7 @@ pub fn cmd_profile(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// comparisons across machines aren't misread — comparisons across job
 /// counts filter that one self-describing line.
 pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use vapres_core::scenario::{
-        merge_telemetry, run_sweep_with, SwapMethod, SwapOutcome, SweepGrid,
-    };
-    use vapres_core::Ps;
+    use vapres_core::scenario::{merge_telemetry, run_sweep_with, SwapOutcome, SweepGrid};
 
     fn axis<T: std::str::FromStr>(
         args: &Args,
@@ -1589,7 +1470,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     // `--cold yes` bypasses the warm-start prefix cache (each scenario
     // rebuilds its own pre-swap prefix) — the reference the warm path is
     // byte-compared against, and the baseline for its wall-clock win.
-    let cold = args.get_or("cold", "no") == "yes";
+    let cold = args.flag("cold")?;
     let sample_every_us: u64 = args.get_num("sample-every", 0u64)?;
     if (args.get("timeseries").is_some() || args.get("live-port").is_some()) && sample_every_us == 0
     {
@@ -1598,7 +1479,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
                 .into(),
         ));
     }
-    let profile = args.get_or("profile", "no") == "yes";
+    let profile = args.flag("profile")?;
     if args.get("cost-model").is_some() && !profile {
         return Err(CmdError("--cost-model needs --profile yes".into()));
     }
@@ -1611,22 +1492,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     }
     // Held until the sweep finishes: dropping the server stops the
     // responder thread. Payloads update as each scenario completes.
-    let live = match args.get("live-port") {
-        None => None,
-        Some(spec) => {
-            let port: u16 = spec
-                .parse()
-                .map_err(|_| CmdError(format!("--live-port: cannot parse {spec:?}")))?;
-            let server = crate::live::LiveServer::start(port)
-                .map_err(|e| CmdError(format!("--live-port {port}: {e}")))?;
-            writeln!(
-                out,
-                "live endpoint: http://127.0.0.1:{}/metrics /health /flight",
-                server.port()
-            )?;
-            Some(server)
-        }
-    };
+    let live = start_live(args, out)?;
     let started = std::time::Instant::now();
     let mut series_chunks: Vec<std::sync::Mutex<Option<String>>> = Vec::new();
     let mut model_chunks: Vec<std::sync::Mutex<Option<vapres_core::CostModel>>> = Vec::new();
@@ -1753,11 +1619,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     }
 
     if let Some(path) = args.get("jsonl") {
-        let mut file = create_output(path)?;
-        merged
-            .write_jsonl(&mut file)
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
+        write_file(path, |f| merged.write_jsonl(f))?;
         writeln!(
             out,
             "wrote {path}: merged telemetry ({} metrics + {} spans)",
@@ -1766,20 +1628,19 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         )?;
     }
     if let Some(path) = args.get("bench") {
-        let mut file = create_output(path)?;
         let mode = if cold { "cold" } else { "warm" };
-        write_sweep_trajectory(&results, grid.seed, jobs, mode, wall_ms, &mut file)?;
-        file.flush().map_err(|e| write_err(path, e))?;
+        write_file(path, |f| {
+            write_sweep_trajectory(&results, grid.seed, jobs, mode, wall_ms, f)
+        })?;
         writeln!(out, "wrote {path}: sweep trajectory")?;
     }
     if let Some(path) = args.get("timeseries") {
-        let mut file = create_output(path)?;
-        for chunk in &series_chunks {
-            let s = chunk.lock().expect("series chunk lock");
-            file.write_all(s.as_ref().expect("every scenario sampled").as_bytes())
-                .map_err(|e| write_err(path, e))?;
-        }
-        file.flush().map_err(|e| write_err(path, e))?;
+        write_file(path, |f| {
+            series_chunks.iter().try_for_each(|chunk| {
+                let s = chunk.lock().expect("series chunk lock");
+                f.write_all(s.as_ref().expect("every scenario sampled").as_bytes())
+            })
+        })?;
         writeln!(
             out,
             "wrote {path}: per-scenario time-series JSONL ({} scenarios)",
@@ -1800,11 +1661,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             results.len()
         )?;
         if let Some(path) = args.get("cost-model") {
-            let mut file = create_output(path)?;
-            merged
-                .write_json(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
+            write_file(path, |f| merged.write_json(f))?;
             writeln!(out, "wrote {path}: merged cost model")?;
         }
     }
@@ -1815,14 +1672,10 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// Publishes one completed scenario's observability payloads to the
 /// sweep's live endpoint: Prometheus text from its telemetry registry
 /// and the E3 stream-SLO verdicts over its summary, in the same
-/// serialization as `vapres health --jsonl yes`. Sweeps carry no flight
+/// serialization as `vapres sim --health jsonl`. Sweeps carry no flight
 /// recorder, so `/flight` serves an empty body.
-fn publish_scenario_live(
-    server: &crate::live::LiveServer,
-    r: &vapres_core::scenario::ScenarioResult,
-) {
-    use vapres_core::HealthPolicy;
-    use vapres_sim::watchdog::{HealthReport, Monitor};
+fn publish_scenario_live(server: &LiveServer, r: &vapres_core::scenario::ScenarioResult) {
+    use vapres_sim::watchdog::Monitor;
 
     let mut metrics = Vec::new();
     let _ = r.telemetry.write_prometheus(&mut metrics);
@@ -1865,7 +1718,7 @@ fn write_sweep_trajectory(
     mode: &str,
     wall_ms: u128,
     out: &mut dyn Write,
-) -> Result<(), CmdError> {
+) -> std::io::Result<()> {
     use vapres_core::scenario::SwapOutcome;
 
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1920,7 +1773,6 @@ fn write_sweep_trajectory(
 /// rotating seamless-swap schedule against one shared controlling
 /// region. Everything but the `host:` line is deterministic.
 pub fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use vapres_core::Ps;
     use vapres_kpn::FleetSpec;
 
     let rsbs: usize = args.get_num("rsbs", 8usize)?;
@@ -1999,12 +1851,7 @@ pub fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     }
 
     if let Some(path) = args.get("jsonl") {
-        let mut file = create_output(path)?;
-        result
-            .merged_telemetry
-            .write_jsonl(&mut file)
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
+        write_file(path, |f| result.merged_telemetry.write_jsonl(f))?;
         writeln!(
             out,
             "wrote {path}: merged telemetry ({} metrics + {} spans)",
@@ -2013,12 +1860,7 @@ pub fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         )?;
     }
     if let Some(path) = args.get("flight") {
-        let mut file = create_output(path)?;
-        result
-            .merged_flight
-            .write_jsonl(&mut file)
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
+        write_file(path, |f| result.merged_flight.write_jsonl(f))?;
         writeln!(
             out,
             "wrote {path}: merged flight JSONL ({} events)",
@@ -2026,16 +1868,11 @@ pub fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         )?;
     }
     if let Some(path) = args.get("timeseries") {
-        let mut file = create_output(path)?;
-        file.write_all(result.timeseries.as_bytes())
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
+        write_file(path, |f| f.write_all(result.timeseries.as_bytes()))?;
         writeln!(out, "wrote {path}: per-RSB time-series JSONL")?;
     }
     if let Some(path) = args.get("bench") {
-        let mut file = create_output(path)?;
-        write_fleet_trajectory(&spec, &result, wall_ms, &mut file)?;
-        file.flush().map_err(|e| write_err(path, e))?;
+        write_file(path, |f| write_fleet_trajectory(&spec, &result, wall_ms, f))?;
         writeln!(out, "wrote {path}: fleet trajectory")?;
     }
     if unhealthy > 0 {
@@ -2055,7 +1892,7 @@ fn write_fleet_trajectory(
     result: &vapres_kpn::FleetResult,
     wall_ms: u128,
     out: &mut dyn Write,
-) -> Result<(), CmdError> {
+) -> std::io::Result<()> {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let opt = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |v| v.to_string());
     writeln!(out, "{{")?;
@@ -2177,17 +2014,7 @@ fn known_flags(subcommand: &str) -> Option<&'static [&'static str]> {
             "flame",
             "cost-model",
             "bitstream-cache",
-        ],
-        "replay" => &["until-breach"],
-        "health" => &["halt", "samples", "interval", "flight-dump", "jsonl"],
-        "profile" => &[
-            "halt",
-            "samples",
-            "interval",
-            "top",
-            "flame",
-            "cost-model",
-            "flight-dump",
+            "health",
         ],
         "sweep" => &[
             "jobs",
@@ -2267,22 +2094,18 @@ pub fn usage() -> &'static str {
      \x20 bitgen         --rect C0:C1:R0:R1 --uid HEX --out file.bit [--device D]\n\
      \x20 bitinfo        <file.bit>\n\
      \x20 reconfig-time  --bytes N | --rect C0:C1:R0:R1 [--device D]\n\
-     \x20 sim            [--stages scaler,avg] [--samples N] [--interval CYCLES]\n\
-     \x20                [--stats yes] [--vcd out.vcd] [--swap yes] [--fail-swap yes]\n\
+     \x20 sim            [--swap none|seamless|halt] [--stages scaler,avg] (none only)\n\
+     \x20                [--samples N] [--interval CYCLES] [--fail-swap yes] (swap only)\n\
+     \x20                [--health yes|jsonl]   (watchdog verdicts, exit 1 on breach)\n\
+     \x20                [--profile yes] [--flame out.folded] [--cost-model out.json]\n\
+     \x20                [--stats yes] [--vcd out.vcd] [--trace-words N]\n\
      \x20                [--metrics out.jsonl] [--trace-json out.json] [--prom out.prom]\n\
-     \x20                [--trace-words N] [--flight-dump out.jsonl]\n\
-     \x20                [--checkpoint-every US --checkpoint-dir D] [--restore ckpt]\n\
+     \x20                [--flight-dump out.jsonl] [--bitstream-cache N]\n\
      \x20                [--sample-every US] [--timeseries out.jsonl]\n\
      \x20                [--timeseries-trace out.json] [--timeseries-csv out.csv]\n\
      \x20                [--live-port N]   (serves /metrics /health /flight)\n\
-     \x20                [--profile yes] [--flame out.folded] [--cost-model out.json]\n\
-     \x20                [--bitstream-cache N]   (staged-bitstream cache, N entries)\n\
-     \x20 replay         <checkpoint.vapresck> [--until-breach yes]   (exit 1 on breach)\n\
-     \x20 health         [--halt yes] [--samples N] [--interval CYCLES]\n\
-     \x20                [--flight-dump out.jsonl] [--jsonl yes]   (exit 1 on breach)\n\
-     \x20 profile        [--halt yes] [--samples N] [--interval CYCLES] [--top N]\n\
-     \x20                [--flame out.folded] [--cost-model out.json]\n\
-     \x20                [--flight-dump out.jsonl]   (self-profile the E3 scenario)\n\
+     \x20                [--checkpoint-every US --checkpoint-dir D]\n\
+     \x20                | --restore ckpt [--health yes|jsonl]   (finish a checkpoint)\n\
      \x20 sweep          [--jobs N] [--kr 2,3] [--kl 2,3] [--fifo-depth 64,512]\n\
      \x20                [--clock-mhz 100] [--swap seamless,halt,none]\n\
      \x20                [--fault-rate 0.0,0.5] [--samples N,...] [--interval CYCLES]\n\
@@ -2316,9 +2139,6 @@ pub fn dispatch(subcommand: &str, args: &Args, out: &mut dyn Write) -> Result<()
         "bitinfo" => cmd_bitinfo(args, out),
         "reconfig-time" => cmd_reconfig_time(args, out),
         "sim" => cmd_sim(args, out),
-        "replay" => cmd_replay(args, out),
-        "health" => cmd_health(args, out),
-        "profile" => cmd_profile(args, out),
         "sweep" => cmd_sweep(args, out),
         "fleet" => cmd_fleet(args, out),
         "diff" => crate::diff::cmd_diff(args, out),
@@ -2456,7 +2276,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--metrics",
                 jsonl_s,
                 "--trace-json",
@@ -2500,7 +2320,14 @@ mod tests {
     fn sim_trace_words_reports_latency_percentiles() {
         let text = run(
             "sim",
-            &["--swap", "yes", "--samples", "2000", "--trace-words", "10"],
+            &[
+                "--swap",
+                "seamless",
+                "--samples",
+                "2000",
+                "--trace-words",
+                "10",
+            ],
         )
         .unwrap();
         assert!(
@@ -2521,7 +2348,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--samples",
                 "2000",
                 "--fail-swap",
@@ -2548,7 +2375,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--samples",
                 "2000",
                 "--flight-dump",
@@ -2566,18 +2393,73 @@ mod tests {
     }
 
     #[test]
-    fn health_seamless_passes_all_monitors() {
-        let text = run("health", &["--samples", "2000"]).unwrap();
+    fn sim_health_seamless_passes_all_monitors() {
+        let text = run(
+            "sim",
+            &["--swap", "seamless", "--samples", "2000", "--health", "yes"],
+        )
+        .unwrap();
+        // The verdicts follow the run summary.
+        let summary = text.find("samples out: 2001").expect(&text);
+        let verdicts = text.find("[PASS] swap_reconfig_ps").expect(&text);
+        assert!(summary < verdicts, "{text}");
         assert!(text.contains("seamless swap"), "{text}");
-        assert!(text.contains("[PASS] swap_reconfig_ps"), "{text}");
         assert!(text.contains("[PASS] iom0_missed_slots"), "{text}");
-        assert!(text.contains("overall: HEALTHY"), "{text}");
+        assert!(text.ends_with("overall: HEALTHY (6 monitors)\n"), "{text}");
     }
 
     #[test]
-    fn health_halt_swap_breaches_and_exits_nonzero() {
-        let err = run("health", &["--halt", "yes", "--samples", "2000"]).unwrap_err();
-        assert!(err.0.contains("health check failed"), "{}", err.0);
+    fn sim_health_halt_swap_breaches_and_exits_nonzero() {
+        let err = run(
+            "sim",
+            &["--swap", "halt", "--samples", "2000", "--health", "yes"],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.0,
+            "health check failed: 3 of 6 monitors breached \
+             (fifo_high_water, iom0_missed_slots, iom0_excess_gap_ps)"
+        );
+    }
+
+    #[test]
+    fn sim_rejects_flags_that_cannot_apply() {
+        // (tokens, substring the error must contain)
+        let cases: &[(&[&str], &str)] = &[
+            (
+                &["--swap", "seamless", "--stages", "avg"],
+                "--stages cannot apply",
+            ),
+            (
+                &["--swap", "halt", "--stages", "avg"],
+                "--stages cannot apply",
+            ),
+            (&["--fail-swap", "yes"], "--fail-swap cannot apply"),
+            (
+                &["--swap", "none", "--fail-swap", "no"],
+                "--fail-swap cannot apply",
+            ),
+            (
+                &["--restore", "x.vapresck", "--samples", "10"],
+                "--samples cannot apply",
+            ),
+            (
+                &["--restore", "x.vapresck", "--swap", "halt"],
+                "--swap cannot apply",
+            ),
+            (
+                &["--restore", "x.vapresck", "--profile", "yes"],
+                "--profile cannot apply",
+            ),
+            (&["--swap", "yes"], "unknown swap method \"yes\""),
+            (&["--health", "true"], "--health: expected yes, jsonl or no"),
+            (&["--stats", "true"], "--stats: expected yes or no"),
+            (&["--profile", "on"], "--profile: expected yes or no"),
+        ];
+        for (tokens, want) in cases {
+            let err = run("sim", tokens).unwrap_err();
+            assert!(err.0.contains(want), "{tokens:?}: {}", err.0);
+        }
     }
 
     #[test]
@@ -2590,7 +2472,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--samples",
                 "2000",
                 "--trace-words",
@@ -2620,8 +2502,12 @@ mod tests {
 
     #[test]
     fn unknown_subcommand_shows_usage() {
-        let err = run("frobnicate", &[]).unwrap_err();
-        assert!(err.0.contains("subcommands:"));
+        // `health`, `profile` and `replay` are output modes of `sim` now.
+        for sub in ["frobnicate", "health", "profile", "replay"] {
+            let err = run(sub, &[]).unwrap_err();
+            assert!(err.0.contains("unknown subcommand"), "{sub}: {}", err.0);
+            assert!(err.0.contains("subcommands:"), "{sub}");
+        }
     }
 
     #[test]
@@ -2640,9 +2526,12 @@ mod tests {
             ("sim", &["--checkpoint-ever", "200"]),
             ("sim", &["--checkpoint-dirs", "/tmp/x"]),
             ("sim", &["--restor", "x.vapresck"]),
-            ("replay", &["--until-break", "yes"]),
-            ("health", &["--halts", "yes"]),
-            ("health", &["--json", "yes"]),
+            ("sim", &["--healt", "yes"]),
+            // Flags of the folded `health`/`profile`/`replay` front-ends.
+            ("sim", &["--halt", "yes"]),
+            ("sim", &["--top", "5"]),
+            ("sim", &["--until-breach", "yes"]),
+            ("sim", &["--jsonl", "yes"]),
             ("sweep", &["--job", "4"]),
             ("sweep", &["--warm", "yes"]),
             ("sim", &["--sample-ever", "100"]),
@@ -2654,8 +2543,6 @@ mod tests {
             ("sim", &["--profil", "yes"]),
             ("sim", &["--flamme", "out.folded"]),
             ("sim", &["--cost-mode", "out.json"]),
-            ("profile", &["--tops", "5"]),
-            ("profile", &["--cost-models", "out.json"]),
             ("sweep", &["--profiles", "yes"]),
             ("sweep", &["--cost-modle", "out.json"]),
             ("fleet", &["--rsb", "8"]),
@@ -2691,9 +2578,6 @@ mod tests {
             "bitinfo",
             "reconfig-time",
             "sim",
-            "replay",
-            "health",
-            "profile",
             "sweep",
             "fleet",
             "diff",
@@ -2886,18 +2770,20 @@ mod tests {
     }
 
     #[test]
-    fn profile_runs_e3_and_exports_both_planes() {
+    fn sim_profile_runs_e3_and_exports_both_planes() {
         let dir = std::env::temp_dir().join("vapres_cli_profile_test");
         std::fs::create_dir_all(&dir).unwrap();
         let flame = dir.join("flame.folded");
         let model = dir.join("cost.json");
         let text = run(
-            "profile",
+            "sim",
             &[
+                "--swap",
+                "seamless",
                 "--samples",
                 "2000",
-                "--top",
-                "5",
+                "--profile",
+                "yes",
                 "--flame",
                 flame.to_str().unwrap(),
                 "--cost-model",
@@ -2905,7 +2791,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(text.contains("top 5 scopes by host self time"), "{text}");
+        assert!(text.contains("top 10 scopes by host self time:"), "{text}");
         assert!(text.contains("scope"), "{text}");
         assert!(text.contains("self%"), "{text}");
         assert!(
@@ -3048,7 +2934,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_checkpoints_and_replay_finishes_the_scenario() {
+    fn sim_checkpoints_and_restore_finishes_the_scenario() {
         let dir = std::env::temp_dir().join("vapres_cli_ckpt_test");
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_str().unwrap().to_string();
@@ -3056,7 +2942,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--samples",
                 "2000",
                 "--checkpoint-every",
@@ -3076,36 +2962,32 @@ mod tests {
         files.sort();
         assert!(files.len() >= 2, "expected several checkpoints: {files:?}");
 
-        // The first checkpoint predates the swap: replay performs it and
-        // still drains the full stream.
+        // The first checkpoint predates the swap: the restored run
+        // performs it and still drains the full stream.
         let first = files.first().unwrap().to_str().unwrap();
-        let text = run("replay", &[first]).unwrap();
+        let text = run("sim", &["--restore", first]).unwrap();
         assert!(text.contains("restored "), "{text}");
         assert!(text.contains("swap       : "), "{text}");
         assert!(text.contains("samples out: 2001"), "{text}");
 
-        // The last checkpoint postdates the swap: replay only drains.
+        // The last checkpoint postdates the swap: the restored run only
+        // drains.
         let last = files.last().unwrap().to_str().unwrap();
-        let text = run("replay", &[last]).unwrap();
+        let text = run("sim", &["--restore", last]).unwrap();
         assert!(!text.contains("swap       : "), "{text}");
         assert!(text.contains("samples out: 2001"), "{text}");
 
-        // --until-breach on the healthy seamless scenario re-judges the
+        // --health on the healthy seamless scenario re-judges the
         // monitors and reports no divergence.
-        let text = run("replay", &[first, "--until-breach", "yes"]).unwrap();
+        let text = run("sim", &["--restore", first, "--health", "yes"]).unwrap();
         assert!(text.contains("[PASS] swap_reconfig_ps"), "{text}");
-        assert!(text.contains("no breach reproduced"), "{text}");
-
-        // `sim --restore` is the same resume path.
-        let text = run("sim", &["--restore", first]).unwrap();
-        assert!(text.contains("restored "), "{text}");
-        assert!(text.contains("samples out: 2001"), "{text}");
+        assert!(text.contains("overall: HEALTHY"), "{text}");
 
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn replay_reproduces_a_swap_failure_from_a_checkpoint() {
+    fn restore_reproduces_a_swap_failure_from_a_checkpoint() {
         let dir = std::env::temp_dir().join("vapres_cli_ckpt_fail_test");
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_str().unwrap().to_string();
@@ -3115,7 +2997,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--samples",
                 "2000",
                 "--fail-swap",
@@ -3135,25 +3017,76 @@ mod tests {
             .collect();
         files.sort();
         let first = files.first().expect("pre-swap checkpoints exist");
-        let err = run("replay", &[first.to_str().unwrap()]).unwrap_err();
+        let err = run("sim", &["--restore", first.to_str().unwrap()]).unwrap_err();
         assert!(err.0.contains("swap failed"), "{}", err.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn replay_rejects_non_checkpoint_files() {
+    fn restore_rejects_non_checkpoint_files() {
         let dir = std::env::temp_dir().join("vapres_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let junk = dir.join("junk.vapresck");
         std::fs::write(&junk, b"definitely not a checkpoint").unwrap();
-        let err = run("replay", &[junk.to_str().unwrap()]).unwrap_err();
+        let err = run("sim", &["--restore", junk.to_str().unwrap()]).unwrap_err();
         assert!(err.0.contains("not a vapres checkpoint"), "{}", err.0);
         std::fs::remove_file(&junk).ok();
 
-        let err = run("replay", &["/nonexistent_vapres/x.vapresck"]).unwrap_err();
+        let err = run("sim", &["--restore", "/nonexistent_vapres/x.vapresck"]).unwrap_err();
         assert!(err.0.contains("cannot read"), "{}", err.0);
-        let err = run("replay", &[]).unwrap_err();
-        assert!(err.0.contains("usage"), "{}", err.0);
+        let err = run("sim", &["--restore"]).unwrap_err();
+        assert!(err.0.contains("--restore needs a value"), "{}", err.0);
+    }
+
+    #[test]
+    fn halt_checkpoints_restore_and_rebreach() {
+        let dir = std::env::temp_dir().join("vapres_cli_ckpt_halt_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_str().unwrap().to_string();
+        let halt = ["--swap", "halt", "--samples", "2000"];
+        let text = run(
+            "sim",
+            &[
+                &halt[..],
+                &["--checkpoint-every", "300", "--checkpoint-dir", &dir_s],
+            ]
+            .concat(),
+        )
+        .unwrap();
+        let samples_out = |text: &str| {
+            text.lines()
+                .find(|l| l.starts_with("samples out:"))
+                .map(str::to_string)
+                .expect(text)
+        };
+        let uninterrupted = samples_out(&text);
+
+        // The first image was cut before the swap, with the halt phase
+        // recorded in its meta.
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        let first = files.first().expect("halt run wrote checkpoints");
+        let bytes = std::fs::read(first).unwrap();
+        let (meta, _) = parse_checkpoint_file(&bytes).unwrap();
+        assert_eq!(meta.phase, CkptPhase::PendingHalt);
+
+        // Restoring it re-performs the halt swap and streams the same
+        // words as the uninterrupted run.
+        let first = first.to_str().unwrap();
+        let text = run("sim", &["--restore", first]).unwrap();
+        assert!(text.contains("swap       : "), "{text}");
+        assert_eq!(samples_out(&text), uninterrupted);
+
+        // Under --health, it breaches the same monitors as the
+        // uninterrupted halt run.
+        let fresh = run("sim", &[&halt[..], &["--health", "yes"]].concat()).unwrap_err();
+        let restored = run("sim", &["--restore", first, "--health", "yes"]).unwrap_err();
+        assert!(fresh.0.contains("iom0_missed_slots"), "{}", fresh.0);
+        assert_eq!(restored.0, fresh.0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -3232,7 +3165,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--checkpoint-every",
                 "300",
                 "--checkpoint-dir",
@@ -3272,7 +3205,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--samples",
                 "2000",
                 "--sample-every",
@@ -3381,7 +3314,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--samples",
                 "2000",
                 "--trace-words",
@@ -3429,7 +3362,7 @@ mod tests {
             "sim",
             &[
                 "--swap",
-                "yes",
+                "seamless",
                 "--samples",
                 "2000",
                 "--checkpoint-every",
@@ -3449,7 +3382,7 @@ mod tests {
         // Each file's meta carries its sequence number, and the image
         // itself holds the ring up to (and including) its own cut — the
         // cut is the newest entry, so eviction can't have dropped it.
-        // Restore + replay then stamp their events on top of it.
+        // A restored run then stamps its events on top of it.
         let mut files: Vec<_> = std::fs::read_dir(&ckpts)
             .unwrap()
             .map(|e| e.unwrap().path())
@@ -3487,8 +3420,8 @@ mod tests {
     }
 
     #[test]
-    fn health_jsonl_is_machine_readable() {
-        let text = run("health", &["--jsonl", "yes"]).unwrap();
+    fn sim_health_jsonl_is_machine_readable() {
+        let text = run("sim", &["--swap", "seamless", "--health", "jsonl"]).unwrap();
         for line in text.lines() {
             assert!(
                 line.starts_with("{\"type\":\"verdict\"")
@@ -3501,8 +3434,8 @@ mod tests {
 
         // The breaching variant still renders JSONL, then exits non-zero.
         let err = run(
-            "health",
-            &["--halt", "yes", "--samples", "2000", "--jsonl", "yes"],
+            "sim",
+            &["--swap", "halt", "--samples", "2000", "--health", "jsonl"],
         )
         .unwrap_err();
         assert!(err.0.contains("health check failed"), "{}", err.0);
@@ -3516,7 +3449,7 @@ mod tests {
         // line; probe it from a thread while the simulation runs.
         let args = Args::parse([
             "--swap",
-            "yes",
+            "seamless",
             "--samples",
             "2000",
             "--sample-every",

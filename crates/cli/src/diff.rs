@@ -19,8 +19,8 @@
 //!   line is context, not a measurement, and is skipped, and so are the
 //!   `"partition"` lines that trajectories from the removed `--jobs`
 //!   engine carry — so those older trajectories still gate new ones;
-//! * **cost models** (`vapres profile --cost-model` / `vapres sim
-//!   --cost-model` / `vapres sweep --cost-model` exports) — rows matched
+//! * **cost models** (`vapres sim --profile yes --cost-model` /
+//!   `vapres sweep --cost-model` exports) — rows matched
 //!   by component. The deterministic work-unit plane is compared
 //!   **exactly** (any drift is a regression regardless of tolerance);
 //!   the calibration ratio `ns_per_unit` within `--tolerance`; the raw
@@ -31,7 +31,9 @@
 //! (`--tolerance`, default 0.05) is a numeric one. Any regression makes
 //! the command exit non-zero naming every offender — which is what lets
 //! `scripts/verify.sh` keep a committed golden baseline and fail the
-//! build when a change moves the measured system.
+//! build when a change moves the measured system. A `NaN` or infinity in
+//! a trajectory or cost-model row is corrupt input, rejected naming the
+//! field.
 
 use crate::args::Args;
 use crate::commands::CmdError;
@@ -319,10 +321,7 @@ fn parse_trajectory(text: &str) -> Result<Vec<TrajectoryRow>, String> {
                     _ => {}
                 }
             } else if value != "null" {
-                let n: f64 = value
-                    .parse()
-                    .map_err(|_| format!("field {key}: cannot parse {value:?}"))?;
-                numbers.insert(key, n);
+                numbers.insert(key.clone(), parse_finite(&key, value)?);
             }
         }
         rows.push(TrajectoryRow {
@@ -335,6 +334,17 @@ fn parse_trajectory(text: &str) -> Result<Vec<TrajectoryRow>, String> {
         return Err("trajectory holds no scenario rows".into());
     }
     Ok(rows)
+}
+
+/// Parses one numeric row field. `NaN` and infinities are rejected by
+/// name: the writers never emit them, and a NaN would compare false
+/// against every tolerance and pass as "no regressions".
+fn parse_finite(key: &str, value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(n),
+        Ok(_) => Err(format!("field {key}: non-finite value {value:?}")),
+        Err(_) => Err(format!("field {key}: cannot parse {value:?}")),
+    }
 }
 
 /// Splits `a:1,b:"x,y",c:2` on the commas outside string quotes.
@@ -503,10 +513,7 @@ fn parse_fleet(text: &str) -> Result<(Vec<FleetRow>, BTreeMap<String, u64>), Str
                         .map_err(|_| format!("index: cannot parse {value:?}"))?,
                 );
             } else if value != "null" {
-                let n: f64 = value
-                    .parse()
-                    .map_err(|_| format!("field {key}: cannot parse {value:?}"))?;
-                numbers.insert(key, n);
+                numbers.insert(key.clone(), parse_finite(&key, value)?);
             }
         }
         rows.push(FleetRow {
@@ -630,13 +637,7 @@ fn parse_cost_model(text: &str) -> Result<BTreeMap<String, CostRow>, String> {
                             .map_err(|_| format!("work_units: cannot parse {value:?}"))?,
                     );
                 }
-                "ns_per_unit" => {
-                    ns_per_unit = Some(
-                        value
-                            .parse::<f64>()
-                            .map_err(|_| format!("ns_per_unit: cannot parse {value:?}"))?,
-                    );
-                }
+                "ns_per_unit" => ns_per_unit = Some(parse_finite(key, value)?),
                 // `host_ns` is raw wall time of whatever machine ran the
                 // profile — never comparable, deliberately ignored.
                 _ => {}
@@ -827,6 +828,18 @@ mod tests {
     }
 
     #[test]
+    fn trajectory_non_finite_field_is_rejected_by_name() {
+        for bad in ["NaN", "inf", "-inf"] {
+            let candidate =
+                TRAJECTORY.replace("\"p99_e2e_ps\":1000000", &format!("\"p99_e2e_ps\":{bad}"));
+            let (result, out) = run_diff(TRAJECTORY, &candidate, &[]);
+            let err = result.expect_err("non-finite field must fail").0;
+            assert!(err.contains("field p99_e2e_ps: non-finite"), "{bad}: {err}");
+            assert!(!out.contains("no regressions"), "{bad}: {out}");
+        }
+    }
+
+    #[test]
     fn trajectory_outcome_flip_fails() {
         let candidate =
             TRAJECTORY.replace("\"outcome\":\"not_requested\"", "\"outcome\":\"failed\"");
@@ -936,6 +949,14 @@ mod tests {
     }
 
     #[test]
+    fn fleet_non_finite_field_is_rejected_by_name() {
+        let candidate = FLEET.replace("\"p99_e2e_ps\":1250000", "\"p99_e2e_ps\":NaN");
+        let (result, _) = run_diff(FLEET, &candidate, &[]);
+        let err = result.expect_err("NaN field must fail").0;
+        assert!(err.contains("field p99_e2e_ps: non-finite"), "{err}");
+    }
+
+    #[test]
     fn fleet_missing_rsb_is_structural() {
         let shorter = FLEET.replace(
             ",\n    {\"index\":1,\"samples_in\":180,\"interval\":150,\"swaps\":1,\"outcome\":\"ok\",\"drained\":true,\"samples_out\":180,\"missed_slots\":0,\"p99_e2e_ps\":1250000,\"sim_time_ps\":3000000000,\"work_units\":9500,\"est_cost\":9000,\"healthy\":true}",
@@ -989,6 +1010,14 @@ mod tests {
         let (result, out) = run_diff(COST_MODEL, &candidate, &[]);
         assert!(result.is_err(), "60% calibration drift");
         assert!(out.contains("exec/fabric ns_per_unit"), "got {out}");
+    }
+
+    #[test]
+    fn cost_model_non_finite_field_is_rejected_by_name() {
+        let candidate = COST_MODEL.replace("\"ns_per_unit\":50.000000", "\"ns_per_unit\":inf");
+        let (result, _) = run_diff(COST_MODEL, &candidate, &[]);
+        let err = result.expect_err("infinite field must fail").0;
+        assert!(err.contains("field ns_per_unit: non-finite"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! answers three paths:
 //!
 //! * `/metrics` — Prometheus text exposition of the metrics registry;
-//! * `/health` — watchdog verdicts in the `vapres health --jsonl yes`
+//! * `/health` — watchdog verdicts in the `vapres sim --health jsonl`
 //!   serialization;
 //! * `/flight` — the recent flight ring as JSON Lines.
 //!

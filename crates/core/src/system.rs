@@ -480,7 +480,7 @@ pub struct LiveSnapshot {
     pub at: Ps,
     /// Prometheus text exposition of the metrics registry.
     pub prometheus: String,
-    /// Health verdicts in the `vapres health --jsonl yes` serialization.
+    /// Health verdicts in the `vapres sim --health jsonl` serialization.
     pub health: String,
     /// The flight ring as JSON Lines (empty when the recorder is off).
     pub flight: String,

@@ -129,9 +129,11 @@ pub enum FlightEvent {
         /// Ordinal of the checkpoint the image was captured at.
         ordinal: u64,
     },
-    /// A recorded run is being replayed from a checkpoint image.
+    /// A restored run (`vapres sim --restore`) is finishing the
+    /// scenario its checkpoint image recorded.
     Replay {
-        /// True when the replay stops at the first watchdog breach.
+        /// True when the run re-judges the watchdog monitors at its end
+        /// (`--health`), exiting non-zero on a breach.
         until_breach: bool,
     },
     /// The self-profiler's exports were dumped at this point in the run.

@@ -198,9 +198,9 @@ impl HealthReport {
     }
 
     /// Renders the machine-readable JSONL form: one `verdict` line per
-    /// monitor, then one `health` summary line. The `vapres health
-    /// --jsonl yes` output and the live `/health` endpoint both emit
-    /// exactly this serialization.
+    /// monitor, then one `health` summary line. The `vapres sim --health
+    /// jsonl` output and the live `/health` endpoint both emit exactly
+    /// this serialization.
     ///
     /// # Errors
     ///

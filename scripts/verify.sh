@@ -22,7 +22,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> telemetry smoke test (E3 swap scenario)"
 snap="$(mktemp -d)/swap.jsonl"
-./target/release/vapres-cli sim --swap yes --metrics "$snap" >/dev/null
+./target/release/vapres-cli sim --swap seamless --metrics "$snap" >/dev/null
 steps="$(grep -c '"name":"swap_step"' "$snap")"
 if [ "$steps" -ne 9 ]; then
     echo "expected nine swap_step spans in $snap, got $steps" >&2
@@ -35,19 +35,20 @@ fi
     || { echo "report did not confirm zero stream interruption" >&2; exit 1; }
 rm -rf "$(dirname "$snap")"
 
-echo "==> watchdog smoke test (vapres health on the seamless E3 swap)"
-./target/release/vapres-cli health | grep "overall: HEALTHY" >/dev/null \
-    || { echo "vapres health did not report HEALTHY on the seamless swap" >&2; exit 1; }
+echo "==> watchdog smoke test (sim --health on the seamless and halt E3 swaps)"
+./target/release/vapres-cli sim --swap seamless --health yes \
+    | grep "overall: HEALTHY" >/dev/null \
+    || { echo "sim --swap seamless --health yes did not report HEALTHY" >&2; exit 1; }
 # The halt-and-swap baseline must breach the stream monitors and exit
-# non-zero — the health command is a seamlessness regression gate.
-if ./target/release/vapres-cli health --halt yes >/dev/null 2>&1; then
-    echo "vapres health --halt yes unexpectedly passed" >&2
+# non-zero — --health is a seamlessness regression gate.
+if ./target/release/vapres-cli sim --swap halt --health yes >/dev/null 2>&1; then
+    echo "sim --swap halt --health yes unexpectedly passed" >&2
     exit 1
 fi
 
 echo "==> flight recorder smoke test (dump-on-SwapError)"
 flight="$(mktemp -d)/flight.jsonl"
-if ./target/release/vapres-cli sim --swap yes --samples 2000 \
+if ./target/release/vapres-cli sim --swap seamless --samples 2000 \
     --fail-swap yes --flight-dump "$flight" >/dev/null 2>&1; then
     echo "sim --fail-swap yes unexpectedly succeeded" >&2
     exit 1
@@ -61,7 +62,7 @@ echo "==> flight recorder freshness (a long stream's dump ends at the end of the
 # them: the ring must keep the newest, so the last dumped event lies
 # within 1 ms of the report's final sim time.
 fresh="$(mktemp -d)"
-./target/release/vapres-cli sim --swap yes --samples 60000 \
+./target/release/vapres-cli sim --swap seamless --samples 60000 \
     --flight-dump "$fresh/flight.jsonl" > "$fresh/report.txt"
 last_ps="$(tail -n 1 "$fresh/flight.jsonl" | sed -n 's/^{"at_ps":\([0-9]*\),.*/\1/p')"
 awk -v last="$last_ps" '
@@ -78,25 +79,37 @@ awk -v last="$last_ps" '
     }' "$fresh/report.txt"
 rm -rf "$fresh"
 
-echo "==> checkpoint round-trip smoke (sim --checkpoint-*, replay, --until-breach)"
+echo "==> checkpoint round-trip smoke (sim --checkpoint-*, sim --restore --health)"
 ckptdir="$(mktemp -d)"
-./target/release/vapres-cli sim --swap yes --samples 2000 \
-    --checkpoint-every 300 --checkpoint-dir "$ckptdir" >/dev/null
-first_ckpt="$(ls "$ckptdir"/ckpt_*.vapresck | head -n 1)"
+./target/release/vapres-cli sim --swap seamless --samples 2000 \
+    --checkpoint-every 300 --checkpoint-dir "$ckptdir/seamless" >/dev/null
+first_ckpt="$(ls "$ckptdir"/seamless/ckpt_*.vapresck | head -n 1)"
 [ -n "$first_ckpt" ] \
     || { echo "sim --checkpoint-every produced no checkpoint files" >&2; exit 1; }
-./target/release/vapres-cli replay "$first_ckpt" \
-    | grep "samples out: 2001" >/dev/null \
-    || { echo "replay from $first_ckpt did not finish the scenario" >&2; exit 1; }
-# The seamless swap is healthy, so --until-breach must reproduce none.
-./target/release/vapres-cli replay "$first_ckpt" --until-breach yes \
-    | grep "no breach reproduced" >/dev/null \
-    || { echo "replay --until-breach breached on the seamless swap" >&2; exit 1; }
+# The seamless swap is healthy, so the restored run must finish the
+# scenario and re-judge every monitor as passing.
+./target/release/vapres-cli sim --restore "$first_ckpt" --health yes > "$ckptdir/restored.txt" \
+    || { echo "sim --restore $first_ckpt --health yes failed" >&2; exit 1; }
+grep "samples out: 2001" "$ckptdir/restored.txt" >/dev/null \
+    || { echo "sim --restore $first_ckpt did not finish the scenario" >&2; exit 1; }
+grep "overall: HEALTHY" "$ckptdir/restored.txt" >/dev/null \
+    || { echo "sim --restore --health breached on the seamless swap" >&2; exit 1; }
+# A pre-swap halt checkpoint re-performs the halt swap on restore, so
+# --health must reproduce the breach and exit non-zero.
+./target/release/vapres-cli sim --swap halt --samples 2000 \
+    --checkpoint-every 300 --checkpoint-dir "$ckptdir/halt" >/dev/null
+halt_ckpt="$(ls "$ckptdir"/halt/ckpt_*.vapresck | head -n 1)"
+if halt_err="$(./target/release/vapres-cli sim --restore "$halt_ckpt" --health yes 2>&1 >/dev/null)"; then
+    echo "restoring the pre-swap halt checkpoint $halt_ckpt did not breach" >&2
+    exit 1
+fi
+echo "$halt_err" | grep -q "health check failed" \
+    || { echo "halt checkpoint restore failed for the wrong reason: $halt_err" >&2; exit 1; }
 rm -rf "$ckptdir"
 
 echo "==> time-series smoke (sim exports, sweep series jobs-invariant)"
 tsdir="$(mktemp -d)"
-./target/release/vapres-cli sim --swap yes --samples 2000 --sample-every 100 \
+./target/release/vapres-cli sim --swap seamless --samples 2000 --sample-every 100 \
     --timeseries "$tsdir/ts.jsonl" --timeseries-trace "$tsdir/ts_trace.json" \
     --timeseries-csv "$tsdir/ts.csv" >/dev/null
 grep -q '"type":"series"' "$tsdir/ts.jsonl" \
@@ -141,7 +154,7 @@ if ./target/release/vapres-cli diff \
 fi
 # Same drill on a telemetry dump: stretch the end-to-end latency
 # histogram's bucket width 20% and the percentile comparison must fail.
-./target/release/vapres-cli sim --swap yes --samples 2000 --trace-words 10 \
+./target/release/vapres-cli sim --swap seamless --samples 2000 --trace-words 10 \
     --metrics "$diffdir/metrics.jsonl" >/dev/null
 ./target/release/vapres-cli diff "$diffdir/metrics.jsonl" "$diffdir/metrics.jsonl" >/dev/null \
     || { echo "telemetry self-diff reported a regression" >&2; exit 1; }
@@ -307,15 +320,15 @@ awk -F'[,:{}"]+' '
     }' crates/bench/BENCH_fabric.json \
     || { echo "fabric batching smoke failed" >&2; exit 1; }
 
-echo "==> profiler smoke (vapres profile E3, cost-model work plane jobs/warmth-invariant)"
+echo "==> profiler smoke (sim --profile on E3, cost-model work plane jobs/warmth-invariant)"
 profdir="$(mktemp -d)"
-./target/release/vapres-cli profile --samples 2000 --top 5 \
+./target/release/vapres-cli sim --swap seamless --samples 2000 --profile yes \
     --flame "$profdir/flame.folded" --cost-model "$profdir/cost.json" \
     > "$profdir/profile.txt"
-grep -q "top 5 scopes by host self time" "$profdir/profile.txt" \
-    || { echo "vapres profile missing its top-N table" >&2; exit 1; }
+grep -q "top 10 scopes by host self time" "$profdir/profile.txt" \
+    || { echo "sim --profile yes missing its top-10 table" >&2; exit 1; }
 grep -q "self%" "$profdir/profile.txt" \
-    || { echo "vapres profile top-N table missing its header" >&2; exit 1; }
+    || { echo "sim --profile yes top-10 table missing its header" >&2; exit 1; }
 grep -q "run;" "$profdir/flame.folded" \
     || { echo "collapsed flamegraph missing nested run; stacks" >&2; exit 1; }
 grep -q '"cost_model"' "$profdir/cost.json" \
