@@ -218,21 +218,7 @@ impl CompressedStream {
     }
 }
 
-impl Persist for CompressedStream {
-    fn persist(&self, w: &mut Writer) {
-        self.ops.persist(w);
-        w.put_u64(self.raw_words);
-        w.put_u64(self.stored_words);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(CompressedStream {
-            ops: Vec::restore(r)?,
-            raw_words: r.take_u64()?,
-            stored_words: r.take_u64()?,
-        })
-    }
-}
+vapres_sim::persist_fields!(CompressedStream: ops, raw_words, stored_words);
 
 /// Run-length pairs of a frame's words.
 fn rle_runs(words: &[u32]) -> Vec<(u32, u32)> {
@@ -280,31 +266,10 @@ impl CacheStats {
     }
 }
 
-impl Persist for CacheStats {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-        w.put_u64(self.evictions);
-        w.put_u64(self.insertions);
-        w.put_u64(self.invalidations);
-        w.put_u64(self.bytes_saved);
-        w.put_u64(self.raw_words);
-        w.put_u64(self.stored_words);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(CacheStats {
-            hits: r.take_u64()?,
-            misses: r.take_u64()?,
-            evictions: r.take_u64()?,
-            insertions: r.take_u64()?,
-            invalidations: r.take_u64()?,
-            bytes_saved: r.take_u64()?,
-            raw_words: r.take_u64()?,
-            stored_words: r.take_u64()?,
-        })
-    }
-}
+vapres_sim::persist_fields!(
+    CacheStats: hits, misses, evictions, insertions, invalidations, bytes_saved, raw_words,
+    stored_words
+);
 
 /// A successful cache lookup: the expanded stream plus what the replay
 /// costs.
@@ -335,19 +300,7 @@ struct CacheEntry {
     stamp: u64,
 }
 
-impl Persist for CacheEntry {
-    fn persist(&self, w: &mut Writer) {
-        self.stream.persist(w);
-        w.put_u64(self.stamp);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(CacheEntry {
-            stream: CompressedStream::restore(r)?,
-            stamp: r.take_u64()?,
-        })
-    }
-}
+vapres_sim::persist_fields!(CacheEntry: stream, stamp);
 
 /// The LRU staged-bitstream cache.
 ///

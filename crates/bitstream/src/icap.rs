@@ -16,7 +16,6 @@ use crate::stream::{self, LeWords, ModuleUid, ParseError, ParsedBitstream, WordS
 use crate::timing;
 use std::collections::BTreeMap;
 use vapres_fabric::frame::FrameAddress;
-use vapres_sim::persist::{Persist, PersistError, Reader, Writer};
 use vapres_sim::time::Ps;
 
 /// The device's configuration memory: frame address → frame words.
@@ -77,37 +76,9 @@ impl ConfigMemory {
     }
 }
 
-impl Persist for ConfigMemory {
-    fn persist(&self, w: &mut Writer) {
-        self.frames.persist(w);
-    }
+vapres_sim::persist_fields!(ConfigMemory: frames);
 
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(ConfigMemory {
-            frames: std::collections::BTreeMap::restore(r)?,
-        })
-    }
-}
-
-impl Persist for Icap {
-    fn persist(&self, w: &mut Writer) {
-        self.memory.persist(w);
-        w.put_u64(self.writes);
-        w.put_u64(self.failed_writes);
-        w.put_u64(self.words_written);
-        w.put_u64(self.words_pushed);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Icap {
-            memory: ConfigMemory::restore(r)?,
-            writes: r.take_u64()?,
-            failed_writes: r.take_u64()?,
-            words_written: r.take_u64()?,
-            words_pushed: r.take_u64()?,
-        })
-    }
-}
+vapres_sim::persist_fields!(Icap: memory, writes, failed_writes, words_written, words_pushed);
 
 /// Result of a successful ICAP write: what was configured and how long the
 /// write took.

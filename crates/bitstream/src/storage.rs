@@ -10,7 +10,6 @@ use crate::timing;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use vapres_sim::persist::{Persist, PersistError, Reader, Writer};
 use vapres_sim::time::Ps;
 
 /// An error from a storage operation.
@@ -100,17 +99,7 @@ impl CompactFlash {
     }
 }
 
-impl Persist for CompactFlash {
-    fn persist(&self, w: &mut Writer) {
-        self.files.persist(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(CompactFlash {
-            files: BTreeMap::restore(r)?,
-        })
-    }
-}
+vapres_sim::persist_fields!(CompactFlash: files);
 
 /// External SDRAM holding named bitstream arrays.
 ///
@@ -175,19 +164,9 @@ impl Sdram {
     }
 }
 
-impl Persist for Sdram {
-    fn persist(&self, w: &mut Writer) {
-        self.arrays.persist(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        // Bypasses `stage`'s AlreadyExists check and its timing charge:
-        // a restore recreates state, it does not perform transfers.
-        Ok(Sdram {
-            arrays: BTreeMap::restore(r)?,
-        })
-    }
-}
+// Restore bypasses `stage`'s AlreadyExists check and its timing charge:
+// a restore recreates state, it does not perform transfers.
+vapres_sim::persist_fields!(Sdram: arrays);
 
 #[cfg(test)]
 mod tests {

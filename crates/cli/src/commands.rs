@@ -15,6 +15,7 @@ use vapres_floorplan::planner::{plan, PlanOutcome, PrrRequest};
 use vapres_floorplan::report::utilization_report;
 use vapres_floorplan::resources::{comm_arch_slices, static_region_slices};
 use vapres_floorplan::sysdef::{generate_mhs, generate_ucf, parse_ucf};
+use vapres_sim::persist::{Container, Persist, PersistError, Reader, SectionTag, Writer};
 use vapres_sim::watchdog::HealthReport;
 use vapres_stream::params::FabricParams;
 
@@ -39,12 +40,6 @@ impl From<ArgError> for CmdError {
 impl From<std::io::Error> for CmdError {
     fn from(e: std::io::Error) -> Self {
         CmdError(format!("io: {e}"))
-    }
-}
-
-impl From<vapres_sim::persist::PersistError> for CmdError {
-    fn from(e: vapres_sim::persist::PersistError) -> Self {
-        CmdError(e.to_string())
     }
 }
 
@@ -526,8 +521,8 @@ fn stage_by_name(name: &str) -> Result<vapres_core::ModuleUid, CmdError> {
 /// swap the FIR B bitstream targets the spare PRR (node 2); for the
 /// halt-and-swap baseline it targets the active PRR (node 1) so the
 /// module is replaced in place. Returns the drive state poised before
-/// the swap.
-fn setup_e3(sys: &mut VapresSystem, halt: bool, fail_swap: bool) -> Result<CkptMeta, CmdError> {
+/// the pre-swap window.
+fn setup_e3(sys: &mut VapresSystem, halt: bool, fail_swap: bool) -> Result<DriveState, CmdError> {
     use vapres_core::PortRef;
     use vapres_modules::uids;
 
@@ -551,16 +546,17 @@ fn setup_e3(sys: &mut VapresSystem, halt: bool, fail_swap: bool) -> Result<CkptM
         .map_err(core)?;
     sys.bring_up_node(0, false).map_err(core)?;
     sys.bring_up_node(1, false).map_err(core)?;
-    Ok(CkptMeta {
+    Ok(DriveState {
         phase: if halt {
-            CkptPhase::PendingHalt
+            Phase::PendingHalt
         } else {
-            CkptPhase::PendingSeamless
+            Phase::PendingSeamless
         },
+        budget: Ps::from_ms(1),
         fail_swap,
         upstream: upstream.0 as u64,
         downstream: downstream.0 as u64,
-        ordinal: 0,
+        ..DriveState::pipeline()
     })
 }
 
@@ -586,33 +582,33 @@ fn write_flight_dump(sys: &mut VapresSystem, path: &str) -> Result<(), CmdError>
     write_file(path, |f| sys.dump_flight_jsonl(f))
 }
 
-/// Magic bytes opening a CLI checkpoint file: a driver-meta envelope
-/// (what remains of the scenario) followed by the raw system snapshot.
-const CKPT_MAGIC: [u8; 8] = *b"VAPRESRP";
-/// Version of the envelope, independent of the snapshot format version.
-/// v2 appends the checkpoint ordinal, so a restored run can stamp a
-/// `restore` flight event naming the image it resumed from.
-const CKPT_META_VERSION: u32 = 2;
-
 /// Where the drive stands in its scenario.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum CkptPhase {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
     /// A plain pipeline run: nothing left but draining the input.
-    #[default]
     NoSwap,
-    /// The E3 swap has not happened yet; the drive performs it.
+    /// The E3 swap has not happened yet; the drive performs it once the
+    /// pre-swap window has run out.
     PendingSeamless,
-    /// Like [`CkptPhase::PendingSeamless`] but via halt-and-swap.
+    /// Like [`Phase::PendingSeamless`] but via halt-and-swap.
     PendingHalt,
     /// The swap already completed; the drive only drains.
     SwapDone,
 }
 
+vapres_sim::persist_tags!(
+    Phase, "drive phase": NoSwap = 0, PendingSeamless = 1, PendingHalt = 2, SwapDone = 3
+);
+
 /// The drive's state: what a fresh run carries from phase to phase, and
-/// what a checkpoint records so a restored run can finish the scenario.
-#[derive(Debug, Clone, Copy, Default)]
-struct CkptMeta {
-    phase: CkptPhase,
+/// what a checkpoint's [`SectionTag::Drive`] section records so a
+/// restored run finishes the scenario exactly as one that never stopped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct DriveState {
+    phase: Phase,
+    /// Simulated time left in the current phase: the pre-swap window of
+    /// a pending swap, or the drain's stall timeout.
+    budget: Ps,
     /// The run deliberately pointed the swap at a missing SDRAM array.
     fail_swap: bool,
     /// Channel ids of the E3 stream (only meaningful for pending swaps).
@@ -621,67 +617,45 @@ struct CkptMeta {
     /// Sequence number of the checkpoint within its run (`ckpt_NNNN`);
     /// a restored run stamps it into the `restore` flight event.
     ordinal: u64,
+    /// The swap this run performed, once it has: the `swap` summary line
+    /// and the swap-deadline monitors read it.
+    report: Option<SwapReport>,
 }
 
-impl CkptMeta {
-    fn encode(&self, w: &mut vapres_sim::persist::Writer) {
-        w.put_raw(&CKPT_MAGIC);
-        w.put_u32(CKPT_META_VERSION);
-        w.put_u8(match self.phase {
-            CkptPhase::NoSwap => 0,
-            CkptPhase::PendingSeamless => 1,
-            CkptPhase::PendingHalt => 2,
-            CkptPhase::SwapDone => 3,
-        });
-        w.put_bool(self.fail_swap);
-        w.put_u64(self.upstream);
-        w.put_u64(self.downstream);
-        w.put_u64(self.ordinal);
+impl DriveState {
+    /// A pipeline run, about to drain its input.
+    fn pipeline() -> Self {
+        DriveState {
+            phase: Phase::NoSwap,
+            budget: Ps::from_ms(100),
+            fail_swap: false,
+            upstream: 0,
+            downstream: 0,
+            ordinal: 0,
+            report: None,
+        }
+    }
+
+    /// Decodes a [`SectionTag::Drive`] section body, which it must
+    /// consume exactly.
+    fn decode(body: &[u8]) -> Result<Self, PersistError> {
+        let r = &mut Reader::new(body);
+        let state = DriveState::restore(r)?;
+        r.expect_end()?;
+        Ok(state)
     }
 }
 
-/// Splits a checkpoint file into its driver metadata and the raw system
-/// snapshot bytes.
-fn parse_checkpoint_file(bytes: &[u8]) -> Result<(CkptMeta, &[u8]), CmdError> {
-    use vapres_sim::persist::Reader;
-    let mut r = Reader::new(bytes);
-    let magic = r
-        .take_raw(CKPT_MAGIC.len())
-        .map_err(|_| CmdError("not a vapres checkpoint (file too short)".into()))?;
-    if magic != CKPT_MAGIC {
-        return Err(CmdError(
-            "not a vapres checkpoint (expected a file written by --checkpoint-every)".into(),
-        ));
-    }
-    let version = r.take_u32()?;
-    if version != CKPT_META_VERSION {
-        return Err(CmdError(format!(
-            "checkpoint meta version {version} unsupported (this build reads {CKPT_META_VERSION})"
-        )));
-    }
-    let phase = match r.take_u8()? {
-        0 => CkptPhase::NoSwap,
-        1 => CkptPhase::PendingSeamless,
-        2 => CkptPhase::PendingHalt,
-        3 => CkptPhase::SwapDone,
-        other => return Err(CmdError(format!("corrupt checkpoint: phase byte {other}"))),
-    };
-    let fail_swap = r.take_bool()?;
-    let upstream = r.take_u64()?;
-    let downstream = r.take_u64()?;
-    let ordinal = r.take_u64()?;
-    let n = r.remaining();
-    let image = r.take_raw(n)?;
-    Ok((
-        CkptMeta {
-            phase,
-            fail_swap,
-            upstream,
-            downstream,
-            ordinal,
-        },
-        image,
-    ))
+vapres_sim::persist_fields!(
+    DriveState: phase, budget, fail_swap, upstream, downstream, ordinal, report
+);
+
+/// Splits a `--checkpoint-every` file into its system section body and
+/// its decoded drive state.
+fn read_checkpoint(bytes: &[u8]) -> Result<(&[u8], DriveState), PersistError> {
+    let [image, drive] =
+        Container::parse(bytes)?.expect([SectionTag::System, SectionTag::Drive])?;
+    Ok((image, DriveState::decode(drive)?))
 }
 
 /// Periodic checkpoint emission: the drive's optional sink.
@@ -692,21 +666,23 @@ struct CkptSink<'a> {
 }
 
 impl CkptSink<'_> {
-    /// Writes one numbered checkpoint file and reports it.
+    /// Writes one numbered checkpoint file — the system and the drive
+    /// state, stamped with its ordinal — and reports it.
     fn emit(
         &mut self,
         sys: &mut VapresSystem,
-        meta: &CkptMeta,
+        state: &mut DriveState,
         out: &mut dyn Write,
     ) -> Result<(), CmdError> {
-        let ordinal = u64::from(self.seq);
+        state.ordinal = u64::from(self.seq);
         // Note the event first so it rides inside the image: a restored
         // flight ring shows the checkpoint it was cut at.
-        sys.note_flight(vapres_sim::flight::FlightEvent::Checkpoint { ordinal });
-        let meta = CkptMeta { ordinal, ..*meta };
-        let mut w = vapres_sim::persist::Writer::new();
-        meta.encode(&mut w);
-        w.put_raw(&sys.checkpoint());
+        sys.note_flight(vapres_sim::flight::FlightEvent::Checkpoint {
+            ordinal: state.ordinal,
+        });
+        let mut w = Writer::container(2);
+        sys.checkpoint_into(&mut w);
+        w.section(SectionTag::Drive, |w| state.persist(w));
         let path = format!("{}/ckpt_{:04}.vapresck", self.dir, self.seq);
         std::fs::write(&path, w.into_bytes()).map_err(|e| write_err(&path, e))?;
         writeln!(out, "checkpoint {path} (t={})", sys.now())?;
@@ -715,47 +691,45 @@ impl CkptSink<'_> {
     }
 }
 
-/// Runs one phase of the drive for up to `budget`, stopping early once
-/// `done` holds (with no `done`, for the whole budget). With a sink the
-/// run pauses every `sink.every` of simulated time to write a checkpoint
-/// stamped with `meta`. Returns whether `done` held on exit.
+/// Runs the current phase for what remains of `state.budget`, stopping
+/// where `done` first holds (with no `done`, for the whole budget). With
+/// a sink the run pauses every `sink.every` of simulated time to write a
+/// checkpoint of `state`; the slices stop exactly where one run would,
+/// so a checkpointed run ends where a plain one does. Returns whether
+/// `done` held on exit.
 fn run_phase(
     sys: &mut VapresSystem,
-    budget: Ps,
+    state: &mut DriveState,
     done: Option<fn(&VapresSystem) -> bool>,
-    sink: Option<&mut CkptSink<'_>>,
-    meta: &CkptMeta,
+    mut sink: Option<&mut CkptSink<'_>>,
     out: &mut dyn Write,
 ) -> Result<bool, CmdError> {
-    let Some(sink) = sink else {
-        return Ok(match done {
-            Some(done) => sys.run_until(budget, done),
+    let every = sink.as_ref().map_or(state.budget, |s| s.every);
+    let mut fired = false;
+    while !fired && state.budget > Ps::ZERO {
+        let start = sys.now();
+        let slice = every.min(state.budget);
+        fired = match done {
+            Some(done) => sys.run_until(slice, done),
             None => {
-                sys.run_for(budget);
+                sys.run_for(slice);
                 false
             }
-        });
-    };
-    let done = done.unwrap_or(|_| false);
-    let mut elapsed: u64 = 0;
-    while elapsed < budget.as_ps() {
-        if done(sys) {
-            return Ok(true);
+        };
+        state.budget = state.budget - (sys.now() - start);
+        if let (false, Some(sink)) = (fired, sink.as_deref_mut()) {
+            sink.emit(sys, state, out)?;
         }
-        let slice = sink.every.as_ps().min(budget.as_ps() - elapsed);
-        sys.run_for(Ps::new(slice));
-        elapsed += slice;
-        sink.emit(sys, meta, out)?;
     }
-    Ok(done(sys))
+    Ok(fired)
 }
 
-/// Performs the E3 swap `meta` describes. On a failure or a panic the
+/// Performs the E3 swap `state` describes. On a failure or a panic the
 /// flight ring is dumped to `flight_path` before the error propagates,
 /// so the tail of the ring is the causal trail into the failure.
 fn perform_swap(
     sys: &mut VapresSystem,
-    meta: &CkptMeta,
+    state: &DriveState,
     flight_path: Option<&str>,
     out: &mut dyn Write,
 ) -> Result<SwapReport, CmdError> {
@@ -764,7 +738,7 @@ fn perform_swap(
 
     // `--fail-swap` names a missing array: the swap dies reconfiguring,
     // exercising the flight-dump-on-failure path.
-    let array = if meta.fail_swap {
+    let array = if state.fail_swap {
         "nonexistent"
     } else {
         "fir_b"
@@ -773,13 +747,13 @@ fn perform_swap(
         active_node: 1,
         spare_node: 2,
         source: BitstreamSource::Sdram(array.into()),
-        upstream: ChannelId(meta.upstream as usize),
-        downstream: ChannelId(meta.downstream as usize),
+        upstream: ChannelId(state.upstream as usize),
+        downstream: ChannelId(state.downstream as usize),
         clk_sel: false,
         timeout: Ps::from_ms(10),
     };
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if meta.phase == CkptPhase::PendingHalt {
+        if state.phase == Phase::PendingHalt {
             halt_and_swap(sys, &spec)
         } else {
             seamless_swap(sys, &spec)
@@ -803,53 +777,45 @@ fn perform_swap(
     })
 }
 
-/// The one scenario drive: pre-swap run → swap → drain → settle, entered
-/// at `meta.phase`. A fresh run enters with its input fed and a
-/// `pre_swap` budget; a restored run enters at the phase its checkpoint
-/// recorded, so a pending swap happens at once. A pipeline (`NoSwap`)
-/// only drains. Returns the swap report when this drive swapped.
+/// The one scenario drive: pre-swap window → swap → drain → settle,
+/// entered at `state.phase` with `state.budget` left of that phase. A
+/// fresh run enters at the start; a restored run where its checkpoint
+/// was cut, so it finishes exactly as the run that wrote it. A pipeline
+/// (`NoSwap`) only drains. The swap report lands in `state.report`.
 fn drive(
     sys: &mut VapresSystem,
-    mut meta: CkptMeta,
-    pre_swap: Option<Ps>,
+    state: &mut DriveState,
     mut sink: Option<&mut CkptSink<'_>>,
     flight_path: Option<&str>,
     out: &mut dyn Write,
-) -> Result<Option<SwapReport>, CmdError> {
-    let mut report = None;
-    if matches!(
-        meta.phase,
-        CkptPhase::PendingSeamless | CkptPhase::PendingHalt
-    ) {
-        if let Some(budget) = pre_swap {
-            run_phase(sys, budget, None, sink.as_deref_mut(), &meta, out)?;
-        }
-        report = Some(perform_swap(sys, &meta, flight_path, out)?);
-        meta.phase = CkptPhase::SwapDone;
+) -> Result<(), CmdError> {
+    if matches!(state.phase, Phase::PendingSeamless | Phase::PendingHalt) {
+        run_phase(sys, state, None, sink.as_deref_mut(), out)?;
+        state.report = Some(perform_swap(sys, state, flight_path, out)?);
+        state.phase = Phase::SwapDone;
+        state.budget = Ps::from_ms(300);
         // The moment right after the handoff is the most useful restore
         // point, and the drain below may already be satisfied (the input
         // finishes feeding during the ~72 ms reconfiguration) — emit it
         // unconditionally rather than only at slice boundaries.
         if let Some(sink) = sink.as_deref_mut() {
-            sink.emit(sys, &meta, out)?;
+            sink.emit(sys, state, out)?;
         }
     }
     // E3 has drained once its input is consumed; a pipeline also waits
     // for its output to start.
-    let (budget, done): (Ps, fn(&VapresSystem) -> bool) = if meta.phase == CkptPhase::NoSwap {
-        (Ps::from_ms(100), |s| {
-            s.iom_pending_input(0) == 0 && !s.iom_output(0).is_empty()
-        })
+    let done: fn(&VapresSystem) -> bool = if state.phase == Phase::NoSwap {
+        |s| s.iom_pending_input(0) == 0 && !s.iom_output(0).is_empty()
     } else {
-        (Ps::from_ms(300), |s| s.iom_pending_input(0) == 0)
+        |s| s.iom_pending_input(0) == 0
     };
-    if !run_phase(sys, budget, Some(done), sink, &meta, out)? {
+    if !run_phase(sys, state, Some(done), sink, out)? {
         return Err(CmdError("simulation stalled before consuming input".into()));
     }
     // Let in-flight words drain: a variable-rate pipeline may emit fewer
     // or more words than it consumed, so run a fixed settle window.
     sys.run_for(Ps::from_us(100));
-    Ok(report)
+    Ok(())
 }
 
 /// How `--health` reports the watchdog verdicts.
@@ -1000,14 +966,12 @@ impl<'a> RunSpec<'a> {
 ///
 /// `--checkpoint-every N --checkpoint-dir D` pauses the run every N
 /// microseconds of simulated time and writes a numbered, bit-exact
-/// snapshot (`D/ckpt_NNNN.vapresck`). `--restore <file>` resumes one
-/// through the same drive, entering at the phase it records: a pending
-/// swap is performed, then the stream drains. With `--health`, that is
-/// divergence-point replay: bisect a long run by its checkpoints, then
-/// restore the one right before the breach. Checkpoint boundaries change
-/// where the drain samples its stop condition, so a checkpointed run may
-/// report a slightly later sim time than an uncheckpointed one; each run
-/// is itself fully deterministic.
+/// checkpoint (`D/ckpt_NNNN.vapresck`): the system and the drive state.
+/// `--restore <file>` resumes one through the same drive, where it was
+/// cut, and prints the summary and verdicts the run that never stopped
+/// prints. With `--health`, that is divergence-point replay: bisect a
+/// long run by its checkpoints, then restore the one right before the
+/// breach.
 pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let spec = RunSpec::parse(args)?;
     // `--health jsonl` is the machine-readable form: exactly the
@@ -1044,7 +1008,7 @@ fn build_fresh(
     spec: &RunSpec<'_>,
     args: &Args,
     out: &mut dyn Write,
-) -> Result<(VapresSystem, CkptMeta, Option<LiveServer>), CmdError> {
+) -> Result<(VapresSystem, DriveState, Option<LiveServer>), CmdError> {
     use vapres_core::config::SystemConfig;
     use vapres_core::module::ModuleLibrary;
     use vapres_kpn::{deploy, map_pipeline, Pipeline};
@@ -1092,7 +1056,7 @@ fn build_fresh(
     }
     sys.iom_set_input_interval(0, spec.interval);
 
-    let meta = if spec.swap == SwapMethod::None {
+    let state = if spec.swap == SwapMethod::None {
         let stages = spec
             .stages
             .split(',')
@@ -1101,11 +1065,11 @@ fn build_fresh(
         let pipeline = Pipeline::new(stages);
         let mapping = map_pipeline(sys.config(), &pipeline).map_err(|e| CmdError(e.to_string()))?;
         deploy(&mut sys, &pipeline, &mapping).map_err(|e| CmdError(e.to_string()))?;
-        CkptMeta::default()
+        DriveState::pipeline()
     } else {
         setup_e3(&mut sys, spec.swap == SwapMethod::Halt, spec.fail_swap)?
     };
-    Ok((sys, meta, live))
+    Ok((sys, state, live))
 }
 
 /// Builds or restores the system, drives the scenario, prints the run
@@ -1119,17 +1083,21 @@ fn run_sim(
     let flight_path = args.get("flight-dump");
     // The live server is held until the run finishes: dropping it stops
     // the responder thread.
-    let (mut sys, report, fed, _live) = match spec.restore {
+    let (mut sys, state, fed, _live) = match spec.restore {
         Some(path) => {
             let bytes = std::fs::read(path).map_err(|e| read_err(path, e))?;
-            let (meta, image) = parse_checkpoint_file(&bytes)?;
+            let corrupt = |e: PersistError| CmdError(format!("{path}: {e}"));
+            let (image, mut state) = read_checkpoint(&bytes).map_err(corrupt)?;
             let mut lib = vapres_core::module::ModuleLibrary::new();
             vapres_modules::register_standard_modules(&mut lib, 0);
-            let mut sys =
-                VapresSystem::restore(vapres_core::config::SystemConfig::prototype(), lib, image)
-                    .map_err(|e| CmdError(format!("{path}: {e}")))?;
+            let mut sys = VapresSystem::restore_section(
+                vapres_core::config::SystemConfig::prototype(),
+                lib,
+                image,
+            )
+            .map_err(corrupt)?;
             sys.note_flight(vapres_sim::flight::FlightEvent::Restore {
-                ordinal: meta.ordinal,
+                ordinal: state.ordinal,
             });
             sys.note_flight(vapres_sim::flight::FlightEvent::Replay {
                 until_breach: spec.health.is_some(),
@@ -1140,8 +1108,8 @@ fn run_sim(
                 sys.now(),
                 sys.iom_pending_input(0)
             )?;
-            let report = drive(&mut sys, meta, None, None, None, out)?;
-            (sys, report, None, None)
+            drive(&mut sys, &mut state, None, None, out)?;
+            (sys, state, None, None)
         }
         None => {
             let mut ckpt = match spec.checkpoint {
@@ -1155,24 +1123,24 @@ fn run_sim(
                     })
                 }
             };
-            let (mut sys, meta, live) = build_fresh(spec, args, out)?;
+            let (mut sys, mut state, live) = build_fresh(spec, args, out)?;
             sys.iom_feed(0, 0..spec.samples);
-            let pre_swap = (meta.phase != CkptPhase::NoSwap).then(|| Ps::from_ms(1));
-            let report = drive(&mut sys, meta, pre_swap, ckpt.as_mut(), flight_path, out)?;
+            drive(&mut sys, &mut state, ckpt.as_mut(), flight_path, out)?;
             let pipeline = match spec.swap {
                 SwapMethod::None => spec.stages,
                 SwapMethod::Seamless => "fir-a -> fir-b (seamless swap)",
                 SwapMethod::Halt => "fir-a -> fir-b (halt-and-swap)",
             };
             writeln!(out, "pipeline   : {pipeline}")?;
-            (sys, report, Some((spec.samples, spec.interval)), live)
+            (sys, state, Some((spec.samples, spec.interval)), live)
         }
     };
-    write_summary(&sys, report.as_ref(), fed, out)?;
+    let report = state.report.as_ref();
+    write_summary(&sys, report, fed, out)?;
     let policy = HealthPolicy::e3_seamless();
     let health = spec
         .health
-        .map(|_| evaluate_health(&mut sys, &policy, report.as_ref()));
+        .map(|_| evaluate_health(&mut sys, &policy, report));
     write_exports(&mut sys, spec, args, out)?;
     Ok(health)
 }
@@ -2933,6 +2901,16 @@ mod tests {
         std::fs::remove_file(&bad).ok();
     }
 
+    /// The checkpoint files in `dir`, in the order the run wrote them.
+    fn checkpoint_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn sim_checkpoints_and_restore_finishes_the_scenario() {
         let dir = std::env::temp_dir().join("vapres_cli_ckpt_test");
@@ -2955,11 +2933,7 @@ mod tests {
         assert!(text.contains("checkpoint "), "{text}");
         assert!(text.contains("samples out: 2001"), "{text}");
 
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
+        let files = checkpoint_files(&dir);
         assert!(files.len() >= 2, "expected several checkpoints: {files:?}");
 
         // The first checkpoint predates the swap: the restored run
@@ -2971,10 +2945,10 @@ mod tests {
         assert!(text.contains("samples out: 2001"), "{text}");
 
         // The last checkpoint postdates the swap: the restored run only
-        // drains.
+        // drains, and still reports the swap its image records.
         let last = files.last().unwrap().to_str().unwrap();
         let text = run("sim", &["--restore", last]).unwrap();
-        assert!(!text.contains("swap       : "), "{text}");
+        assert!(text.contains("swap       : "), "{text}");
         assert!(text.contains("samples out: 2001"), "{text}");
 
         // --health on the healthy seamless scenario re-judges the
@@ -3011,11 +2985,7 @@ mod tests {
         .unwrap_err();
         assert!(err.0.contains("swap failed"), "{}", err.0);
 
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
+        let files = checkpoint_files(&dir);
         let first = files.first().expect("pre-swap checkpoints exist");
         let err = run("sim", &["--restore", first.to_str().unwrap()]).unwrap_err();
         assert!(err.0.contains("swap failed"), "{}", err.0);
@@ -3029,7 +2999,15 @@ mod tests {
         let junk = dir.join("junk.vapresck");
         std::fs::write(&junk, b"definitely not a checkpoint").unwrap();
         let err = run("sim", &["--restore", junk.to_str().unwrap()]).unwrap_err();
-        assert!(err.0.contains("not a vapres checkpoint"), "{}", err.0);
+        assert!(err.0.contains("bad magic"), "{}", err.0);
+        // A bare system image carries no drive state to resume.
+        let mut lib = vapres_core::module::ModuleLibrary::new();
+        vapres_modules::register_standard_modules(&mut lib, 0);
+        let mut sys =
+            VapresSystem::new(vapres_core::config::SystemConfig::prototype(), lib).unwrap();
+        std::fs::write(&junk, sys.checkpoint()).unwrap();
+        let err = run("sim", &["--restore", junk.to_str().unwrap()]).unwrap_err();
+        assert!(err.0.contains("1 sections, expected 2"), "{}", err.0);
         std::fs::remove_file(&junk).ok();
 
         let err = run("sim", &["--restore", "/nonexistent_vapres/x.vapresck"]).unwrap_err();
@@ -3062,16 +3040,12 @@ mod tests {
         let uninterrupted = samples_out(&text);
 
         // The first image was cut before the swap, with the halt phase
-        // recorded in its meta.
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
+        // recorded in its drive state.
+        let files = checkpoint_files(&dir);
         let first = files.first().expect("halt run wrote checkpoints");
         let bytes = std::fs::read(first).unwrap();
-        let (meta, _) = parse_checkpoint_file(&bytes).unwrap();
-        assert_eq!(meta.phase, CkptPhase::PendingHalt);
+        let (_, state) = read_checkpoint(&bytes).unwrap();
+        assert_eq!(state.phase, Phase::PendingHalt);
 
         // Restoring it re-performs the halt swap and streams the same
         // words as the uninterrupted run.
@@ -3087,6 +3061,204 @@ mod tests {
         assert!(fresh.0.contains("iom0_missed_slots"), "{}", fresh.0);
         assert_eq!(restored.0, fresh.0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The lines a restored run must print as the run that never
+    /// stopped does: the swap, the stream summary and the verdicts.
+    fn outcome(text: &str) -> Vec<&str> {
+        const KEYS: [&str; 7] = [
+            "swap ",
+            "samples out",
+            "sim time",
+            "throughput",
+            "max gap",
+            "  [",
+            "overall",
+        ];
+        text.lines()
+            .filter(|l| KEYS.iter().any(|k| l.starts_with(k)))
+            .collect()
+    }
+
+    #[test]
+    fn restoring_any_checkpoint_ends_as_the_uninterrupted_run() {
+        let dir = std::env::temp_dir().join("vapres_cli_ckpt_every_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_str().unwrap().to_string();
+        let e3 = ["--swap", "seamless", "--samples", "2000", "--health", "yes"];
+        let plain = run("sim", &e3).unwrap();
+        assert!(plain.contains("overall: HEALTHY (6 monitors)"), "{plain}");
+        let every = ["--checkpoint-every", "300", "--checkpoint-dir", &dir_s];
+        let checkpointed = run("sim", &[&e3[..], &every].concat()).unwrap();
+        assert_eq!(outcome(&checkpointed), outcome(&plain), "{checkpointed}");
+
+        // Four cuts in the 1 ms pre-swap window, one right after the swap.
+        let files = checkpoint_files(&dir);
+        assert_eq!(files.len(), 5, "{files:?}");
+        let diverged: Vec<String> = files
+            .iter()
+            .filter_map(|f| {
+                let f = f.to_str().unwrap();
+                let text = run("sim", &["--restore", f, "--health", "yes"]).unwrap();
+                (outcome(&text) != outcome(&plain)).then(|| format!("{f}:\n{text}"))
+            })
+            .collect();
+        assert!(diverged.is_empty(), "expected\n{plain}\ngot {diverged:#?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Counts the bytes each thread asks the allocator for, so a decoder
+    /// can be held to allocating no more than its input.
+    mod alloc_count {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static BYTES: Cell<usize> = const { Cell::new(0) };
+        }
+
+        struct Counting;
+
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                let _ = BYTES.try_with(|b| b.set(b.get() + layout.size()));
+                System.alloc(layout)
+            }
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                let _ = BYTES.try_with(|b| b.set(b.get() + new_size));
+                System.realloc(ptr, layout, new_size)
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: Counting = Counting;
+
+        /// Runs `f`, a decode of `input`, and asserts it allocated no
+        /// more bytes than `input` holds.
+        pub fn within<R>(input: &[u8], f: impl FnOnce() -> R) -> R {
+            let before = BYTES.with(Cell::get);
+            let r = f();
+            let allocated = BYTES.with(Cell::get) - before;
+            assert!(
+                allocated <= input.len(),
+                "decoding {} bytes allocated {allocated}",
+                input.len()
+            );
+            r
+        }
+    }
+
+    /// Re-encodes every section of a parsed container unchanged.
+    fn reencode(c: &Container<'_>) -> Vec<u8> {
+        let mut w = Writer::container(c.section_count() as u32);
+        for s in c.sections() {
+            w.section(s.tag, |w| w.put_raw(s.body));
+        }
+        w.into_bytes()
+    }
+
+    /// Feeds `decode` every mutant of `bytes`: each byte in `spans` set to
+    /// 0x00, 0x01, 0x7F and 0xFF, every truncation, and each section
+    /// length set to `u64::MAX`. Each must fail with a typed error or
+    /// re-encode to exactly its own bytes; `decode` holds its decoding
+    /// step to the input length with [`alloc_count::within`]. Returns how
+    /// many mutants decoded.
+    fn check_mutants(
+        bytes: &[u8],
+        spans: &[std::ops::Range<usize>],
+        decode: impl Fn(&[u8]) -> Result<Vec<u8>, PersistError>,
+    ) -> usize {
+        let mut mutants: Vec<Vec<u8>> = Vec::new();
+        for at in spans.iter().cloned().flatten() {
+            for v in [0x00, 0x01, 0x7F, 0xFF] {
+                let mut m = bytes.to_vec();
+                m[at] = v;
+                mutants.push(m);
+            }
+        }
+        let c = Container::parse(bytes).unwrap();
+        for s in c.sections() {
+            let len_at = s.body.as_ptr() as usize - bytes.as_ptr() as usize - 8;
+            let mut m = bytes.to_vec();
+            m[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            mutants.push(m);
+        }
+        let cuts = (0..bytes.len()).map(|n| &bytes[..n]);
+        let mut decoded = 0;
+        for m in mutants.iter().map(Vec::as_slice).chain(cuts) {
+            if let Ok(again) = decode(m) {
+                assert_eq!(again, m, "a decoded mutant must re-encode to its bytes");
+                decoded += 1;
+            }
+        }
+        decoded
+    }
+
+    /// The header, every section's (tag, len) entry and, when `body_of`
+    /// names a tag, that section's body: the byte spans a hostile-input
+    /// sweep mutates.
+    fn table_spans(bytes: &[u8], body_of: Option<SectionTag>) -> Vec<std::ops::Range<usize>> {
+        const HEADER: std::ops::Range<usize> = 0..16;
+        let mut spans = vec![HEADER];
+        for s in Container::parse(bytes).unwrap().sections() {
+            let body = s.body.as_ptr() as usize - bytes.as_ptr() as usize;
+            spans.push(body - 9..body);
+            if Some(s.tag) == body_of {
+                spans.push(body..body + s.body.len());
+            }
+        }
+        spans
+    }
+
+    #[test]
+    fn hostile_checkpoints_fail_typed_within_their_length() {
+        // A CLI checkpoint cut right after the swap: a System section and
+        // a Drive section carrying the swap report.
+        let dir = std::env::temp_dir().join("vapres_cli_ckpt_hostile_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_str().unwrap().to_string();
+        run(
+            "sim",
+            &[
+                "--swap",
+                "seamless",
+                "--samples",
+                "2000",
+                "--checkpoint-every",
+                "300",
+                "--checkpoint-dir",
+                &dir_s,
+            ],
+        )
+        .unwrap();
+        let cli = std::fs::read(checkpoint_files(&dir).last().unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let (_, state) = read_checkpoint(&cli).unwrap();
+        assert_eq!(state.phase, Phase::SwapDone);
+        assert!(state.report.is_some());
+        let decoded = check_mutants(&cli, &table_spans(&cli, Some(SectionTag::Drive)), |m| {
+            let (image, state) = alloc_count::within(m, || read_checkpoint(m))?;
+            let mut w = Writer::container(2);
+            w.section(SectionTag::System, |w| w.put_raw(image));
+            w.section(SectionTag::Drive, |w| state.persist(w));
+            Ok(w.into_bytes())
+        });
+        // Plenty of drive fields take any value (times, ids, counts).
+        assert!(decoded > 100, "only {decoded} mutants decoded");
+
+        // A two-RSB fleet image: two System sections.
+        let fleet = vapres_core::FleetSystem::new(
+            vec![vapres_core::config::SystemConfig::prototype(); 2],
+            |lib| vapres_modules::register_standard_modules(lib, 0),
+        )
+        .unwrap()
+        .checkpoint();
+        check_mutants(&fleet, &table_spans(&fleet, None), |m| {
+            Ok(reencode(&alloc_count::within(m, || Container::parse(m))?))
+        });
     }
 
     #[test]
@@ -3352,7 +3524,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_stamp_flight_events_and_meta_ordinals() {
+    fn checkpoints_stamp_flight_events_and_drive_ordinals() {
         let dir = std::env::temp_dir().join("vapres_cli_ckpt_flight_test");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -3379,30 +3551,26 @@ mod tests {
         // cuts out (FIFO edges dominate); the dump itself must exist.
         assert!(!std::fs::read_to_string(&flight).unwrap().is_empty());
 
-        // Each file's meta carries its sequence number, and the image
+        // Each file's drive state carries its sequence number, and the image
         // itself holds the ring up to (and including) its own cut — the
         // cut is the newest entry, so eviction can't have dropped it.
         // A restored run then stamps its events on top of it.
-        let mut files: Vec<_> = std::fs::read_dir(&ckpts)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
+        let files = checkpoint_files(&ckpts);
         assert!(files.len() >= 2, "expected several checkpoints: {files:?}");
         for (i, path) in files.iter().enumerate() {
             let bytes = std::fs::read(path).unwrap();
-            let (meta, image) = parse_checkpoint_file(&bytes).unwrap();
-            assert_eq!(meta.ordinal, i as u64, "{path:?}");
+            let (image, state) = read_checkpoint(&bytes).unwrap();
+            assert_eq!(state.ordinal, i as u64, "{path:?}");
             let mut lib = vapres_core::module::ModuleLibrary::new();
             vapres_modules::register_standard_modules(&mut lib, 0);
-            let mut sys = vapres_core::system::VapresSystem::restore(
+            let mut sys = vapres_core::system::VapresSystem::restore_section(
                 vapres_core::config::SystemConfig::prototype(),
                 lib,
                 image,
             )
             .unwrap();
             sys.note_flight(vapres_sim::flight::FlightEvent::Restore {
-                ordinal: meta.ordinal,
+                ordinal: state.ordinal,
             });
             let mut buf = Vec::new();
             sys.dump_flight_jsonl(&mut buf).unwrap();

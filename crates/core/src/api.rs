@@ -137,6 +137,8 @@ impl ReconfigReport {
     }
 }
 
+vapres_sim::persist_fields!(ReconfigReport: prr, span, uid, transfer, icap);
+
 impl VapresSystem {
     fn charge_cycles(&mut self, cycles: u64) {
         let dur = Ps::new(cycles * self.cfg.static_clock.period().as_ps());

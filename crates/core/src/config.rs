@@ -181,9 +181,9 @@ impl SystemConfig {
 
     /// An FNV-1a fingerprint over every configuration field that shapes
     /// simulation state. A snapshot taken under one configuration refuses
-    /// to restore into a system built from a different one (see
-    /// [`vapres_sim::persist::Header`]); two structurally equal configs
-    /// always fingerprint identically.
+    /// to restore into a system built from a different one (the first
+    /// field of a [`vapres_sim::persist::SectionTag::System`] section);
+    /// two structurally equal configs always fingerprint identically.
     pub fn fingerprint(&self) -> u64 {
         use vapres_sim::persist::{fnv1a, Persist, Writer};
         let mut w = Writer::new();

@@ -14,26 +14,16 @@
 //! swap closures — is most of a fleet run's host time, so splitting the
 //! RSBs across threads cannot pay for its coordination (DESIGN.md §4l).
 //!
-//! A fleet checkpoint is a `VAPRESFL` envelope around one
-//! [`VapresSystem::checkpoint`] image per RSB; see
-//! [`FleetSystem::checkpoint`].
+//! A fleet checkpoint is one container with a system section per RSB;
+//! see [`FleetSystem::checkpoint`].
 
 use crate::config::{ConfigError, SystemConfig};
 use crate::module::ModuleLibrary;
 use crate::system::VapresSystem;
 use std::fmt;
 use std::sync::Arc;
-use vapres_sim::persist::{PersistError, Reader, Writer};
+use vapres_sim::persist::{Container, PersistError, SectionTag, Writer};
 use vapres_sim::time::Ps;
-
-/// Magic prefix of a fleet (multi-RSB) checkpoint envelope. The per-RSB
-/// images inside carry the usual [`vapres_sim::persist::MAGIC`] headers.
-pub const FLEET_MAGIC: [u8; 8] = *b"VAPRESFL";
-
-/// Version of the fleet envelope (bumped independently of the per-RSB
-/// [`vapres_sim::persist::FORMAT_VERSION`], which the inner images check
-/// themselves).
-pub const FLEET_FORMAT_VERSION: u32 = 1;
 
 /// A module-library registration function behind a shared handle, as
 /// [`FleetSystem::restore`] takes it.
@@ -220,19 +210,16 @@ impl FleetSystem {
         result
     }
 
-    /// Serializes the whole fleet: an envelope header (magic, version,
-    /// RSB count) followed by one length-prefixed
-    /// [`VapresSystem::checkpoint`] image per RSB, in index order. The
-    /// §4h contract lifts to the fleet: restoring the image into
-    /// structurally equal configurations continues every RSB bit-exactly.
+    /// Serializes the whole fleet: one checkpoint container holding a
+    /// [`SectionTag::System`] section per RSB, in index order, each
+    /// encoded straight into the one buffer. The §4h contract lifts to
+    /// the fleet: restoring the image into structurally equal
+    /// configurations continues every RSB bit-exactly.
     pub fn checkpoint(&mut self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_raw(&FLEET_MAGIC);
-        w.put_u32(FLEET_FORMAT_VERSION);
-        w.put_usize(self.rsbs.len());
+        let count = u32::try_from(self.rsbs.len()).expect("fewer than 2^32 RSBs");
+        let mut w = Writer::container(count);
         for s in &mut self.rsbs {
-            let image = s.checkpoint();
-            w.put_bytes(&image);
+            s.checkpoint_into(&mut w);
         }
         w.into_bytes()
     }
@@ -246,12 +233,11 @@ impl FleetSystem {
     ///
     /// # Errors
     ///
-    /// [`PersistError::BadMagic`] when the bytes are not a fleet
-    /// envelope, [`PersistError::VersionMismatch`] on an envelope version
-    /// skew, [`PersistError::Corrupt`] when the RSB count disagrees with
-    /// `configs` or the inner images disagree on the simulated time,
-    /// plus anything [`VapresSystem::restore`] reports for an inner
-    /// image.
+    /// Whatever [`Container::parse`] reports for the header and section
+    /// table, [`PersistError::Corrupt`] when the section count disagrees
+    /// with `configs`, a section is not a system, or the RSBs disagree on
+    /// the simulated time, plus anything
+    /// [`VapresSystem::restore_section`] reports for one RSB.
     ///
     /// # Panics
     ///
@@ -269,18 +255,8 @@ impl FleetSystem {
             plan.rsb_count(),
             configs.len()
         );
-        let r = &mut Reader::new(bytes);
-        if r.take_raw(8)? != FLEET_MAGIC {
-            return Err(PersistError::BadMagic);
-        }
-        let version = r.take_u32()?;
-        if version != FLEET_FORMAT_VERSION {
-            return Err(PersistError::VersionMismatch {
-                found: version,
-                expected: FLEET_FORMAT_VERSION,
-            });
-        }
-        let count = r.take_usize()?;
+        let container = Container::parse(bytes)?;
+        let count = container.section_count();
         if count != configs.len() {
             return Err(PersistError::Corrupt(format!(
                 "fleet snapshot has {count} RSBs, {} configurations supplied",
@@ -288,13 +264,18 @@ impl FleetSystem {
             )));
         }
         let mut rsbs: Vec<VapresSystem> = Vec::with_capacity(count);
-        for (rsb, cfg) in configs.into_iter().enumerate() {
-            let image = r.take_bytes()?;
+        for ((rsb, cfg), section) in configs.into_iter().enumerate().zip(container.sections()) {
+            if section.tag != SectionTag::System {
+                return Err(PersistError::Corrupt(format!(
+                    "fleet snapshot RSB {rsb} is a {:?} section",
+                    section.tag
+                )));
+            }
             let mut lib = ModuleLibrary::new();
             register(&mut lib);
-            let sys = VapresSystem::restore(cfg, lib, &image)?;
+            let sys = VapresSystem::restore_section(cfg, lib, section.body)?;
             // Every public call leaves the RSBs at one instant, so a
-            // genuine envelope never holds two different times.
+            // genuine image never holds two different times.
             if let Some(first) = rsbs.first() {
                 if sys.now() != first.now() {
                     return Err(PersistError::Corrupt(format!(
@@ -306,7 +287,6 @@ impl FleetSystem {
             }
             rsbs.push(sys);
         }
-        r.expect_end()?;
         Ok(FleetSystem { rsbs })
     }
 }
@@ -451,19 +431,27 @@ mod tests {
         assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
         let err = restore(2, b"not a fleet snapshot").expect_err("garbage must fail");
         assert!(matches!(err, PersistError::BadMagic), "{err:?}");
+        // The retired fleet envelope is not read.
+        let mut old = image.clone();
+        old[..8].copy_from_slice(b"VAPRESFL");
+        let err = restore(2, &old).expect_err("a VAPRESFL image must fail");
+        assert!(matches!(err, PersistError::BadMagic), "{err:?}");
+        // A one-system image is no fleet of one if its section is not a
+        // system: the section table is checked, not assumed.
+        let mut drive = fleet(1).checkpoint();
+        drive[16] = 2; // the Drive tag
+        let err = restore(1, &drive).expect_err("a Drive section is no RSB");
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
     }
 
-    /// Byte offset of RSB 1's entry in a fleet envelope.
+    /// Byte offset of RSB 1's entry in a fleet image's section table:
+    /// the end of RSB 0's section body.
     fn second_entry(bytes: &[u8]) -> usize {
-        let r = &mut Reader::new(bytes);
-        r.take_raw(8).unwrap();
-        r.take_u32().unwrap();
-        r.take_usize().unwrap();
-        r.take_bytes().unwrap();
-        bytes.len() - r.remaining()
+        let first = Container::parse(bytes).unwrap().sections().next().unwrap();
+        first.body.as_ptr_range().end as usize - bytes.as_ptr() as usize
     }
 
-    /// RSB 0 of `a` and RSB 1 of `b` under `a`'s envelope header.
+    /// RSB 0 of `a` and RSB 1 of `b` under `a`'s container header.
     fn splice(a: &[u8], b: &[u8]) -> Vec<u8> {
         [&a[..second_entry(a)], &b[second_entry(b)..]].concat()
     }

@@ -24,7 +24,7 @@
 //! * [`scenario`] — design-space sweep: scenario grids, deterministic
 //!   per-scenario seeding, and the multi-threaded batch engine;
 //! * [`fleet`] — several RSBs sharing one controlling region, in
-//!   lockstep simulated time, with a fleet checkpoint envelope;
+//!   lockstep simulated time, checkpointed as one container;
 //! * [`health`] — watchdog policy: declarative budgets over swap
 //!   deadlines, FIFO occupancy, and stream-interruption SLOs, folded
 //!   into a structured health report;

@@ -104,6 +104,10 @@ impl SwapReport {
     }
 }
 
+vapres_sim::persist_fields!(
+    SwapReport: started_at, reconfig, rerouted_at, state_words, eos_at, completed_at
+);
+
 /// Waits for `MSG_STATE_HEADER`-framed state words from `node`, skipping
 /// any interleaved monitoring words.
 fn collect_state(sys: &mut VapresSystem, node: usize, timeout: Ps) -> Result<Vec<u32>, SwapError> {

@@ -1741,7 +1741,7 @@ impl VapresSystem {
 // Checkpoint / restore: the whole-system snapshot seam.
 // ----------------------------------------------------------------------
 
-use vapres_sim::persist::{Header, Persist, PersistError, Reader, Writer, FORMAT_VERSION};
+use vapres_sim::persist::{Container, Persist, PersistError, Reader, SectionTag, Writer};
 
 impl WordTrace {
     fn persist(&self, w: &mut Writer) {
@@ -1810,8 +1810,9 @@ impl VapresSystem {
     /// executor, fabric (in-flight words, feedback history, counters),
     /// sockets, FSLs, PRR modules, IOMs, ICAP configuration memory,
     /// storage, and every armed observer (telemetry, flight ring, word
-    /// trace, waveform tracer) — into a versioned, configuration-
-    /// fingerprinted byte image.
+    /// trace, waveform tracer) — into a versioned checkpoint container
+    /// holding one configuration-fingerprinted
+    /// [`SectionTag::System`] section.
     ///
     /// [`restore`](Self::restore)-ing the image into a system built from
     /// a structurally equal configuration and module library continues
@@ -1819,80 +1820,82 @@ impl VapresSystem {
     /// timestamps, counters, flight events, VCD changes) matches a run
     /// that never stopped.
     pub fn checkpoint(&mut self) -> Vec<u8> {
+        let mut w = Writer::container(1);
+        self.checkpoint_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Appends this system to a container being written as one
+    /// [`SectionTag::System`] section — what [`checkpoint`](Self::checkpoint)
+    /// writes alone, and a fleet or CLI checkpoint writes beside others.
+    pub fn checkpoint_into(&mut self, w: &mut Writer) {
         // Materialize any stretch the scheduler elided so the encoded
         // fabric is at the present cycle (exact either way; this just
         // pins the canonical encode point), then fold the captured FIFO
         // crossings into the flight ring so each is stored once.
         self.sync_fabric();
         self.sync_flight_from_fabric();
-        self.encode()
+        w.section(SectionTag::System, |w| self.encode(w));
     }
 
-    /// Encodes the system as it stands (see
-    /// [`checkpoint`](Self::checkpoint), which settles it first).
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        Header {
-            version: FORMAT_VERSION,
-            fingerprint: self.cfg.fingerprint(),
-        }
-        .write(&mut w);
-        self.clocks.persist(&mut w);
-        self.exec.persist(&mut w);
-        self.fabric.persist(&mut w);
+    /// Encodes the system as it stands — configuration fingerprint, then
+    /// the body (see [`checkpoint`](Self::checkpoint), which settles it
+    /// first).
+    fn encode(&self, w: &mut Writer) {
+        w.put_u64(self.cfg.fingerprint());
+        self.clocks.persist(w);
+        self.exec.persist(w);
+        self.fabric.persist(w);
         w.put_usize(self.sockets.len());
         for s in &self.sockets {
             w.put_u32(s.dcr.encode());
         }
         w.put_usize(self.fsl.len());
         for pair in &self.fsl {
-            pair.to_mb.persist(&mut w);
-            pair.from_mb.persist(&mut w);
+            pair.to_mb.persist(w);
+            pair.from_mb.persist(w);
         }
         w.put_usize(self.prrs.len());
         for prr in &self.prrs {
-            prr.bufgmux.inputs()[0].persist(&mut w);
-            prr.bufgmux.inputs()[1].persist(&mut w);
+            prr.bufgmux.inputs()[0].persist(w);
+            prr.bufgmux.inputs()[1].persist(w);
             w.put_bool(prr.bufgmux.selected());
-            prr.loaded_uid.map(|u| u.0).persist(&mut w);
-            prr.spanned_by.persist(&mut w);
+            prr.loaded_uid.map(|u| u.0).persist(w);
+            prr.spanned_by.persist(w);
             match &prr.module {
                 Some(m) => {
                     w.put_bool(true);
                     w.put_u32(m.uid().0);
-                    m.persist_words().persist(&mut w);
+                    m.persist_words().persist(w);
                 }
                 None => w.put_bool(false),
             }
         }
         w.put_usize(self.ioms.len());
         for iom in &self.ioms {
-            iom.ext_in.persist(&mut w);
-            iom.ext_out.persist(&mut w);
-            iom.gap.persist(&mut w);
+            iom.ext_in.persist(w);
+            iom.ext_out.persist(w);
+            iom.gap.persist(w);
             w.put_u64(iom.eos_seen);
             w.put_u64(iom.input_interval);
             w.put_u64(iom.next_inject_cycle);
         }
-        self.icap.persist(&mut w);
-        self.cf.persist(&mut w);
-        self.sdram.persist(&mut w);
+        self.icap.persist(w);
+        self.cf.persist(w);
+        self.sdram.persist(w);
         w.put_u64(self.isolated_writes);
         w.put_bool(self.dense);
-        self.trace
-            .as_ref()
-            .map(|t| t.tracer.clone())
-            .persist(&mut w);
-        self.telemetry.persist(&mut w);
-        self.flight.persist(&mut w);
+        self.trace.as_ref().map(|t| t.tracer.clone()).persist(w);
+        self.telemetry.persist(w);
+        self.flight.persist(w);
         match &self.word_trace {
             Some(tr) => {
                 w.put_bool(true);
-                tr.persist(&mut w);
+                tr.persist(w);
             }
             None => w.put_bool(false),
         }
-        self.timeseries.persist(&mut w);
+        self.timeseries.persist(w);
         // v3: the profiler's deterministic work plane. The host plane
         // (wall-time scopes) is host plumbing and never persisted.
         // State-derived units (routes, ICAP words) are not harvested
@@ -1901,15 +1904,14 @@ impl VapresSystem {
         match &self.profile {
             Some(p) => {
                 w.put_bool(true);
-                p.prof.work().persist(&mut w);
+                p.prof.work().persist(w);
             }
             None => w.put_bool(false),
         }
         // v4: the staged-bitstream cache — entries, LRU stamps and
         // statistics ride along so restored runs hit and evict exactly
         // as a run that never stopped.
-        self.bs_cache.persist(&mut w);
-        w.into_bytes()
+        self.bs_cache.persist(w);
     }
 
     /// Reconstructs a system from a [`checkpoint`](Self::checkpoint)
@@ -1922,18 +1924,39 @@ impl VapresSystem {
     /// [`PersistError::BadMagic`] / [`PersistError::VersionMismatch`] /
     /// [`PersistError::FingerprintMismatch`] when the image does not
     /// belong to this build + configuration, and
-    /// [`PersistError::Corrupt`] on any internal inconsistency (including
-    /// a module UID the library cannot instantiate).
+    /// [`PersistError::Corrupt`] when it holds anything but one
+    /// [`SectionTag::System`] section or on any internal inconsistency
+    /// (including a module UID the library cannot instantiate).
     pub fn restore(
         cfg: SystemConfig,
         library: ModuleLibrary,
         bytes: &[u8],
     ) -> Result<Self, PersistError> {
-        let fingerprint = cfg.fingerprint();
+        let [body] = Container::parse(bytes)?.expect([SectionTag::System])?;
+        VapresSystem::restore_section(cfg, library, body)
+    }
+
+    /// Reconstructs a system from the body of one
+    /// [`SectionTag::System`] section, as [`restore`](Self::restore)
+    /// does for a whole image.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::FingerprintMismatch`] when the section was taken
+    /// under another configuration, and [`PersistError::Corrupt`] /
+    /// [`PersistError::UnexpectedEof`] on any internal inconsistency.
+    pub fn restore_section(
+        cfg: SystemConfig,
+        library: ModuleLibrary,
+        body: &[u8],
+    ) -> Result<Self, PersistError> {
+        let r = &mut Reader::new(body);
+        let (found, expected) = (r.take_u64()?, cfg.fingerprint());
+        if found != expected {
+            return Err(PersistError::FingerprintMismatch { found, expected });
+        }
         let mut sys =
             VapresSystem::new(cfg, library).map_err(|e| PersistError::Corrupt(e.to_string()))?;
-        let r = &mut Reader::new(bytes);
-        Header::read_expecting(r, fingerprint)?;
         let clocks = ClockScheduler::restore(r)?;
         if clocks.len() != 1 + sys.prrs.len() {
             return Err(PersistError::Corrupt(format!(
@@ -2426,7 +2449,9 @@ mod tests {
             buffered > 4 * CAPACITY,
             "only {buffered} crossings buffered"
         );
-        let image = old.encode();
+        let mut w = Writer::container(1);
+        w.section(SectionTag::System, |w| old.encode(w));
+        let image = w.into_bytes();
 
         let mut restored =
             VapresSystem::restore(SystemConfig::prototype(), ModuleLibrary::new(), &image).unwrap();

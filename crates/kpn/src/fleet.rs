@@ -19,7 +19,7 @@
 //! # Warm-start interplay
 //!
 //! [`run_fleet_from`] resumes a fleet from a `FleetSystem::checkpoint`
-//! envelope. Because restore ≡ never-stopped holds per RSB, a fleet
+//! image. Because restore ≡ never-stopped holds per RSB, a fleet
 //! checkpointed mid-run finishes bit-identically to one that never
 //! stopped — the §4h warm-start contract lifted to fleets.
 
@@ -267,7 +267,7 @@ pub fn checkpoint_after_setup(spec: &FleetSpec, _jobs: usize) -> Result<Vec<u8>,
     Ok(fleet.checkpoint())
 }
 
-/// Resumes a fleet from a checkpoint envelope (taken by
+/// Resumes a fleet from a checkpoint image (taken by
 /// [`checkpoint_after_setup`] or any `FleetSystem::checkpoint`) and
 /// runs the remaining schedule. `_jobs` and `_model` are unused.
 ///

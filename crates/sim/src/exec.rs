@@ -566,33 +566,9 @@ impl Persist for ComponentId {
     }
 }
 
-impl Persist for DomainStats {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.edges);
-        w.put_u64(self.ff_edges);
-        w.put_u64(self.ticks);
-        w.put_u64(self.skips);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(DomainStats {
-            edges: r.take_u64()?,
-            ff_edges: r.take_u64()?,
-            ticks: r.take_u64()?,
-            skips: r.take_u64()?,
-        })
-    }
-}
+crate::persist_fields!(DomainStats: edges, ff_edges, ticks, skips);
 
-impl Persist for ExecStats {
-    fn persist(&self, w: &mut Writer) {
-        self.domains.persist(w);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(ExecStats {
-            domains: Vec::restore(r)?,
-        })
-    }
-}
+crate::persist_fields!(ExecStats: domains);
 
 impl Persist for Executor {
     fn persist(&self, w: &mut Writer) {

@@ -16,10 +16,14 @@
 //!    (heap shapes, scratch buffers, interned pointers) is rebuilt on
 //!    restore, never serialized.
 //!
-//! A snapshot starts with [`Header`]: magic, format version and a
-//! fingerprint of the system configuration. Restoring against a
-//! different format or configuration fails loudly with a
-//! [`PersistError`] instead of silently misinterpreting bytes.
+//! Every checkpoint — one system, a fleet, a CLI run — is one
+//! [`Container`]: the [`MAGIC`], [`FORMAT_VERSION`] and a section count,
+//! then `(tag: u8, len: u64, bytes)` sections. A
+//! [`SectionTag::System`] section opens with the configuration
+//! fingerprint; a [`SectionTag::Drive`] section holds the state of the
+//! CLI drive. [`Container::parse`] is the one decoder of that header
+//! and table: a different format fails loudly with a [`PersistError`]
+//! instead of silently misinterpreting bytes.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -28,7 +32,7 @@ use std::sync::OnceLock;
 
 use crate::time::{Freq, Ps};
 
-/// Magic bytes opening every snapshot file.
+/// Magic bytes opening every checkpoint container.
 pub const MAGIC: [u8; 8] = *b"VAPRESCK";
 
 /// Current snapshot format version. Bump on any encoding change.
@@ -37,7 +41,10 @@ pub const MAGIC: [u8; 8] = *b"VAPRESCK";
 /// self-profiler work-unit slot after the time-series sampler.
 /// v4: the ICAP encodes a pushed-word counter, and a staged-bitstream
 /// cache slot follows the self-profiler work units.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5: the header carries a section count and the image moves into a
+/// tagged section (fingerprint and system body bytes unchanged); fleet
+/// and CLI checkpoints are containers of the same format.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// An error from decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,6 +169,29 @@ impl Writer {
     /// Appends raw bytes with no length prefix (fixed-size fields).
     pub fn put_raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
+    }
+
+    /// Starts a [`Container`] of `sections` sections: magic, format
+    /// version and section count. Append exactly that many
+    /// [`section`](Self::section)s.
+    pub fn container(sections: u32) -> Self {
+        let mut w = Writer::new();
+        w.put_raw(&MAGIC);
+        w.put_u32(FORMAT_VERSION);
+        w.put_u32(sections);
+        w
+    }
+
+    /// Appends one container section: the tag, then the bytes `body`
+    /// writes, length-prefixed. The length is back-patched, so a body
+    /// is encoded straight into this buffer and never copied.
+    pub fn section(&mut self, tag: SectionTag, body: impl FnOnce(&mut Writer)) {
+        tag.persist(self);
+        let at = self.buf.len();
+        self.put_u64(0);
+        body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -296,6 +326,53 @@ pub trait Persist: Sized {
     /// Returns a [`PersistError`] on truncation or an encoding this type
     /// rejects.
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError>;
+}
+
+/// Implements [`Persist`] for a plain struct as its fields' encodings in
+/// the listed order, which must name every field. Restore checks nothing
+/// beyond what the fields' own decoders check.
+#[macro_export]
+macro_rules! persist_fields {
+    ($ty:ident: $($field:ident),+ $(,)?) => {
+        impl $crate::persist::Persist for $ty {
+            fn persist(&self, w: &mut $crate::persist::Writer) {
+                $($crate::persist::Persist::persist(&self.$field, w);)+
+            }
+            fn restore(
+                r: &mut $crate::persist::Reader<'_>,
+            ) -> Result<Self, $crate::persist::PersistError> {
+                Ok($ty {
+                    $($field: $crate::persist::Persist::restore(r)?,)+
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Persist`] for a fieldless enum as one tag byte per
+/// variant; any other byte is [`PersistError::Corrupt`], naming `$what`.
+#[macro_export]
+macro_rules! persist_tags {
+    ($ty:ident, $what:literal: $($variant:ident = $tag:literal),+ $(,)?) => {
+        impl $crate::persist::Persist for $ty {
+            fn persist(&self, w: &mut $crate::persist::Writer) {
+                w.put_u8(match self {
+                    $($ty::$variant => $tag,)+
+                });
+            }
+            fn restore(
+                r: &mut $crate::persist::Reader<'_>,
+            ) -> Result<Self, $crate::persist::PersistError> {
+                match r.take_u8()? {
+                    $($tag => Ok($ty::$variant),)+
+                    t => Err($crate::persist::PersistError::Corrupt(format!(
+                        concat!($what, " tag {}"),
+                        t
+                    ))),
+                }
+            }
+        }
+    };
 }
 
 impl Persist for u8 {
@@ -489,33 +566,49 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
     }
 }
 
-/// The snapshot header: magic, format version, configuration fingerprint.
+/// What a [`Container`] section holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Header {
-    /// Snapshot format version ([`FORMAT_VERSION`] when written here).
-    pub version: u32,
-    /// FNV-1a fingerprint of the system configuration.
-    pub fingerprint: u64,
+pub enum SectionTag {
+    /// One system: the configuration fingerprint, then the system body.
+    System,
+    /// The state of a `vapres sim` drive: where the scenario stands.
+    Drive,
 }
 
-impl Header {
-    /// Writes the header (magic + version + fingerprint).
-    pub fn write(&self, w: &mut Writer) {
-        w.put_raw(&MAGIC);
-        w.put_u32(self.version);
-        w.put_u64(self.fingerprint);
-    }
+persist_tags!(SectionTag, "section": System = 1, Drive = 2);
 
-    /// Reads and validates a header against this build's format version
-    /// and the given configuration fingerprint.
+/// One section of a [`Container`], borrowed from the input bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Section<'a> {
+    /// What the section holds.
+    pub tag: SectionTag,
+    /// The section's bytes.
+    pub body: &'a [u8],
+}
+
+/// A parsed checkpoint container: the header checked and the section
+/// table validated, with every section body borrowed from the input.
+/// Parsing allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Container<'a> {
+    count: u32,
+    /// The section table: exactly `count` well-formed sections.
+    table: &'a [u8],
+}
+
+impl<'a> Container<'a> {
+    /// Checks the header and walks the section table.
     ///
     /// # Errors
     ///
-    /// [`PersistError::BadMagic`], [`PersistError::VersionMismatch`] or
-    /// [`PersistError::FingerprintMismatch`] on the respective mismatch.
-    pub fn read_expecting(r: &mut Reader<'_>, fingerprint: u64) -> Result<Header, PersistError> {
-        let magic = r.take_raw(MAGIC.len())?;
-        if magic != MAGIC {
+    /// [`PersistError::BadMagic`] when `bytes` is not a container,
+    /// [`PersistError::VersionMismatch`] on format skew,
+    /// [`PersistError::UnexpectedEof`] when a section overruns the input,
+    /// and [`PersistError::Corrupt`] on an unknown section tag or bytes
+    /// after the last section.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, PersistError> {
+        let r = &mut Reader::new(bytes);
+        if r.take_raw(MAGIC.len())? != MAGIC {
             return Err(PersistError::BadMagic);
         }
         let version = r.take_u32()?;
@@ -525,18 +618,69 @@ impl Header {
                 expected: FORMAT_VERSION,
             });
         }
-        let found = r.take_u64()?;
-        if found != fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                found,
-                expected: fingerprint,
-            });
+        let count = r.take_u32()?;
+        let table = &bytes[r.pos..];
+        let t = &mut Reader::new(table);
+        for _ in 0..count {
+            read_section(t)?;
         }
-        Ok(Header {
-            version,
-            fingerprint: found,
-        })
+        t.expect_end()?;
+        Ok(Container { count, table })
     }
+
+    /// Number of sections.
+    pub fn section_count(&self) -> usize {
+        self.count as usize
+    }
+
+    /// The sections in order.
+    pub fn sections(&self) -> impl Iterator<Item = Section<'a>> {
+        let mut r = Reader::new(self.table);
+        // `parse` validated the table, so no read fails.
+        (0..self.count).map_while(move |_| read_section(&mut r).ok())
+    }
+
+    /// The bodies of exactly the sections `tags` names, in order.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Corrupt`] when the container holds a different
+    /// number of sections or a section of another kind.
+    pub fn expect<const N: usize>(
+        &self,
+        tags: [SectionTag; N],
+    ) -> Result<[&'a [u8]; N], PersistError> {
+        if self.section_count() != N {
+            return Err(PersistError::Corrupt(format!(
+                "{} sections, expected {N} ({tags:?})",
+                self.count
+            )));
+        }
+        let mut bodies = [&[][..]; N];
+        for ((body, section), want) in bodies.iter_mut().zip(self.sections()).zip(tags) {
+            if section.tag != want {
+                return Err(PersistError::Corrupt(format!(
+                    "a {:?} section where a {want:?} section belongs",
+                    section.tag
+                )));
+            }
+            *body = section.body;
+        }
+        Ok(bodies)
+    }
+}
+
+/// Reads one `(tag, len, bytes)` section entry.
+fn read_section<'a>(r: &mut Reader<'a>) -> Result<Section<'a>, PersistError> {
+    let tag = SectionTag::restore(r)?;
+    let len = r.take_u64()?;
+    if len > r.remaining() as u64 {
+        return Err(PersistError::UnexpectedEof);
+    }
+    Ok(Section {
+        tag,
+        body: r.take_raw(len as usize)?,
+    })
 }
 
 /// FNV-1a over a byte slice — the configuration fingerprint hash. Stable
@@ -656,45 +800,81 @@ mod tests {
         );
     }
 
+    /// A two-section container: a `System` body and a `Drive` body.
+    fn two_sections() -> Vec<u8> {
+        let mut w = Writer::container(2);
+        w.section(SectionTag::System, |w| w.put_u64(42));
+        w.section(SectionTag::Drive, |w| w.put_raw(b"abc"));
+        w.into_bytes()
+    }
+
     #[test]
-    fn header_mismatches_are_specific() {
-        let mut w = Writer::new();
-        Header {
-            version: FORMAT_VERSION,
-            fingerprint: 42,
-        }
-        .write(&mut w);
-        let good = w.into_bytes();
-        Header::read_expecting(&mut Reader::new(&good), 42).unwrap();
-        assert_eq!(
-            Header::read_expecting(&mut Reader::new(&good), 43),
-            Err(PersistError::FingerprintMismatch {
-                found: 42,
-                expected: 43
-            })
-        );
+    fn container_sections_roundtrip_borrowed() {
+        let bytes = two_sections();
+        // Header (8 + 4 + 4), then (tag, len, body) per section.
+        assert_eq!(bytes.len(), 16 + (9 + 8) + (9 + 3));
+        let c = Container::parse(&bytes).unwrap();
+        assert_eq!(c.section_count(), 2);
+        let [sys, drive] = c.expect([SectionTag::System, SectionTag::Drive]).unwrap();
+        assert_eq!(sys, 42u64.to_le_bytes());
+        assert_eq!(drive, b"abc");
+        assert!(std::ptr::eq(drive, &bytes[bytes.len() - 3..]));
+        let tags: Vec<SectionTag> = c.sections().map(|s| s.tag).collect();
+        assert_eq!(tags, [SectionTag::System, SectionTag::Drive]);
+    }
 
-        let mut w = Writer::new();
-        Header {
-            version: FORMAT_VERSION + 1,
-            fingerprint: 42,
-        }
-        .write(&mut w);
-        let newer = w.into_bytes();
+    #[test]
+    fn container_mismatches_are_specific() {
+        let good = two_sections();
+        let c = Container::parse(&good).unwrap();
+        assert!(matches!(
+            c.expect([SectionTag::System]),
+            Err(PersistError::Corrupt(_))
+        ));
+        assert!(matches!(
+            c.expect([SectionTag::Drive, SectionTag::System]),
+            Err(PersistError::Corrupt(_))
+        ));
+
+        let mut older = good.clone();
+        older[8..12].copy_from_slice(&4u32.to_le_bytes());
         assert_eq!(
-            Header::read_expecting(&mut Reader::new(&newer), 42),
-            Err(PersistError::VersionMismatch {
-                found: FORMAT_VERSION + 1,
+            Container::parse(&older).unwrap_err(),
+            PersistError::VersionMismatch {
+                found: 4,
                 expected: FORMAT_VERSION
-            })
+            }
         );
+        for magic in [b"VAPRESRP", b"VAPRESFL"] {
+            let mut other = good.clone();
+            other[..8].copy_from_slice(magic);
+            assert_eq!(
+                Container::parse(&other).unwrap_err(),
+                PersistError::BadMagic
+            );
+        }
 
-        let mut junk = good.clone();
-        junk[0] ^= 0xFF;
+        let mut tag = good.clone();
+        tag[16] = 9;
+        assert!(matches!(
+            Container::parse(&tag),
+            Err(PersistError::Corrupt(_))
+        ));
+        let mut huge = good.clone();
+        huge[17..25].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(
-            Header::read_expecting(&mut Reader::new(&junk), 42),
-            Err(PersistError::BadMagic)
+            Container::parse(&huge).unwrap_err(),
+            PersistError::UnexpectedEof
         );
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(matches!(
+            Container::parse(&trailing),
+            Err(PersistError::Corrupt(_))
+        ));
+        for cut in 0..good.len() {
+            assert!(Container::parse(&good[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! the deterministic suites and workload sweeps need. It is explicitly
 //! **not** cryptographic.
 
-use crate::persist::{Persist, PersistError, Reader, Writer};
 use std::ops::Range;
 
 /// A SplitMix64 pseudorandom number generator.
@@ -95,17 +94,7 @@ impl SplitMix64 {
     }
 }
 
-impl Persist for SplitMix64 {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.state);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(SplitMix64 {
-            state: r.take_u64()?,
-        })
-    }
-}
+crate::persist_fields!(SplitMix64: state);
 
 #[cfg(test)]
 mod tests {

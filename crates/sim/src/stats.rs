@@ -158,35 +158,10 @@ impl GapTracker {
     }
 }
 
-impl Persist for GapTracker {
-    fn persist(&self, w: &mut Writer) {
-        self.last.persist(w);
-        self.max_gap.persist(w);
-        self.max_gap_at.persist(w);
-        w.put_u64(self.count);
-        self.first.persist(w);
-        self.sum_gaps.persist(w);
-        self.min_gap.persist(w);
-        self.nominal.persist(w);
-        self.excess.persist(w);
-        w.put_u64(self.missed_slots);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(GapTracker {
-            last: Option::restore(r)?,
-            max_gap: Option::restore(r)?,
-            max_gap_at: Option::restore(r)?,
-            count: r.take_u64()?,
-            first: Option::restore(r)?,
-            sum_gaps: Ps::restore(r)?,
-            min_gap: Option::restore(r)?,
-            nominal: Option::restore(r)?,
-            excess: Ps::restore(r)?,
-            missed_slots: r.take_u64()?,
-        })
-    }
-}
+crate::persist_fields!(
+    GapTracker: last, max_gap, max_gap_at, count, first, sum_gaps, min_gap, nominal, excess,
+    missed_slots
+);
 
 /// Accumulates samples and reports min/max/mean — enough for the sweep
 /// benches without pulling in a statistics crate.

@@ -1601,127 +1601,23 @@ fn step_route_cycle(
 // taken immediately after a restore is byte-identical to the original.
 // ----------------------------------------------------------------------
 
-impl Persist for PortRef {
-    fn persist(&self, w: &mut Writer) {
-        w.put_usize(self.node);
-        w.put_usize(self.port);
-    }
+vapres_sim::persist_fields!(PortRef: node, port);
 
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(PortRef {
-            node: r.take_usize()?,
-            port: r.take_usize()?,
-        })
-    }
-}
+vapres_sim::persist_tags!(Dir, "direction": Right = 0, Left = 1);
 
-impl Persist for Dir {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            Dir::Right => 0,
-            Dir::Left => 1,
-        });
-    }
+vapres_sim::persist_fields!(Slot: dir, segment, channel);
 
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8()? {
-            0 => Ok(Dir::Right),
-            1 => Ok(Dir::Left),
-            t => Err(PersistError::Corrupt(format!("direction tag {t}"))),
-        }
-    }
-}
+vapres_sim::persist_tags!(
+    FifoEdge, "fifo edge": BecameFull = 0, NoLongerFull = 1, BecameEmpty = 2, NoLongerEmpty = 3
+);
 
-impl Persist for Slot {
-    fn persist(&self, w: &mut Writer) {
-        self.dir.persist(w);
-        w.put_usize(self.segment);
-        w.put_usize(self.channel);
-    }
+vapres_sim::persist_fields!(FifoEvent: cycle, port, producer, edge);
 
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Slot {
-            dir: Dir::restore(r)?,
-            segment: r.take_usize()?,
-            channel: r.take_usize()?,
-        })
-    }
-}
+vapres_sim::persist_fields!(
+    TagStats: producer_wait_cycles, hop_cycles, consumer_wait_cycles, hops, legs
+);
 
-impl Persist for FifoEdge {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            FifoEdge::BecameFull => 0,
-            FifoEdge::NoLongerFull => 1,
-            FifoEdge::BecameEmpty => 2,
-            FifoEdge::NoLongerEmpty => 3,
-        });
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8()? {
-            0 => Ok(FifoEdge::BecameFull),
-            1 => Ok(FifoEdge::NoLongerFull),
-            2 => Ok(FifoEdge::BecameEmpty),
-            3 => Ok(FifoEdge::NoLongerEmpty),
-            t => Err(PersistError::Corrupt(format!("fifo edge tag {t}"))),
-        }
-    }
-}
-
-impl Persist for FifoEvent {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.cycle);
-        self.port.persist(w);
-        w.put_bool(self.producer);
-        self.edge.persist(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(FifoEvent {
-            cycle: r.take_u64()?,
-            port: PortRef::restore(r)?,
-            producer: r.take_bool()?,
-            edge: FifoEdge::restore(r)?,
-        })
-    }
-}
-
-impl Persist for TagStats {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.producer_wait_cycles);
-        w.put_u64(self.hop_cycles);
-        w.put_u64(self.consumer_wait_cycles);
-        w.put_u32(self.hops);
-        w.put_u32(self.legs);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(TagStats {
-            producer_wait_cycles: r.take_u64()?,
-            hop_cycles: r.take_u64()?,
-            consumer_wait_cycles: r.take_u64()?,
-            hops: r.take_u32()?,
-            legs: r.take_u32()?,
-        })
-    }
-}
-
-impl Persist for TagLeg {
-    fn persist(&self, w: &mut Writer) {
-        self.enqueued.persist(w);
-        self.injected.persist(w);
-        self.delivered.persist(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(TagLeg {
-            enqueued: Option::restore(r)?,
-            injected: Option::restore(r)?,
-            delivered: Option::restore(r)?,
-        })
-    }
-}
+vapres_sim::persist_fields!(TagLeg: enqueued, injected, delivered);
 
 impl Persist for WordTap {
     fn persist(&self, w: &mut Writer) {
@@ -1748,29 +1644,9 @@ impl Persist for WordTap {
     }
 }
 
-impl Persist for Interface {
-    fn persist(&self, w: &mut Writer) {
-        self.fifo.persist(w);
-        w.put_bool(self.enabled);
-        w.put_u64(self.overflow_drops);
-        w.put_u64(self.gated_drops);
-        w.put_usize(self.high_water);
-        w.put_bool(self.was_full);
-        w.put_bool(self.was_empty);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Interface {
-            fifo: AsyncFifo::restore(r)?,
-            enabled: r.take_bool()?,
-            overflow_drops: r.take_u64()?,
-            gated_drops: r.take_u64()?,
-            high_water: r.take_usize()?,
-            was_full: r.take_bool()?,
-            was_empty: r.take_bool()?,
-        })
-    }
-}
+vapres_sim::persist_fields!(
+    Interface: fifo, enabled, overflow_drops, gated_drops, high_water, was_full, was_empty
+);
 
 impl Persist for Route {
     fn persist(&self, w: &mut Writer) {

@@ -9,7 +9,6 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use vapres_sim::persist::{Persist, PersistError, Reader, Writer};
 
 /// The data value the paper uses for its end-of-stream word
 /// ("(32 bits)" of ones in the text).
@@ -89,23 +88,9 @@ impl Word {
     }
 }
 
-impl Persist for Word {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u32(self.data);
-        w.put_bool(self.end_of_stream);
-        // The sideband trace tag must survive a snapshot: word-tap latency
-        // accounting downstream of a restore depends on it.
-        self.tag.persist(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Word {
-            data: r.take_u32()?,
-            end_of_stream: r.take_bool()?,
-            tag: Option::restore(r)?,
-        })
-    }
-}
+// The sideband trace tag survives a snapshot: word-tap latency
+// accounting downstream of a restore depends on it.
+vapres_sim::persist_fields!(Word: data, end_of_stream, tag);
 
 impl From<u32> for Word {
     fn from(data: u32) -> Self {

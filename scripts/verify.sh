@@ -14,8 +14,14 @@ cargo fmt --check
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
+# The root manifest's default-members cover every crate, so this runs
+# the whole workspace's tests, not just the root package's.
 echo "==> cargo test -q --offline"
 cargo test -q --offline
+
+# perfbench is its own workspace (read, never edited, by this gate).
+echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -79,32 +85,46 @@ awk -v last="$last_ps" '
     }' "$fresh/report.txt"
 rm -rf "$fresh"
 
-echo "==> checkpoint round-trip smoke (sim --checkpoint-*, sim --restore --health)"
+echo "==> checkpoint restore == never-stopped (every image of a seamless and a halt run)"
+# Restoring any checkpoint with --health must print what the run that
+# never stopped prints — the swap line, the stream summary and every
+# verdict — and exit with its status. A checkpointed run itself must
+# end where a plain one does.
 ckptdir="$(mktemp -d)"
-./target/release/vapres-cli sim --swap seamless --samples 2000 \
-    --checkpoint-every 300 --checkpoint-dir "$ckptdir/seamless" >/dev/null
-first_ckpt="$(ls "$ckptdir"/seamless/ckpt_*.vapresck | head -n 1)"
-[ -n "$first_ckpt" ] \
-    || { echo "sim --checkpoint-every produced no checkpoint files" >&2; exit 1; }
-# The seamless swap is healthy, so the restored run must finish the
-# scenario and re-judge every monitor as passing.
-./target/release/vapres-cli sim --restore "$first_ckpt" --health yes > "$ckptdir/restored.txt" \
-    || { echo "sim --restore $first_ckpt --health yes failed" >&2; exit 1; }
-grep "samples out: 2001" "$ckptdir/restored.txt" >/dev/null \
-    || { echo "sim --restore $first_ckpt did not finish the scenario" >&2; exit 1; }
-grep "overall: HEALTHY" "$ckptdir/restored.txt" >/dev/null \
-    || { echo "sim --restore --health breached on the seamless swap" >&2; exit 1; }
-# A pre-swap halt checkpoint re-performs the halt swap on restore, so
-# --health must reproduce the breach and exit non-zero.
-./target/release/vapres-cli sim --swap halt --samples 2000 \
-    --checkpoint-every 300 --checkpoint-dir "$ckptdir/halt" >/dev/null
-halt_ckpt="$(ls "$ckptdir"/halt/ckpt_*.vapresck | head -n 1)"
-if halt_err="$(./target/release/vapres-cli sim --restore "$halt_ckpt" --health yes 2>&1 >/dev/null)"; then
-    echo "restoring the pre-swap halt checkpoint $halt_ckpt did not breach" >&2
-    exit 1
-fi
-echo "$halt_err" | grep -q "health check failed" \
-    || { echo "halt checkpoint restore failed for the wrong reason: $halt_err" >&2; exit 1; }
+outcome() { # the lines a restored run must reproduce
+    grep -E '^(swap |samples out|sim time|throughput|max gap|  \[|overall)' || true
+}
+for method in seamless halt; do
+    plain_status=0
+    ./target/release/vapres-cli sim --swap "$method" --samples 2000 --health yes \
+        > "$ckptdir/plain_$method.txt" 2> "$ckptdir/plain_$method.err" || plain_status=$?
+    outcome < "$ckptdir/plain_$method.txt" > "$ckptdir/want_$method.txt"
+    grep -q "monitors" "$ckptdir/want_$method.txt" \
+        || { echo "sim --swap $method --health yes printed no verdicts" >&2; exit 1; }
+    ./target/release/vapres-cli sim --swap "$method" --samples 2000 \
+        --checkpoint-every 300 --checkpoint-dir "$ckptdir/$method" > "$ckptdir/ckpt_$method.txt"
+    cmp -s <(outcome < "$ckptdir/ckpt_$method.txt") \
+           <(grep -v -e '^  \[' -e '^overall' "$ckptdir/want_$method.txt") \
+        || { echo "a checkpointed $method run ends differently from a plain one" >&2; exit 1; }
+    images=0
+    for image in "$ckptdir/$method"/ckpt_*.vapresck; do
+        [ -e "$image" ] || { echo "sim --swap $method wrote no checkpoints" >&2; exit 1; }
+        status=0
+        ./target/release/vapres-cli sim --restore "$image" --health yes \
+            > "$ckptdir/restored.txt" 2> "$ckptdir/restored.err" || status=$?
+        if [ "$status" -ne "$plain_status" ] \
+            || ! cmp -s <(outcome < "$ckptdir/restored.txt") "$ckptdir/want_$method.txt" \
+            || ! cmp -s "$ckptdir/restored.err" "$ckptdir/plain_$method.err"; then
+            echo "restoring $image (exit $status) differs from the uninterrupted $method run" \
+                "(exit $plain_status):" >&2
+            diff <(outcome < "$ckptdir/restored.txt") "$ckptdir/want_$method.txt" >&2 || true
+            diff "$ckptdir/restored.err" "$ckptdir/plain_$method.err" >&2 || true
+            exit 1
+        fi
+        images=$((images + 1))
+    done
+    echo "    $method: $images images restore to the uninterrupted run (exit $plain_status)"
+done
 rm -rf "$ckptdir"
 
 echo "==> time-series smoke (sim exports, sweep series jobs-invariant)"

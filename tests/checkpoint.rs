@@ -247,7 +247,9 @@ fn checkpoint_with_buffered_crossings_matches_never_stopped() {
 /// fixed points — mid-stream before the swap (IOM and fabric timers
 /// pending), right after the seamless swap, and after the drain. A
 /// scheduler or codec refactor that claims "same format" must keep these;
-/// a deliberate encoding change updates them and says why.
+/// a deliberate encoding change updates them and says why. v5 moved the
+/// image into a container section (+13 bytes: section count, tag and
+/// length); the fingerprint and body bytes after them did not change.
 #[test]
 fn e3_checkpoint_images_are_pinned() {
     let (mut sys, spec) = e3_system(Method::Seamless);
@@ -261,9 +263,9 @@ fn e3_checkpoint_images_are_pinned() {
     images.push(sys.checkpoint());
     let got: Vec<(usize, u64)> = images.iter().map(|b| (b.len(), fnv1a(b))).collect();
     let pinned: [(usize, u64); 3] = [
-        (210_108, 0xa718_72ee_ba76_6557),
-        (639_175, 0x5c9c_c710_1168_5cd6),
-        (639_175, 0x572f_8b22_2a0b_a46d),
+        (210_121, 0x6fcc_bd5f_4d88_f63b),
+        (639_188, 0x85a6_b7f9_6106_92a1),
+        (639_188, 0x078f_8279_0a7d_4f6a),
     ];
     assert_eq!(got, pinned, "E3 checkpoint encoding moved");
 }
@@ -271,15 +273,21 @@ fn e3_checkpoint_images_are_pinned() {
 #[test]
 fn restore_rejects_version_mismatch() {
     let (mut sys, _) = e3_system(Method::Seamless);
-    let mut bytes = sys.checkpoint();
-    // Header layout: 8 magic bytes, then the format version (LE u32).
-    bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match VapresSystem::restore(SystemConfig::prototype(), library(), &bytes) {
-        Err(PersistError::VersionMismatch { found, expected }) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(expected, FORMAT_VERSION);
+    let image = sys.checkpoint();
+    // Header layout: 8 magic bytes, the format version (LE u32), then the
+    // section count. A v4 image (no section table) and a newer one both
+    // fail on the version alone.
+    assert_eq!(FORMAT_VERSION, 5);
+    for version in [4, FORMAT_VERSION + 1] {
+        let mut bytes = image.clone();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+        match VapresSystem::restore(SystemConfig::prototype(), library(), &bytes) {
+            Err(PersistError::VersionMismatch { found, expected }) => {
+                assert_eq!(found, version);
+                assert_eq!(expected, FORMAT_VERSION);
+            }
+            other => panic!("expected VersionMismatch, got {other:?}"),
         }
-        other => panic!("expected VersionMismatch, got {other:?}"),
     }
 }
 
@@ -310,6 +318,15 @@ fn restore_rejects_bad_magic_and_truncation() {
         VapresSystem::restore(SystemConfig::prototype(), library(), &garbled),
         Err(PersistError::BadMagic)
     ));
+    // The retired CLI and fleet envelopes are not read either.
+    for magic in [b"VAPRESRP", b"VAPRESFL"] {
+        let mut old = bytes.clone();
+        old[..MAGIC.len()].copy_from_slice(magic);
+        assert!(matches!(
+            VapresSystem::restore(SystemConfig::prototype(), library(), &old),
+            Err(PersistError::BadMagic)
+        ));
+    }
 
     let truncated = &bytes[..bytes.len() / 2];
     assert!(VapresSystem::restore(SystemConfig::prototype(), library(), truncated).is_err());
@@ -433,7 +450,7 @@ fn fleet_observables(m: &mut FleetSystem) -> String {
 }
 
 /// The fleet golden equivalence: checkpoint a 3-RSB fleet mid-stream,
-/// restore the envelope, and run both to the end of the scenario — every
+/// restore the image, and run both to the end of the scenario — every
 /// per-RSB observable and the final checkpoint bytes must match bit for
 /// bit.
 #[test]
@@ -452,7 +469,7 @@ fn fleet_restore_equivalence_three_rsbs() {
 
     let plan = ShardPlan::round_robin(FLEET_RSBS, 1);
     let mut restored = FleetSystem::restore(fleet_configs(), register, plan, &bytes)
-        .expect("fleet envelope restores");
+        .expect("fleet image restores");
     assert_eq!(
         restored.now(),
         at_checkpoint,

@@ -96,7 +96,7 @@ fn restore(image: &[u8]) -> FleetSystem {
     let register: SharedRegister =
         Arc::new(|lib: &mut ModuleLibrary| register_standard_modules(lib, 0));
     FleetSystem::restore(configs(), register, ShardPlan::round_robin(RSBS, 1), image)
-        .expect("fleet envelope restores")
+        .expect("fleet image restores")
 }
 
 fn apply(fleet: &mut FleetSystem, op: Op) {
