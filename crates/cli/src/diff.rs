@@ -1,45 +1,43 @@
 //! `vapres diff` — run-to-run regression gating over committed
 //! observability artifacts.
 //!
-//! The subcommand structurally compares two files of the same kind:
+//! Each file is read once through [`vapres_sim::json`], the one strict
+//! JSON reader, and its kind comes from what it holds: telemetry JSONL
+//! records carry `"type"`, trajectories carry `"bench": "sweep"` or
+//! `"fleet"`, and cost models a `"cost_model"` stamp. A per-kind table
+//! flattens the file into `(row, field) -> value` entries, each with a
+//! policy: **exact** (any change is a regression), **toleranced** (a
+//! relative drift past `--tolerance`, default 0.05, is one) or
+//! **skipped** (never compared).
 //!
-//! * **telemetry JSONL** (`vapres sim --metrics` / `vapres sweep
-//!   --jsonl` dumps) — counters and gauges value-by-value, histograms by
-//!   their p50/p95/p99 (reconstructed through
-//!   [`Histogram::try_from_parts`], the same path `vapres report
-//!   --metrics` trusts);
-//! * **sweep trajectories** (`vapres sweep --bench` artifacts) —
-//!   per-scenario rows matched by label, outcomes exactly, numeric
-//!   fields within tolerance. The one machine-dependent `"host"` line is
-//!   skipped, so a trajectory recorded on any machine gates any other;
-//! * **fleet trajectories** (`vapres fleet --bench` artifacts) — per-RSB
-//!   rows matched by index: outcomes and health verdicts exactly, the
-//!   deterministic plane (sample counts, work units, estimated costs,
-//!   sim time) exactly, latency fields within tolerance. The `"host"`
-//!   line is context, not a measurement, and is skipped, and so are the
-//!   `"partition"` lines that trajectories from the removed `--jobs`
-//!   engine carry — so those older trajectories still gate new ones;
-//! * **cost models** (`vapres sim --profile yes --cost-model` /
-//!   `vapres sweep --cost-model` exports) — rows matched
-//!   by component. The deterministic work-unit plane is compared
-//!   **exactly** (any drift is a regression regardless of tolerance);
-//!   the calibration ratio `ns_per_unit` within `--tolerance`; the raw
-//!   `host_ns` wall-time field is machine noise and skipped entirely.
+//! | kind | rows keyed by | exact | toleranced | skipped |
+//! |---|---|---|---|---|
+//! | telemetry JSONL (`sim --metrics`, `sweep --jsonl`) | `name{labels}` | | counters, gauges, histogram p50/p95/p99 | spans |
+//! | sweep trajectory (`sweep --bench`) | `scenarios` by `label` | strings | numbers | `index` |
+//! | fleet trajectory (`fleet --bench`) | `rsbs` by `index` (`rsb{i}`), `work` by `component` | strings, booleans, `FLEET_EXACT_FIELDS`, `work_units` | other numbers | |
+//! | cost model (`sim --profile yes --cost-model`, `sweep --cost-model`) | `components` by `component` | `work_units` | `ns_per_unit` | `host_ns` |
 //!
-//! A metric present in only one file is a structural regression; a
-//! value drifting past the per-metric relative tolerance
-//! (`--tolerance`, default 0.05) is a numeric one. Any regression makes
-//! the command exit non-zero naming every offender — which is what lets
-//! `scripts/verify.sh` keep a committed golden baseline and fail the
-//! build when a change moves the measured system. A `NaN` or infinity in
-//! a trajectory or cost-model row is corrupt input, rejected naming the
-//! field.
+//! Top-level members other than the row arrays (`host`, `seed`,
+//! `rsb_count`, and the `partition*` members of older fleet trajectories)
+//! are skipped, so an artifact recorded on any machine gates any other.
+//!
+//! One compare loop reports a changed row count, a row or field missing
+//! from the candidate, a row absent from the baseline, an exact mismatch
+//! and a drift past tolerance. A `null` on one side only counts as a
+//! missing field; a field the baseline does not have at all is not
+//! compared, so a new trajectory field does not trip an older golden. Any
+//! regression makes the command exit non-zero naming every offender,
+//! which is what lets `scripts/verify.sh` keep a committed golden
+//! baseline. Corrupt input (bad JSON, a non-finite number, a non-integer
+//! in an exact numeric field, a repeated row or a field repeated within a
+//! row) is an error naming the file and the field, never a pass.
 
 use crate::args::Args;
 use crate::commands::CmdError;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::io::Write;
+use vapres_sim::json::{self, Json};
 use vapres_sim::stats::Histogram;
 use vapres_sim::telemetry::{parse_jsonl, Record};
 
@@ -47,8 +45,8 @@ use vapres_sim::telemetry::{parse_jsonl, Record};
 const DEFAULT_TOLERANCE: f64 = 0.05;
 
 /// `vapres diff <baseline> <candidate> [--tolerance 0.05]` — compare
-/// two telemetry JSONL dumps, sweep trajectories, or cost models; exit
-/// non-zero listing every regressed metric.
+/// two telemetry JSONL dumps, sweep or fleet trajectories, or cost
+/// models; exit non-zero listing every regressed metric.
 pub fn cmd_diff(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let pos = args.positionals();
     let [baseline_path, candidate_path] = pos else {
@@ -61,46 +59,25 @@ pub fn cmd_diff(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         return Err(CmdError("--tolerance must be a finite number >= 0".into()));
     }
 
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| CmdError(format!("cannot read {baseline_path}: {e}")))?;
-    let candidate = std::fs::read_to_string(candidate_path)
-        .map_err(|e| CmdError(format!("cannot read {candidate_path}: {e}")))?;
-
-    let base_kind = detect_kind(&baseline).ok_or_else(|| {
-        CmdError(format!(
-            "{baseline_path}: not telemetry JSONL, a sweep/fleet trajectory, or a cost model"
-        ))
-    })?;
-    let cand_kind = detect_kind(&candidate).ok_or_else(|| {
-        CmdError(format!(
-            "{candidate_path}: not telemetry JSONL, a sweep/fleet trajectory, or a cost model"
-        ))
-    })?;
-    if base_kind != cand_kind {
+    let load = |path: &String| {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| CmdError(format!("cannot read {path}: {e}")))?;
+        flatten(&text).map_err(|e| CmdError(format!("{path}: {e}")))
+    };
+    let (kind, baseline) = load(baseline_path)?;
+    let (cand_kind, candidate) = load(candidate_path)?;
+    if kind != cand_kind {
         return Err(CmdError(format!(
             "cannot compare a {} against a {} ({baseline_path} vs {candidate_path})",
-            base_kind.name(),
+            kind.name(),
             cand_kind.name()
         )));
     }
-
-    let regressions = match base_kind {
-        FileKind::Telemetry => diff_telemetry(&baseline, &candidate, tolerance)
-            .map_err(|e| CmdError(format!("{baseline_path} / {candidate_path}: {e}")))?,
-        FileKind::Trajectory => diff_trajectory(&baseline, &candidate, tolerance)
-            .map_err(|e| CmdError(format!("{baseline_path} / {candidate_path}: {e}")))?,
-        FileKind::Fleet => diff_fleet(&baseline, &candidate, tolerance)
-            .map_err(|e| CmdError(format!("{baseline_path} / {candidate_path}: {e}")))?,
-        FileKind::CostModel => diff_cost_model(&baseline, &candidate, tolerance)
-            .map_err(|e| CmdError(format!("{baseline_path} / {candidate_path}: {e}")))?,
-    };
-
+    let regressions = compare(&baseline, &candidate, tolerance);
+    let kind = kind.name();
     writeln!(
         out,
-        "diff: {} ({}) vs {} (tolerance {tolerance})",
-        baseline_path,
-        base_kind.name(),
-        candidate_path
+        "diff: {baseline_path} ({kind}) vs {candidate_path} (tolerance {tolerance})"
     )?;
     if regressions.is_empty() {
         writeln!(out, "no regressions")?;
@@ -118,312 +95,50 @@ pub fn cmd_diff(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 
 /// The artifact kinds `vapres diff` understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileKind {
+enum Kind {
     Telemetry,
-    Trajectory,
+    Sweep,
     Fleet,
     CostModel,
 }
 
-impl FileKind {
+impl Kind {
     fn name(self) -> &'static str {
         match self {
-            FileKind::Telemetry => "telemetry JSONL",
-            FileKind::Trajectory => "sweep trajectory",
-            FileKind::Fleet => "fleet trajectory",
-            FileKind::CostModel => "cost model",
+            Kind::Telemetry => "telemetry JSONL",
+            Kind::Sweep => "sweep trajectory",
+            Kind::Fleet => "fleet trajectory",
+            Kind::CostModel => "cost model",
         }
     }
 }
 
-/// Sniffs the artifact kind: trajectories carry the `"bench": "sweep"`
-/// stamp, fleet trajectories `"bench": "fleet"`, cost models the
-/// `"cost_model"` version stamp, telemetry dumps open every line with a
-/// `"type"` tag.
-fn detect_kind(text: &str) -> Option<FileKind> {
-    if text.contains("\"bench\": \"sweep\"") {
-        return Some(FileKind::Trajectory);
-    }
-    if text.contains("\"bench\": \"fleet\"") {
-        return Some(FileKind::Fleet);
-    }
-    if text.contains("\"cost_model\"") {
-        return Some(FileKind::CostModel);
-    }
-    let first = text.lines().find(|l| !l.trim().is_empty())?;
-    first
-        .trim_start()
-        .starts_with("{\"type\":")
-        .then_some(FileKind::Telemetry)
+/// How one field is compared.
+#[derive(Debug, Clone, Copy)]
+enum Policy {
+    /// Any change is a regression.
+    Exact,
+    /// A relative drift past the tolerance is a regression.
+    Toleranced,
+    /// Never compared.
+    Skipped,
 }
 
-/// One metric key: name plus rendered label set, e.g.
-/// `iom_words_total{iom=0}`.
-fn metric_key(name: &str, labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
-    }
-    let mut key = String::from(name);
-    key.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            key.push(',');
-        }
-        let _ = write!(key, "{k}={v}");
-    }
-    key.push('}');
-    key
-}
-
-/// The comparable values of one telemetry dump.
-#[derive(Default)]
-struct TelemetryValues {
-    /// Counter/gauge scalars by metric key.
-    scalars: BTreeMap<String, f64>,
-    /// Histogram (p50, p95, p99) by metric key.
-    percentiles: BTreeMap<String, (u64, u64, u64)>,
-}
-
-/// Parses one telemetry dump into its comparable values. Spans are
-/// skipped: they are a trace, not a point metric.
-fn telemetry_values(text: &str) -> Result<TelemetryValues, String> {
-    let mut v = TelemetryValues::default();
-    for rec in parse_jsonl(text).map_err(|e| e.to_string())? {
-        match rec {
-            Record::Counter {
-                name,
-                labels,
-                value,
-            } => {
-                v.scalars.insert(metric_key(&name, &labels), value as f64);
-            }
-            Record::Gauge {
-                name,
-                labels,
-                value,
-            } => {
-                v.scalars.insert(metric_key(&name, &labels), value);
-            }
-            Record::Histogram {
-                name,
-                labels,
-                bucket_width,
-                counts,
-            } => {
-                let key = metric_key(&name, &labels);
-                // Telemetry JSONL carries no min/max; the bucket-bound
-                // percentiles are exactly what the exporter printed.
-                let h = Histogram::try_from_parts(bucket_width, counts, None, None)
-                    .map_err(|e| format!("{key}: {e}"))?;
-                let p = |q| h.percentile(q).unwrap_or(0);
-                v.percentiles.insert(key, (p(0.50), p(0.95), p(0.99)));
-            }
-            _ => {}
-        }
-    }
-    Ok(v)
-}
-
-/// Relative deviation of `c` from `b`, with a unit floor on the
-/// denominator so near-zero baselines don't turn noise into infinity.
-fn rel_dev(b: f64, c: f64) -> f64 {
-    (c - b).abs() / b.abs().max(1.0)
-}
-
-/// Pushes a regression line when `c` deviates from `b` past `tol`.
-fn check_value(regressions: &mut Vec<String>, key: &str, b: f64, c: f64, tol: f64) {
-    let dev = rel_dev(b, c);
-    if dev > tol {
-        regressions.push(format!(
-            "{key}: {b} -> {c} ({:+.1}%)",
-            (c - b) / b.abs().max(1.0) * 100.0
-        ));
-    }
-}
-
-/// Compares two telemetry dumps; returns regression descriptions.
-fn diff_telemetry(baseline: &str, candidate: &str, tol: f64) -> Result<Vec<String>, String> {
-    let b = telemetry_values(baseline)?;
-    let c = telemetry_values(candidate)?;
-    let mut regressions = Vec::new();
-
-    for (key, bv) in &b.scalars {
-        match c.scalars.get(key) {
-            None => regressions.push(format!("{key}: missing from candidate")),
-            Some(cv) => check_value(&mut regressions, key, *bv, *cv, tol),
-        }
-    }
-    for key in c.scalars.keys() {
-        if !b.scalars.contains_key(key) {
-            regressions.push(format!("{key}: absent from baseline"));
-        }
-    }
-    for (key, (b50, b95, b99)) in &b.percentiles {
-        match c.percentiles.get(key) {
-            None => regressions.push(format!("{key}: missing from candidate")),
-            Some((c50, c95, c99)) => {
-                for (q, bv, cv) in [("p50", b50, c50), ("p95", b95, c95), ("p99", b99, c99)] {
-                    check_value(
-                        &mut regressions,
-                        &format!("{key} {q}"),
-                        *bv as f64,
-                        *cv as f64,
-                        tol,
-                    );
-                }
-            }
-        }
-    }
-    for key in c.percentiles.keys() {
-        if !b.percentiles.contains_key(key) {
-            regressions.push(format!("{key}: absent from baseline"));
-        }
-    }
-    Ok(regressions)
-}
-
-/// One parsed trajectory scenario row: the label, the outcome, and
-/// every numeric field (nulls skipped).
-#[derive(Debug)]
-struct TrajectoryRow {
-    label: String,
-    outcome: String,
-    numbers: BTreeMap<String, f64>,
-}
-
-/// Parses the flat one-line JSON objects a sweep trajectory holds in
-/// its `"scenarios"` array. The rows are machine-written (no nesting,
-/// no escapes in labels), so a field-splitting scan is exact.
-fn parse_trajectory(text: &str) -> Result<Vec<TrajectoryRow>, String> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if !t.starts_with("{\"index\":") {
-            continue;
-        }
-        let body = t
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| format!("malformed scenario row: {t}"))?;
-        let mut label = None;
-        let mut outcome = None;
-        let mut numbers = BTreeMap::new();
-        for field in split_top_level_fields(body) {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| format!("malformed field {field:?}"))?;
-            let key = key.trim().trim_matches('"').to_string();
-            let value = value.trim();
-            if let Some(s) = value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
-                match key.as_str() {
-                    "label" => label = Some(s.to_string()),
-                    "outcome" => outcome = Some(s.to_string()),
-                    _ => {}
-                }
-            } else if value != "null" {
-                numbers.insert(key.clone(), parse_finite(&key, value)?);
-            }
-        }
-        rows.push(TrajectoryRow {
-            label: label.ok_or("scenario row without a label")?,
-            outcome: outcome.ok_or("scenario row without an outcome")?,
-            numbers,
-        });
-    }
-    if rows.is_empty() {
-        return Err("trajectory holds no scenario rows".into());
-    }
-    Ok(rows)
-}
-
-/// Parses one numeric row field. `NaN` and infinities are rejected by
-/// name: the writers never emit them, and a NaN would compare false
-/// against every tolerance and pass as "no regressions".
-fn parse_finite(key: &str, value: &str) -> Result<f64, String> {
-    match value.parse::<f64>() {
-        Ok(n) if n.is_finite() => Ok(n),
-        Ok(_) => Err(format!("field {key}: non-finite value {value:?}")),
-        Err(_) => Err(format!("field {key}: cannot parse {value:?}")),
-    }
-}
-
-/// Splits `a:1,b:"x,y",c:2` on the commas outside string quotes.
-fn split_top_level_fields(body: &str) -> Vec<&str> {
-    let mut fields = Vec::new();
-    let (mut start, mut in_str) = (0usize, false);
-    for (i, ch) in body.char_indices() {
-        match ch {
-            '"' => in_str = !in_str,
-            ',' if !in_str => {
-                fields.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    fields.push(&body[start..]);
-    fields
-}
-
-/// Compares two sweep trajectories; returns regression descriptions.
-fn diff_trajectory(baseline: &str, candidate: &str, tol: f64) -> Result<Vec<String>, String> {
-    let b_rows = parse_trajectory(baseline)?;
-    let c_rows = parse_trajectory(candidate)?;
-    let mut regressions = Vec::new();
-    if b_rows.len() != c_rows.len() {
-        regressions.push(format!(
-            "scenario count: {} -> {}",
-            b_rows.len(),
-            c_rows.len()
-        ));
-    }
-    let by_label: BTreeMap<&str, &TrajectoryRow> =
-        c_rows.iter().map(|r| (r.label.as_str(), r)).collect();
-    for b in &b_rows {
-        let Some(c) = by_label.get(b.label.as_str()) else {
-            regressions.push(format!("{}: missing from candidate", b.label));
-            continue;
-        };
-        if b.outcome != c.outcome {
-            regressions.push(format!(
-                "{} outcome: {} -> {}",
-                b.label, b.outcome, c.outcome
-            ));
-        }
-        for (key, bv) in &b.numbers {
-            // `index` is positional bookkeeping, not a measurement.
-            if key == "index" {
-                continue;
-            }
-            match c.numbers.get(key) {
-                None => regressions.push(format!("{} {key}: missing from candidate", b.label)),
-                Some(cv) => check_value(
-                    &mut regressions,
-                    &format!("{} {key}", b.label),
-                    *bv,
-                    *cv,
-                    tol,
-                ),
-            }
-        }
-    }
-    let b_labels: BTreeMap<&str, ()> = b_rows.iter().map(|r| (r.label.as_str(), ())).collect();
-    for c in &c_rows {
-        if !b_labels.contains_key(c.label.as_str()) {
-            regressions.push(format!("{}: absent from baseline", c.label));
-        }
-    }
-    Ok(regressions)
-}
-
-/// One parsed fleet-trajectory RSB row: the outcome plus every field,
-/// split into the exact plane (deterministic simulation state) and the
-/// tolerance plane (latency measures).
-#[derive(Debug)]
-struct FleetRow {
-    index: u64,
-    strings: BTreeMap<String, String>,
-    numbers: BTreeMap<String, f64>,
+/// One array of rows in a document kind.
+struct Rows {
+    /// The top-level member holding the rows.
+    member: &'static str,
+    /// The row member whose value names the row.
+    key: &'static str,
+    /// Prefix of the row name.
+    prefix: &'static str,
+    /// Label of the row-count line, for the kind's primary rows.
+    count: Option<&'static str>,
+    /// Whether regression lines name the field after the row. A fleet
+    /// work row compares one field and reads `work <component>`.
+    named: bool,
+    /// The policy of a field, by name and value.
+    policy: fn(&str, &Json) -> Policy,
 }
 
 /// Fields of a fleet RSB row that are deterministic simulation state:
@@ -440,259 +155,241 @@ const FLEET_EXACT_FIELDS: &[&str] = &[
     "est_cost",
 ];
 
-/// Parses a fleet trajectory: the `"rsbs"` rows keyed by index and the
-/// merged `"work"` rows keyed by component. The `"host"` line, and the
-/// `"partition"`/`"partition_shard"` lines of older trajectories, are
-/// context and are never parsed.
-fn parse_fleet(text: &str) -> Result<(Vec<FleetRow>, BTreeMap<String, u64>), String> {
-    let mut rows = Vec::new();
-    let mut work = BTreeMap::new();
-    for line in text.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if t.starts_with("{\"component\":") {
-            let body = t
-                .strip_prefix('{')
-                .and_then(|s| s.strip_suffix('}'))
-                .ok_or_else(|| format!("malformed work row: {t}"))?;
-            let mut component = None;
-            let mut units = None;
-            for field in split_top_level_fields(body) {
-                let (key, value) = field
-                    .split_once(':')
-                    .ok_or_else(|| format!("malformed field {field:?}"))?;
-                match key.trim().trim_matches('"') {
-                    "component" => {
-                        component = value
-                            .trim()
-                            .strip_prefix('"')
-                            .and_then(|v| v.strip_suffix('"'))
-                            .map(str::to_string);
-                    }
-                    "work_units" => {
-                        units = Some(
-                            value
-                                .trim()
-                                .parse::<u64>()
-                                .map_err(|_| format!("work_units: cannot parse {value:?}"))?,
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            let component = component.ok_or("work row without a component")?;
-            let units = units.ok_or_else(|| format!("{component}: work row without units"))?;
-            work.insert(component, units);
-            continue;
-        }
-        if !t.starts_with("{\"index\":") {
-            continue;
-        }
-        let body = t
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| format!("malformed RSB row: {t}"))?;
-        let mut index = None;
-        let mut strings = BTreeMap::new();
-        let mut numbers = BTreeMap::new();
-        for field in split_top_level_fields(body) {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| format!("malformed field {field:?}"))?;
-            let key = key.trim().trim_matches('"').to_string();
-            let value = value.trim();
-            if let Some(s) = value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
-                strings.insert(key, s.to_string());
-            } else if value == "true" || value == "false" {
-                // Booleans (drained, healthy) are verdicts, not
-                // measurements: exact like strings.
-                strings.insert(key, value.to_string());
-            } else if key == "index" {
-                index = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("index: cannot parse {value:?}"))?,
-                );
-            } else if value != "null" {
-                numbers.insert(key.clone(), parse_finite(&key, value)?);
-            }
-        }
-        rows.push(FleetRow {
-            index: index.ok_or("RSB row without an index")?,
-            strings,
-            numbers,
-        });
-    }
-    if rows.is_empty() {
-        return Err("fleet trajectory holds no RSB rows".into());
-    }
-    Ok((rows, work))
+const SWEEP: &[Rows] = &[Rows {
+    member: "scenarios",
+    key: "label",
+    prefix: "",
+    count: Some("scenario count"),
+    named: true,
+    // `index` is positional bookkeeping, not a measurement.
+    policy: |field, value| match (field, value) {
+        ("index", _) => Policy::Skipped,
+        (_, Json::Num(_)) => Policy::Toleranced,
+        _ => Policy::Exact,
+    },
+}];
+
+const FLEET: &[Rows] = &[
+    Rows {
+        member: "rsbs",
+        key: "index",
+        prefix: "rsb",
+        count: Some("RSB count"),
+        named: true,
+        policy: |field, value| match value {
+            Json::Num(_) if !FLEET_EXACT_FIELDS.contains(&field) => Policy::Toleranced,
+            _ => Policy::Exact,
+        },
+    },
+    Rows {
+        member: "work",
+        key: "component",
+        prefix: "work ",
+        count: None,
+        named: false,
+        policy: |field, _| match field {
+            "work_units" => Policy::Exact,
+            _ => Policy::Skipped,
+        },
+    },
+];
+
+const COST_MODEL: &[Rows] = &[Rows {
+    member: "components",
+    key: "component",
+    prefix: "",
+    count: None,
+    named: true,
+    // `host_ns` is raw wall time of whatever machine ran the profile.
+    policy: |field, _| match field {
+        "work_units" => Policy::Exact,
+        "ns_per_unit" => Policy::Toleranced,
+        _ => Policy::Skipped,
+    },
+}];
+
+/// A compared value. `Text` and `Int` are exact, `Real` is toleranced.
+#[derive(Debug, PartialEq)]
+enum Value {
+    Null,
+    Text(String),
+    Int(u64),
+    Real(f64),
 }
 
-/// Compares two fleet trajectories: RSB rows matched by index —
-/// outcomes/verdicts exactly, the deterministic plane
-/// ([`FLEET_EXACT_FIELDS`], plus the merged work rows) exactly, latency
-/// fields within tolerance. The `"host"` and partition lines are
-/// skipped entirely, so artifacts recorded on different machines, or
-/// before and after the partition lines went, gate each other.
-fn diff_fleet(baseline: &str, candidate: &str, tol: f64) -> Result<Vec<String>, String> {
-    let (b_rows, b_work) = parse_fleet(baseline)?;
-    let (c_rows, c_work) = parse_fleet(candidate)?;
-    let mut regressions = Vec::new();
-    if b_rows.len() != c_rows.len() {
-        regressions.push(format!("RSB count: {} -> {}", b_rows.len(), c_rows.len()));
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Text(s) => f.write_str(s),
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Real(x) => write!(f, "{x}"),
+        }
     }
-    let by_index: BTreeMap<u64, &FleetRow> = c_rows.iter().map(|r| (r.index, r)).collect();
-    for b in &b_rows {
-        let name = format!("rsb{}", b.index);
-        let Some(c) = by_index.get(&b.index) else {
-            regressions.push(format!("{name}: missing from candidate"));
-            continue;
+}
+
+/// One artifact, flattened.
+#[derive(Default)]
+struct Flat {
+    /// The row-count line's label and count, if the kind reports one.
+    count: Option<(&'static str, usize)>,
+    rows: BTreeSet<String>,
+    /// Every compared field by (row, field label).
+    fields: BTreeMap<(String, String), Value>,
+}
+
+impl Flat {
+    /// Adds a row, rejecting a row key seen before.
+    fn add_row(&mut self, row: &str) -> Result<(), String> {
+        if self.rows.insert(row.to_string()) {
+            Ok(())
+        } else {
+            Err(format!("repeated row {row}"))
+        }
+    }
+}
+
+/// Parses one artifact, tells its kind and flattens it.
+fn flatten(text: &str) -> Result<(Kind, Flat), String> {
+    // A telemetry dump is JSONL: its first line alone is a record.
+    let first = text.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
+    if json::parse(first).is_ok_and(|r| r.get("type").is_some()) {
+        return Ok((Kind::Telemetry, flatten_telemetry(text)?));
+    }
+    let doc = json::parse(text)?;
+    let (kind, table) = match doc.get("bench") {
+        Some(Json::Str(b)) if b == "sweep" => (Kind::Sweep, SWEEP),
+        Some(Json::Str(b)) if b == "fleet" => (Kind::Fleet, FLEET),
+        _ if doc.get("cost_model").is_some() => (Kind::CostModel, COST_MODEL),
+        _ => return Err("not telemetry JSONL, a sweep/fleet trajectory, or a cost model".into()),
+    };
+    let mut flat = Flat::default();
+    for rows in table {
+        let mut arrays = doc.members()?.iter().filter(|(k, _)| k == rows.member);
+        let (Some((_, array)), None) = (arrays.next(), arrays.next()) else {
+            return Err(format!("needs exactly one {:?} array", rows.member));
         };
-        for (key, bv) in &b.strings {
-            match c.strings.get(key) {
-                None => regressions.push(format!("{name} {key}: missing from candidate")),
-                Some(cv) if bv != cv => {
-                    regressions.push(format!("{name} {key}: {bv} -> {cv}"));
+        let items = array.items().map_err(|e| format!("{}: {e}", rows.member))?;
+        if let Some(label) = rows.count {
+            flat.count = Some((label, items.len()));
+        }
+        for item in items {
+            let members = item.members()?;
+            json::unique(members)?;
+            let key = match item.get(rows.key) {
+                Some(Json::Str(s)) => s.clone(),
+                Some(k) => k
+                    .as_u64()
+                    .map_err(|e| format!("{}: {e}", rows.key))?
+                    .to_string(),
+                None => return Err(format!("{} row without {:?}", rows.member, rows.key)),
+            };
+            let row = format!("{}{key}", rows.prefix);
+            flat.add_row(&row)?;
+            for (field, value) in members.iter().filter(|(f, _)| f != rows.key) {
+                let value = match ((rows.policy)(field, value), value) {
+                    (Policy::Skipped, _) => continue,
+                    (_, Json::Null) => Ok(Value::Null),
+                    (Policy::Toleranced, v) => v.as_f64().map(Value::Real),
+                    (Policy::Exact, Json::Str(s)) => Ok(Value::Text(s.clone())),
+                    (Policy::Exact, Json::Bool(b)) => Ok(Value::Text(b.to_string())),
+                    (Policy::Exact, v) => v.as_u64().map(Value::Int),
                 }
-                Some(_) => {}
+                .map_err(|e| format!("row {row}: field {field}: {e}"))?;
+                let label = if rows.named { field.as_str() } else { "" };
+                flat.fields.insert((row.clone(), label.into()), value);
             }
         }
-        for (key, bv) in &b.numbers {
-            match c.numbers.get(key) {
-                None => regressions.push(format!("{name} {key}: missing from candidate")),
-                Some(cv) if FLEET_EXACT_FIELDS.contains(&key.as_str()) => {
-                    #[allow(clippy::float_cmp)] // integer-valued, parsed losslessly
-                    if bv != cv {
-                        regressions.push(format!(
-                            "{name} {key}: {bv} -> {cv} (deterministic plane must match exactly)"
-                        ));
-                    }
-                }
-                Some(cv) => {
-                    check_value(&mut regressions, &format!("{name} {key}"), *bv, *cv, tol);
-                }
+    }
+    Ok((kind, flat))
+}
+
+/// Flattens a telemetry dump: counters and gauges by metric key,
+/// histograms by their p50/p95/p99 (reconstructed through
+/// [`Histogram::try_from_parts`], the path `vapres report --metrics`
+/// trusts). Spans are a trace, not a point metric, and are skipped.
+fn flatten_telemetry(text: &str) -> Result<Flat, String> {
+    let mut flat = Flat::default();
+    for rec in parse_jsonl(text).map_err(|e| e.to_string())? {
+        let row = metric_key(rec.name(), rec.labels());
+        let values = match rec {
+            Record::Counter { value, .. } => vec![("", value as f64)],
+            Record::Gauge { value, .. } => vec![("", value)],
+            Record::Histogram {
+                bucket_width,
+                counts,
+                ..
+            } => {
+                // Telemetry JSONL carries no min/max; the bucket-bound
+                // percentiles are exactly what the exporter printed.
+                let h = Histogram::try_from_parts(bucket_width, counts, None, None)
+                    .map_err(|e| format!("{row}: {e}"))?;
+                let p = |q| h.percentile(q).unwrap_or(0) as f64;
+                vec![("p50", p(0.50)), ("p95", p(0.95)), ("p99", p(0.99))]
             }
-        }
-    }
-    for (component, bu) in &b_work {
-        match c_work.get(component) {
-            None => regressions.push(format!("work {component}: missing from candidate")),
-            Some(cu) if bu != cu => regressions.push(format!(
-                "work {component}: {bu} -> {cu} (work plane must match exactly)"
-            )),
-            Some(_) => {}
-        }
-    }
-    for component in c_work.keys() {
-        if !b_work.contains_key(component) {
-            regressions.push(format!("work {component}: absent from baseline"));
-        }
-    }
-    Ok(regressions)
-}
-
-/// One parsed cost-model row: the deterministic work units and the
-/// host-calibrated unit cost.
-#[derive(Debug)]
-struct CostRow {
-    work_units: u64,
-    ns_per_unit: f64,
-}
-
-/// Parses the flat one-line component rows of a cost-model export,
-/// keyed by component name. The writer emits them machine-formatted
-/// (no nesting, no escapes in component names), so the same
-/// field-splitting scan the trajectory parser uses is exact.
-fn parse_cost_model(text: &str) -> Result<BTreeMap<String, CostRow>, String> {
-    let mut rows = BTreeMap::new();
-    for line in text.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if !t.starts_with("{\"component\":") {
-            continue;
-        }
-        let body = t
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| format!("malformed component row: {t}"))?;
-        let mut component = None;
-        let mut work_units = None;
-        let mut ns_per_unit = None;
-        for field in split_top_level_fields(body) {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| format!("malformed field {field:?}"))?;
-            let key = key.trim().trim_matches('"');
-            let value = value.trim();
-            match key {
-                "component" => {
-                    component = value
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .map(str::to_string);
-                }
-                "work_units" => {
-                    work_units = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| format!("work_units: cannot parse {value:?}"))?,
-                    );
-                }
-                "ns_per_unit" => ns_per_unit = Some(parse_finite(key, value)?),
-                // `host_ns` is raw wall time of whatever machine ran the
-                // profile — never comparable, deliberately ignored.
-                _ => {}
-            }
-        }
-        let component = component.ok_or("component row without a name")?;
-        rows.insert(
-            component.clone(),
-            CostRow {
-                work_units: work_units
-                    .ok_or_else(|| format!("{component}: row without work_units"))?,
-                ns_per_unit: ns_per_unit
-                    .ok_or_else(|| format!("{component}: row without ns_per_unit"))?,
-            },
-        );
-    }
-    if rows.is_empty() {
-        return Err("cost model holds no component rows".into());
-    }
-    Ok(rows)
-}
-
-/// Compares two cost models: work units exactly (the deterministic
-/// plane must not drift at all), `ns_per_unit` within tolerance,
-/// `host_ns` skipped.
-fn diff_cost_model(baseline: &str, candidate: &str, tol: f64) -> Result<Vec<String>, String> {
-    let b = parse_cost_model(baseline)?;
-    let c = parse_cost_model(candidate)?;
-    let mut regressions = Vec::new();
-    for (component, bv) in &b {
-        let Some(cv) = c.get(component) else {
-            regressions.push(format!("{component}: missing from candidate"));
-            continue;
+            Record::Span { .. } => continue,
         };
-        if bv.work_units != cv.work_units {
-            // Work units are simulation state: exact, tolerance-free.
-            regressions.push(format!(
-                "{component} work_units: {} -> {} (work plane must match exactly)",
-                bv.work_units, cv.work_units
-            ));
-        }
-        check_value(
-            &mut regressions,
-            &format!("{component} ns_per_unit"),
-            bv.ns_per_unit,
-            cv.ns_per_unit,
-            tol,
-        );
-    }
-    for component in c.keys() {
-        if !b.contains_key(component) {
-            regressions.push(format!("{component}: absent from baseline"));
+        flat.add_row(&row)?;
+        for (field, v) in values {
+            flat.fields
+                .insert((row.clone(), field.into()), Value::Real(v));
         }
     }
-    Ok(regressions)
+    Ok(flat)
+}
+
+/// One metric key: name plus rendered label set, e.g.
+/// `iom_words_total{iom=0}`.
+fn metric_key(name: &str, labels: &[(String, String)]) -> String {
+    if labels.is_empty() {
+        return name.to_string();
+    }
+    let labels: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    format!("{name}{{{}}}", labels.join(","))
+}
+
+/// Compares two flattened artifacts of one kind; returns regression
+/// descriptions.
+fn compare(b: &Flat, c: &Flat, tol: f64) -> Vec<String> {
+    let mut out = Vec::new();
+    if let (Some((label, bn)), Some((_, cn))) = (b.count, c.count) {
+        if bn != cn {
+            out.push(format!("{label}: {bn} -> {cn}"));
+        }
+    }
+    for row in b.rows.difference(&c.rows) {
+        out.push(format!("{row}: missing from candidate"));
+    }
+    for ((row, field), bv) in &b.fields {
+        if !c.rows.contains(row) {
+            continue;
+        }
+        let name = if field.is_empty() {
+            row.clone()
+        } else {
+            format!("{row} {field}")
+        };
+        let key = (row.clone(), field.clone());
+        match (bv, c.fields.get(&key).unwrap_or(&Value::Null)) {
+            (Value::Null, Value::Null) => {}
+            (_, Value::Null) => out.push(format!("{name}: missing from candidate")),
+            (Value::Null, _) => out.push(format!("{name}: absent from baseline")),
+            // Relative deviation, with a unit floor on the denominator so
+            // near-zero baselines don't turn noise into infinity.
+            (Value::Real(b), Value::Real(c)) => {
+                let dev = (c - b) / b.abs().max(1.0);
+                if dev.abs() > tol {
+                    out.push(format!("{name}: {b} -> {c} ({:+.1}%)", dev * 100.0));
+                }
+            }
+            (b, c) if b != c => out.push(format!("{name}: {b} -> {c} (must match exactly)")),
+            _ => {}
+        }
+    }
+    for row in c.rows.difference(&b.rows) {
+        out.push(format!("{row}: absent from baseline"));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1037,6 +734,173 @@ mod tests {
         assert!(
             out.contains("icap/words: absent from baseline"),
             "got {out}"
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!(
+            "{{\"type\":\"counter\",\"name\":\"x\",\"labels\":{}\n",
+            "[".repeat(200_000)
+        );
+        for (b, c) in [(TELEMETRY, deep.as_str()), (deep.as_str(), TELEMETRY)] {
+            let (result, out) = run_diff(b, c, &[]);
+            let err = result.expect_err("deep nesting must fail").0;
+            assert!(err.contains("nesting deeper"), "{err}");
+            assert!(!out.contains("no regressions"), "{out}");
+        }
+    }
+
+    #[test]
+    fn non_finite_and_inexact_numbers_are_rejected() {
+        let gauge = |v: &str| format!("{{\"type\":\"gauge\",\"name\":\"g\",\"value\":{v}}}\n");
+        let (result, _) = run_diff(&gauge("1e999"), &gauge("-1e999"), &[]);
+        let err = result.expect_err("infinite gauges must not pass").0;
+        assert!(err.contains("non-finite"), "{err}");
+        // A counter is an integer: 7.9 is not read as 7, 1e300 not as u64::MAX.
+        for bad in ["7.9", "1e300"] {
+            let candidate = TELEMETRY.replace(":100}", &format!(":{bad}}}"));
+            let (result, _) = run_diff(TELEMETRY, &candidate, &[]);
+            let err = result.expect_err("inexact counter must fail").0;
+            assert!(err.contains("unsigned integer"), "{bad}: {err}");
+        }
+        // A trailing fragment after a record is corrupt input, on the
+        // first line or any other.
+        for value in [":100}", ":0.02}"] {
+            let candidate = TELEMETRY.replacen(value, &format!("{value}{{\"junk"), 1);
+            let (result, _) = run_diff(TELEMETRY, &candidate, &[]);
+            let err = result.expect_err("trailing bytes must fail").0;
+            assert!(err.contains("trailing bytes"), "{err}");
+        }
+    }
+
+    #[test]
+    fn fleet_exact_fields_compare_as_integers() {
+        // 2^53 and 2^53 + 1 are one f64: only an integer read sees the drift.
+        let fleet =
+            |v: &str| FLEET.replacen("\"missed_slots\":0", &format!("\"missed_slots\":{v}"), 1);
+        let (result, out) = run_diff(&fleet("9007199254740992"), &fleet("9007199254740993"), &[]);
+        assert!(result.is_err(), "one-count drift must fail: {out}");
+        assert!(
+            out.contains("rsb0 missed_slots: 9007199254740992 -> 9007199254740993"),
+            "got {out}"
+        );
+        let (result, _) = run_diff(FLEET, &fleet("1.5"), &[]);
+        let err = result.expect_err("a fractional count is corrupt").0;
+        assert!(
+            err.contains("field missed_slots: expected an unsigned integer"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn repeated_rows_and_fields_are_errors_naming_them() {
+        let one = "{\n  \"cost_model\": 1,\n  \"components\": [\n    \
+{\"component\":\"exec/fabric\",\"work_units\":7,\"host_ns\":70,\"ns_per_unit\":10.000000}\n  ]\n}\n";
+        let two = one.replace(
+            "    {\"component\"",
+            "    {\"component\":\"exec/fabric\",\"work_units\":1000,\"host_ns\":70,\"ns_per_unit\":0.070000},\n    {\"component\"",
+        );
+        let (result, _) = run_diff(&two, one, &[]);
+        let err = result
+            .expect_err("a repeated component must not collapse")
+            .0;
+        assert!(err.contains("repeated row exec/fabric"), "{err}");
+        let row = TRAJECTORY
+            .lines()
+            .find(|l| l.contains("\"index\":0"))
+            .unwrap();
+        let sweep = TRAJECTORY.replace(row, &format!("{row},\n{row}"));
+        let (result, _) = run_diff(TRAJECTORY, &sweep, &[]);
+        let err = result.expect_err("a repeated label must not collapse").0;
+        assert!(
+            err.contains("repeated row kr2kl2_f512_c100_none_fr0.00_n300"),
+            "{err}"
+        );
+        let fleet = FLEET.replace("{\"index\":1,", "{\"index\":0,");
+        let (result, _) = run_diff(FLEET, &fleet, &[]);
+        let err = result.expect_err("a repeated index must not collapse").0;
+        assert!(err.contains("repeated row rsb0"), "{err}");
+        let twice = COST_MODEL.replace(
+            "\"work_units\":352,",
+            "\"work_units\":352,\"work_units\":353,",
+        );
+        let (result, _) = run_diff(COST_MODEL, &twice, &[]);
+        let err = result.expect_err("a repeated field must not collapse").0;
+        assert!(err.contains("repeated field \"work_units\""), "{err}");
+    }
+
+    #[test]
+    fn nulls_are_checked_in_both_directions() {
+        let nulled = TRAJECTORY.replace("\"p99_e2e_ps\":1000000", "\"p99_e2e_ps\":null");
+        let (result, out) = run_diff(TRAJECTORY, &nulled, &[]);
+        assert!(result.is_err());
+        assert!(
+            out.contains("p99_e2e_ps: missing from candidate"),
+            "got {out}"
+        );
+        let (result, out) = run_diff(&nulled, TRAJECTORY, &[]);
+        assert!(
+            result.is_err(),
+            "a value where the baseline had null must fail"
+        );
+        assert!(
+            out.contains("p99_e2e_ps: absent from baseline"),
+            "got {out}"
+        );
+    }
+
+    /// Seeded mutation harness over the golden sweep trajectory and the
+    /// fleet, cost-model and telemetry fixtures: bit flips, truncations,
+    /// inserted runs of `[`/`{` and splices of two artifacts. No mutant may
+    /// panic; each is either a typed error or self-diffs clean.
+    #[test]
+    fn seeded_mutants_fail_typed_or_self_diff_clean() {
+        use vapres_sim::SplitMix64;
+        const GOLDEN: &str = include_str!("../../../scripts/golden/BENCH_sweep.json");
+        let inputs = [GOLDEN, FLEET, COST_MODEL, TELEMETRY];
+        let mut rng = SplitMix64::new(0xD1FF);
+        let (mut parsed, mut rejected) = (0, 0);
+        for round in 0..4_000 {
+            let mut m = inputs[rng.gen_usize(0..inputs.len())].as_bytes().to_vec();
+            match rng.gen_range(0..4) {
+                0 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let i = rng.gen_usize(0..m.len());
+                        m[i] ^= 1 << rng.gen_range(0..8);
+                    }
+                }
+                1 => m.truncate(rng.gen_usize(0..m.len())),
+                2 => {
+                    let i = rng.gen_usize(0..m.len() + 1);
+                    let open = if rng.gen_bool(0.5) { b'[' } else { b'{' };
+                    let run = vec![open; rng.gen_usize(1..200)];
+                    m.splice(i..i, run);
+                }
+                _ => {
+                    let other = inputs[rng.gen_usize(0..inputs.len())].as_bytes();
+                    m.truncate(rng.gen_usize(0..m.len()));
+                    m.extend_from_slice(&other[rng.gen_usize(0..other.len())..]);
+                }
+            }
+            // Not UTF-8: `read_to_string` rejects it before any parse.
+            let Ok(text) = String::from_utf8(m) else {
+                rejected += 1;
+                continue;
+            };
+            match std::panic::catch_unwind(|| flatten(&text)) {
+                Err(_) => panic!("mutant {round} panicked: {text:?}"),
+                Ok(Err(_)) => rejected += 1,
+                Ok(Ok((_, flat))) => {
+                    let regressions = compare(&flat, &flat, 0.0);
+                    assert!(regressions.is_empty(), "mutant {round}: {regressions:?}");
+                    parsed += 1;
+                }
+            }
+        }
+        assert!(
+            parsed > 100 && rejected > 100,
+            "{parsed} parsed, {rejected} rejected"
         );
     }
 }

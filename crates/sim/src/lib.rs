@@ -24,6 +24,8 @@
 //!   JSONL or chrome-trace when something fails.
 //! * [`watchdog`] — declarative [`watchdog::Monitor`] limits folded into a
 //!   structured [`watchdog::HealthReport`] (policy lives in higher layers).
+//! * [`json`] — the one strict JSON reader ([`json::Json`]) for artifacts
+//!   read back from disk: telemetry JSONL, trajectories and cost models.
 //! * [`rng`] — [`rng::SplitMix64`], the in-tree deterministic PRNG (no
 //!   external `rand` dependency, so tier-1 verify runs offline).
 //! * [`persist`] — the deterministic snapshot codec ([`persist::Persist`],
@@ -61,6 +63,7 @@
 pub mod clock;
 pub mod exec;
 pub mod flight;
+pub mod json;
 pub mod persist;
 pub mod profile;
 pub mod rng;

@@ -284,9 +284,11 @@ impl Histogram {
     /// *why* they are inconsistent, so a corrupted snapshot fails loudly at
     /// the parse boundary instead of producing nonsense quantiles later.
     ///
-    /// Rejected: zero `bucket_width`, empty `counts`, `min > max`, one of
-    /// `min`/`max` present without the other, and recorded extremes on a
-    /// histogram whose bucket counts are all zero.
+    /// Rejected: zero `bucket_width`, empty `counts`, a total count or
+    /// top bucket bound past `u64` (the quantile arithmetic would
+    /// overflow), `min > max`, one of `min`/`max` present without the
+    /// other, and recorded extremes on a histogram whose bucket counts are
+    /// all zero.
     pub fn try_from_parts(
         bucket_width: u64,
         counts: Vec<u64>,
@@ -298,6 +300,14 @@ impl Histogram {
         }
         if counts.is_empty() {
             return Err("need at least one bucket".into());
+        }
+        if counts
+            .iter()
+            .try_fold(0u64, |a, &c| a.checked_add(c))
+            .is_none()
+            || (counts.len() as u64).checked_mul(bucket_width).is_none()
+        {
+            return Err("histogram parts overflow u64".into());
         }
         if min.is_some() != max.is_some() {
             return Err(format!(
@@ -528,6 +538,12 @@ mod tests {
                 .contains("every bucket count is zero")
         );
         assert!(err(Histogram::try_from_parts(10, vec![1], Some(5), None)).contains("together"));
+        assert!(
+            err(Histogram::try_from_parts(10, vec![u64::MAX, 1], None, None)).contains("overflow")
+        );
+        assert!(
+            err(Histogram::try_from_parts(u64::MAX, vec![0, 1], None, None)).contains("overflow")
+        );
         assert!(err(Histogram::try_from_parts(10, vec![1], None, Some(5))).contains("together"));
     }
 

@@ -50,6 +50,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use crate::json::{self, Json};
 use crate::persist::{intern_static, Persist, PersistError, Reader, Writer};
 use crate::stats::Histogram;
 use crate::time::Ps;
@@ -807,6 +808,16 @@ impl Record {
             | Record::Span { name, .. } => name,
         }
     }
+
+    /// The record's label set (empty for a span).
+    pub fn labels(&self) -> &[(String, String)] {
+        match self {
+            Record::Counter { labels, .. }
+            | Record::Gauge { labels, .. }
+            | Record::Histogram { labels, .. } => labels,
+            Record::Span { .. } => &[],
+        }
+    }
 }
 
 /// A snapshot-parsing failure.
@@ -826,216 +837,6 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// A minimal JSON value — just enough for the snapshot format.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonParser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!("unexpected {:?}", c as char)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("dangling escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-decode multi-byte UTF-8 transparently: copy raw
-                    // bytes until the next ASCII structural character.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len()
-                        && self.bytes[end] != b'"'
-                        && self.bytes[end] != b'\\'
-                    {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?}"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err("expected ',' or ']'".into()),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            out.push((key, val));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err("expected ',' or '}'".into()),
-            }
-        }
-    }
-}
-
-fn obj_get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_str(v: Option<&Json>) -> Result<String, String> {
-    match v {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err("expected string".into()),
-    }
-}
-
-fn as_u64(v: Option<&Json>) -> Result<u64, String> {
-    match v {
-        Some(Json::Num(n)) if *n >= 0.0 => Ok(*n as u64),
-        _ => Err("expected non-negative number".into()),
-    }
-}
-
-fn as_f64(v: Option<&Json>) -> Result<f64, String> {
-    match v {
-        Some(Json::Num(n)) => Ok(*n),
-        _ => Err("expected number".into()),
-    }
-}
-
-fn as_labels(v: Option<&Json>) -> Result<Vec<(String, String)>, String> {
-    match v {
-        None => Ok(Vec::new()),
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(k, v)| match v {
-                Json::Str(s) => Ok((k.clone(), s.clone())),
-                _ => Err("label values must be strings".into()),
-            })
-            .collect(),
-        _ => Err("labels must be an object".into()),
-    }
-}
-
 /// Parses a JSON-lines snapshot back into records. Blank lines are
 /// skipped; any malformed line is an error.
 ///
@@ -1049,53 +850,63 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, SnapshotError> {
         if line.is_empty() {
             continue;
         }
-        let fail = |message: String| SnapshotError {
+        out.push(parse_record(line).map_err(|message| SnapshotError {
             line: i + 1,
             message,
-        };
-        let mut p = JsonParser::new(line);
-        let Json::Obj(obj) = p.value().map_err(&fail)? else {
-            return Err(fail("top-level value must be an object".into()));
-        };
-        let kind = as_str(obj_get(&obj, "type")).map_err(&fail)?;
-        let rec = match kind.as_str() {
-            "counter" => Record::Counter {
-                name: as_str(obj_get(&obj, "name")).map_err(&fail)?,
-                labels: as_labels(obj_get(&obj, "labels")).map_err(&fail)?,
-                value: as_u64(obj_get(&obj, "value")).map_err(&fail)?,
-            },
-            "gauge" => Record::Gauge {
-                name: as_str(obj_get(&obj, "name")).map_err(&fail)?,
-                labels: as_labels(obj_get(&obj, "labels")).map_err(&fail)?,
-                value: as_f64(obj_get(&obj, "value")).map_err(&fail)?,
-            },
-            "histogram" => {
-                let counts = match obj_get(&obj, "counts") {
-                    Some(Json::Arr(a)) => a
-                        .iter()
-                        .map(|v| as_u64(Some(v)))
-                        .collect::<Result<Vec<u64>, _>>()
-                        .map_err(&fail)?,
-                    _ => return Err(fail("histogram needs a counts array".into())),
-                };
-                Record::Histogram {
-                    name: as_str(obj_get(&obj, "name")).map_err(&fail)?,
-                    labels: as_labels(obj_get(&obj, "labels")).map_err(&fail)?,
-                    bucket_width: as_u64(obj_get(&obj, "bucket_width")).map_err(&fail)?,
-                    counts,
-                }
-            }
-            "span" => Record::Span {
-                name: as_str(obj_get(&obj, "name")).map_err(&fail)?,
-                label: as_str(obj_get(&obj, "label")).map_err(&fail)?,
-                start_ps: as_u64(obj_get(&obj, "start_ps")).map_err(&fail)?,
-                end_ps: as_u64(obj_get(&obj, "end_ps")).map_err(&fail)?,
-            },
-            other => return Err(fail(format!("unknown record type {other:?}"))),
-        };
-        out.push(rec);
+        })?);
     }
     Ok(out)
+}
+
+/// Reads one JSONL record; a field named twice is an error.
+fn parse_record(line: &str) -> Result<Record, String> {
+    let obj = json::parse(line)?;
+    json::unique(obj.members()?)?;
+    let field = |key: &str| obj.get(key).ok_or_else(|| format!("missing field {key:?}"));
+    let text = |key| field(key)?.as_str().map(str::to_string);
+    let int = |key| field(key)?.as_u64().map_err(|e| format!("{key}: {e}"));
+    let labels = || match obj.get("labels") {
+        None => Ok(Vec::new()),
+        Some(labels) => {
+            let members = labels.members()?;
+            json::unique(members)?;
+            members
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), v.as_str()?.to_string())))
+                .collect::<Result<Vec<_>, String>>()
+        }
+    };
+    Ok(match text("type")?.as_str() {
+        "counter" => Record::Counter {
+            name: text("name")?,
+            labels: labels()?,
+            value: int("value")?,
+        },
+        "gauge" => Record::Gauge {
+            name: text("name")?,
+            labels: labels()?,
+            value: field("value")?
+                .as_f64()
+                .map_err(|e| format!("value: {e}"))?,
+        },
+        "histogram" => Record::Histogram {
+            name: text("name")?,
+            labels: labels()?,
+            bucket_width: int("bucket_width")?,
+            counts: field("counts")?
+                .items()?
+                .iter()
+                .map(Json::as_u64)
+                .collect::<Result<_, _>>()?,
+        },
+        "span" => Record::Span {
+            name: text("name")?,
+            label: text("label")?,
+            start_ps: int("start_ps")?,
+            end_ps: int("end_ps")?,
+        },
+        other => return Err(format!("unknown record type {other:?}")),
+    })
 }
 
 #[cfg(test)]
@@ -1311,6 +1122,54 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_deep_nesting_naming_the_line() {
+        let deep = format!(
+            "{{\"type\":\"counter\",\"name\":\"a\",\"value\":1}}\n\
+             {{\"type\":\"counter\",\"name\":\"x\",\"labels\":{}\n",
+            "[".repeat(200_000)
+        );
+        let err = parse_jsonl(&deep).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
+    fn parse_reads_values_exactly_or_not_at_all() {
+        let counter = |v: &str| format!("{{\"type\":\"counter\",\"name\":\"c\",\"value\":{v}}}");
+        for bad in ["7.9", "1e300", "-1"] {
+            let err = parse_jsonl(&counter(bad)).unwrap_err();
+            assert!(err.message.contains("unsigned integer"), "{bad}: {err}");
+        }
+        for bad in ["1e999", "-1e999"] {
+            let line = format!("{{\"type\":\"gauge\",\"name\":\"g\",\"value\":{bad}}}");
+            let err = parse_jsonl(&line).unwrap_err();
+            assert!(err.message.contains("non-finite"), "{bad}: {err}");
+        }
+        // Trailing bytes after the record, and a field named twice.
+        let err = parse_jsonl(&format!("{}{{\"junk", counter("1"))).unwrap_err();
+        assert!(err.message.contains("trailing bytes"), "{err}");
+        let twice = "{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"value\":2}";
+        let err = parse_jsonl(twice).unwrap_err();
+        assert!(err.message.contains("repeated field \"value\""), "{err}");
+    }
+
+    #[test]
+    fn counters_past_two_to_the_53_round_trip_exactly() {
+        let mut t = Telemetry::new();
+        let c = t.counter("big_total", &[]);
+        t.inc(c, (1 << 53) + 1);
+        let records = parse_jsonl(&jsonl(&t)).expect("parses");
+        assert_eq!(
+            records,
+            vec![Record::Counter {
+                name: "big_total".into(),
+                labels: vec![],
+                value: (1 << 53) + 1,
+            }]
+        );
+    }
+
+    #[test]
     fn prometheus_format_is_wellformed() {
         let mut t = Telemetry::new();
         let c = t.counter("icap_words_total", &[]);
@@ -1380,13 +1239,12 @@ mod tests {
         t.write_chrome_trace(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         // Our own parser accepts it: structurally valid JSON.
-        let mut p = JsonParser::new(&text);
-        let Json::Obj(obj) = p.value().expect("valid JSON") else {
-            panic!("trace must be an object");
-        };
-        let Some(Json::Arr(events)) = obj_get(&obj, "traceEvents") else {
-            panic!("traceEvents missing");
-        };
+        let trace = json::parse(&text).expect("valid JSON");
+        let events = trace
+            .get("traceEvents")
+            .expect("traceEvents missing")
+            .items()
+            .expect("traceEvents must be an array");
         // 2 thread-name metadata events + 2 span events.
         assert_eq!(events.len(), 4);
         assert!(text.contains("\"ph\":\"X\""));

@@ -151,6 +151,18 @@ cmp -s "$tsdir/series_j1.jsonl" "$tsdir/series_j4.jsonl" \
 rm -rf "$tsdir"
 
 echo "==> regression diff gate (vapres diff vs committed golden baseline)"
+# must_regress <what> <pattern> <baseline> <candidate>: the diff must
+# fail AND name the injected field in a REGRESSED line, so a reader that
+# rejects the file for another reason does not pass as a catch.
+must_regress() {
+    local out
+    if out="$(./target/release/vapres-cli diff "$3" "$4" 2>&1)"; then
+        echo "diff missed an injected $1" >&2
+        exit 1
+    fi
+    grep -q "REGRESSED $2" <<<"$out" \
+        || { echo "diff failed on the injected $1 without naming it:" >&2; echo "$out" >&2; exit 1; }
+}
 diffdir="$(mktemp -d)"
 ./target/release/vapres-cli sweep \
     --kr 2 --kl 2,3 --fifo-depth 512 --swap none,seamless \
@@ -167,11 +179,8 @@ diffdir="$(mktemp -d)"
 # An injected +20% p99 word latency must trip the gate (exit non-zero).
 sed 's/"p99_e2e_ps":250000/"p99_e2e_ps":300000/' "$diffdir/BENCH_sweep.json" \
     > "$diffdir/BENCH_regressed.json"
-if ./target/release/vapres-cli diff \
-    scripts/golden/BENCH_sweep.json "$diffdir/BENCH_regressed.json" >/dev/null 2>&1; then
-    echo "diff missed an injected +20% p99 latency regression" >&2
-    exit 1
-fi
+must_regress "+20% p99 latency regression" ".* p99_e2e_ps: 250000 -> 300000 " \
+    scripts/golden/BENCH_sweep.json "$diffdir/BENCH_regressed.json"
 # Same drill on a telemetry dump: stretch the end-to-end latency
 # histogram's bucket width 20% and the percentile comparison must fail.
 ./target/release/vapres-cli sim --swap seamless --samples 2000 --trace-words 10 \
@@ -180,11 +189,8 @@ fi
     || { echo "telemetry self-diff reported a regression" >&2; exit 1; }
 sed '/"name":"word_e2e_latency_ps"/s/"bucket_width":250000/"bucket_width":300000/' \
     "$diffdir/metrics.jsonl" > "$diffdir/metrics_slow.jsonl"
-if ./target/release/vapres-cli diff \
-    "$diffdir/metrics.jsonl" "$diffdir/metrics_slow.jsonl" >/dev/null 2>&1; then
-    echo "diff missed an injected word-latency histogram regression" >&2
-    exit 1
-fi
+must_regress "word-latency histogram regression" "word_e2e_latency_ps[^ ]* p99: " \
+    "$diffdir/metrics.jsonl" "$diffdir/metrics_slow.jsonl"
 rm -rf "$diffdir"
 
 echo "==> bitstream cache smoke (repeat swap >=10x, jobs/warmth-invariant, diff-gated)"
@@ -227,11 +233,8 @@ awk -v c="$cold_ps" -v w="$warm_ps" 'BEGIN { exit !(c >= 10 * w) }' \
     || { echo "cached trajectory self-diff reported a regression" >&2; exit 1; }
 sed "s/\"repeat_swap_warm_ps\":$warm_ps/\"repeat_swap_warm_ps\":9$warm_ps/" \
     "$cachedir/BENCH_j1.json" > "$cachedir/BENCH_eroded.json"
-if ./target/release/vapres-cli diff \
-    "$cachedir/BENCH_j1.json" "$cachedir/BENCH_eroded.json" >/dev/null 2>&1; then
-    echo "diff missed an injected repeat-swap erosion" >&2
-    exit 1
-fi
+must_regress "repeat-swap erosion" ".* repeat_swap_warm_ps: $warm_ps -> 9$warm_ps " \
+    "$cachedir/BENCH_j1.json" "$cachedir/BENCH_eroded.json"
 rm -rf "$cachedir"
 
 echo "==> live endpoint probe (/metrics /health /flight over raw TCP, no curl)"
@@ -361,11 +364,8 @@ grep -q '"component":"icap/words"' "$profdir/cost.json" \
     || { echo "cost-model self-diff reported a regression" >&2; exit 1; }
 sed 's/"component":"icap\/words","work_units":\([0-9]*\)/"component":"icap\/words","work_units":1\1/' \
     "$profdir/cost.json" > "$profdir/cost_drift.json"
-if ./target/release/vapres-cli diff \
-    "$profdir/cost.json" "$profdir/cost_drift.json" >/dev/null 2>&1; then
-    echo "diff missed an injected work-unit drift in the cost model" >&2
-    exit 1
-fi
+must_regress "work-unit drift in the cost model" "icap/words work_units: \([0-9]*\) -> 1\1 " \
+    "$profdir/cost.json" "$profdir/cost_drift.json"
 # The work-unit plane of a profiled sweep is simulation state: identical
 # across job counts and warm/cold once the machine-dependent host fields
 # (host_ns and the derived ns_per_unit) are stripped.
@@ -428,11 +428,8 @@ echo "$jobs_err" | grep -q 'unknown option --jobs' \
     || { echo "fleet trajectory self-diff reported a regression" >&2; exit 1; }
 sed 's/"work_units":\([0-9][0-9]*\)/"work_units":1\1/' \
     "$fleetdir/BENCH_a.json" > "$fleetdir/BENCH_drift.json"
-if ./target/release/vapres-cli diff \
-    "$fleetdir/BENCH_a.json" "$fleetdir/BENCH_drift.json" >/dev/null 2>&1; then
-    echo "diff missed an injected fleet work-unit drift" >&2
-    exit 1
-fi
+must_regress "fleet work-unit drift" "rsb0 work_units: \([0-9]*\) -> 1\1 " \
+    "$fleetdir/BENCH_a.json" "$fleetdir/BENCH_drift.json"
 rm -rf "$fleetdir"
 
 echo "==> overhead guards (disabled instrumentation, sampling, profiling within 2% of bare; sampled dispatch profiling within 0.25x of exact; churned fabric within 1.5x of fresh)"
