@@ -316,12 +316,12 @@ fn bench_profile_overhead() {
     // `Option<Box<..>>` check, so a system that never calls
     // `enable_profiling` pays a single predictable branch per dispatch.
     // Compare the same hot loop bare, with a disabled (None) profiler,
-    // and with a live one charging a work unit per iteration and timing
-    // it either exactly (`begin`/`end`, a name search and two clock
-    // reads every time) or sampled (`dispatch` on a resolved scope, the
-    // path every component dispatch takes).
+    // and with a live one timing each iteration either exactly
+    // (`begin`/`end`, a name search and two clock reads every time) or
+    // sampled (`dispatch` on a resolved scope, the path every component
+    // dispatch takes). The profiler counts no work: a system's work rows
+    // are its own persisted counters.
     let mut prof = Profiler::new(DEFAULT_RING_CAPACITY);
-    let unit = prof.work_mut().unit("bench/iters");
     prof.begin("run");
     let scope = prof.resolve("bench");
     let mut disabled: Option<Profiler> = None;
@@ -338,7 +338,6 @@ fn bench_profile_overhead() {
     };
     let mut exact = |acc| {
         if let Some(p) = exact_prof.as_mut() {
-            p.work_mut().add(unit, 1);
             p.begin("bench");
             let acc = hot_work(acc);
             p.end();
@@ -348,7 +347,6 @@ fn bench_profile_overhead() {
     };
     let mut sampled = |acc| {
         if let Some(p) = sampled_prof.as_mut() {
-            p.work_mut().add(unit, 1);
             return p.dispatch(scope, || hot_work(acc));
         }
         hot_work(acc)

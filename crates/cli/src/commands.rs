@@ -1339,7 +1339,7 @@ fn write_exports(
             out,
             "work plane: {} components; host plane: {} scopes, {} completed \
              (exec/* dispatches timed about 1 in {}, scaled to an estimate)",
-            prof.work().len(),
+            model.rows.len(),
             prof.scope_count(),
             prof.completed(),
             vapres_sim::profile::DISPATCH_STRIDE_MEAN
@@ -1905,7 +1905,7 @@ fn write_fleet_trajectory(
         // contract and would poison the jobs-invariance byte-compare.
         write!(
             out,
-            "    {{\"component\": \"{}\", \"work_units\": {}}}",
+            "    {{\"component\":\"{}\",\"work_units\":{}}}",
             row.component, row.work_units
         )?;
         writeln!(

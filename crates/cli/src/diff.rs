@@ -134,9 +134,6 @@ struct Rows {
     prefix: &'static str,
     /// Label of the row-count line, for the kind's primary rows.
     count: Option<&'static str>,
-    /// Whether regression lines name the field after the row. A fleet
-    /// work row compares one field and reads `work <component>`.
-    named: bool,
     /// The policy of a field, by name and value.
     policy: fn(&str, &Json) -> Policy,
 }
@@ -160,7 +157,6 @@ const SWEEP: &[Rows] = &[Rows {
     key: "label",
     prefix: "",
     count: Some("scenario count"),
-    named: true,
     // `index` is positional bookkeeping, not a measurement.
     policy: |field, value| match (field, value) {
         ("index", _) => Policy::Skipped,
@@ -175,7 +171,6 @@ const FLEET: &[Rows] = &[
         key: "index",
         prefix: "rsb",
         count: Some("RSB count"),
-        named: true,
         policy: |field, value| match value {
             Json::Num(_) if !FLEET_EXACT_FIELDS.contains(&field) => Policy::Toleranced,
             _ => Policy::Exact,
@@ -186,7 +181,6 @@ const FLEET: &[Rows] = &[
         key: "component",
         prefix: "work ",
         count: None,
-        named: false,
         policy: |field, _| match field {
             "work_units" => Policy::Exact,
             _ => Policy::Skipped,
@@ -199,7 +193,6 @@ const COST_MODEL: &[Rows] = &[Rows {
     key: "component",
     prefix: "",
     count: None,
-    named: true,
     // `host_ns` is raw wall time of whatever machine ran the profile.
     policy: |field, _| match field {
         "work_units" => Policy::Exact,
@@ -296,8 +289,7 @@ fn flatten(text: &str) -> Result<(Kind, Flat), String> {
                     (Policy::Exact, v) => v.as_u64().map(Value::Int),
                 }
                 .map_err(|e| format!("row {row}: field {field}: {e}"))?;
-                let label = if rows.named { field.as_str() } else { "" };
-                flat.fields.insert((row.clone(), label.into()), value);
+                flat.fields.insert((row.clone(), field.clone()), value);
             }
         }
     }
@@ -565,8 +557,8 @@ mod tests {
 \"partition_shard\": {\"shard\": 1, \"rsbs\": [1], \"est_cost\": 9000, \"work_units\": 9500},\n  \"rsbs\": [\n    \
 {\"index\":0,\"samples_in\":220,\"interval\":100,\"swaps\":1,\"outcome\":\"ok\",\"drained\":true,\"samples_out\":220,\"missed_slots\":0,\"p99_e2e_ps\":1000000,\"sim_time_ps\":3000000000,\"work_units\":11500,\"est_cost\":11000,\"healthy\":true},\n    \
 {\"index\":1,\"samples_in\":180,\"interval\":150,\"swaps\":1,\"outcome\":\"ok\",\"drained\":true,\"samples_out\":180,\"missed_slots\":0,\"p99_e2e_ps\":1250000,\"sim_time_ps\":3000000000,\"work_units\":9500,\"est_cost\":9000,\"healthy\":true}\n  ],\n  \"work\": [\n    \
-{\"component\": \"exec/fabric\", \"work_units\": 17000},\n    \
-{\"component\": \"icap/words\", \"work_units\": 4000}\n  ]\n}\n";
+{\"component\":\"exec/fabric\",\"work_units\":17000},\n    \
+{\"component\":\"icap/words\",\"work_units\":4000}\n  ]\n}\n";
 
     #[test]
     fn identical_fleets_pass_across_hosts_and_partition_lines() {
@@ -605,12 +597,15 @@ mod tests {
         assert!(out.contains("rsb1 work_units: 9500 -> 9501"), "got {out}");
         // Same for the merged work plane.
         let candidate = FLEET.replace(
-            "{\"component\": \"icap/words\", \"work_units\": 4000}",
-            "{\"component\": \"icap/words\", \"work_units\": 4002}",
+            "{\"component\":\"icap/words\",\"work_units\":4000}",
+            "{\"component\":\"icap/words\",\"work_units\":4002}",
         );
         let (result, out) = run_diff(FLEET, &candidate, &["--tolerance", "0.5"]);
         assert!(result.is_err(), "merged work drift must fail");
-        assert!(out.contains("work icap/words: 4000 -> 4002"), "got {out}");
+        assert!(
+            out.contains("work icap/words work_units: 4000 -> 4002"),
+            "got {out}"
+        );
     }
 
     #[test]

@@ -401,8 +401,8 @@ impl VapresSystem {
     /// [`ApiError::Storage`] on missing file or duplicate array name.
     pub fn vapres_cf2array(&mut self, filename: &str, array: &str) -> Result<(), ApiError> {
         let (bytes, t_read) = self.cf.read(filename)?;
-        self.profile_charge_cf_bytes(bytes.len() as u64);
-        self.profile_charge_sdram_bytes(bytes.len() as u64);
+        self.cf_bytes += bytes.len() as u64;
+        self.sdram_bytes += bytes.len() as u64;
         self.run_for(t_read);
         let t_stage = self.sdram.stage(array, bytes)?;
         self.run_for(t_stage);
@@ -423,7 +423,7 @@ impl VapresSystem {
             return Ok(report);
         }
         let (bytes, t_read) = self.cf.read(filename)?;
-        self.profile_charge_cf_bytes(bytes.len() as u64);
+        self.cf_bytes += bytes.len() as u64;
         self.run_for(t_read);
         self.write_icap_bytes(&bytes, t_read, Some(&key))
     }
@@ -440,7 +440,7 @@ impl VapresSystem {
             return Ok(report);
         }
         let (bytes, t_read) = self.sdram.read(array)?;
-        self.profile_charge_sdram_bytes(bytes.len() as u64);
+        self.sdram_bytes += bytes.len() as u64;
         self.run_for(t_read);
         self.write_icap_bytes(&bytes, t_read, Some(&key))
     }
@@ -1040,15 +1040,14 @@ mod tests {
         let err = sys.vapres_cf2icap("bad.bit").unwrap_err();
         assert!(matches!(err, ApiError::Bitstream(_)));
         assert_eq!(sys.icap().words_pushed(), n, "driver clocks every word");
-        sys.profile_snapshot();
         let charged = sys
-            .profiler()
+            .profile_cost_model()
             .unwrap()
-            .work()
+            .rows
             .iter()
-            .find(|(name, _)| *name == "icap/words")
-            .map(|(_, v)| v)
-            .unwrap();
+            .find(|r| r.component == "icap/words")
+            .unwrap()
+            .work_units;
         assert_eq!(charged, n, "work plane attributes the failed push");
         let events: Vec<_> = sys.flight().unwrap().events().map(|e| e.event).collect();
         assert!(

@@ -172,6 +172,16 @@ impl FleetSystem {
             .unwrap_or(Ps::ZERO)
     }
 
+    /// Arms every RSB's self-profiler
+    /// ([`VapresSystem::enable_profiling`]). The profiler is host
+    /// plumbing that no image carries, so a restored fleet that wants
+    /// cost models arms it here; no simulated state changes.
+    pub fn enable_profiling(&mut self) {
+        for s in &mut self.rsbs {
+            s.enable_profiling();
+        }
+    }
+
     /// Runs every RSB for `dur`.
     pub fn run_for(&mut self, dur: Ps) {
         let deadline = self.now() + dur;

@@ -205,7 +205,7 @@ fn enter_step(
     label: &'static str,
 ) {
     *step = label;
-    sys.profile_charge_swap_step();
+    sys.swap_steps += 1;
     sys.flight_note(FlightEvent::SwapStep {
         method,
         step: label,

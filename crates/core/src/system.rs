@@ -25,7 +25,7 @@ use vapres_sim::clock::{ClockScheduler, DomainId, Edge};
 use vapres_sim::exec::{Activity, ComponentId, ExecStats, Executor};
 use vapres_sim::flight::{FifoEdgeKind, FifoSide, FlightEvent, FlightRecorder};
 use vapres_sim::persist::intern_static;
-use vapres_sim::profile::{CostModel, Profiler, ScopeId, WorkId, WorkUnits, DEFAULT_RING_CAPACITY};
+use vapres_sim::profile::{CostModel, Profiler, ScopeId, DEFAULT_RING_CAPACITY};
 use vapres_sim::stats::GapTracker;
 use vapres_sim::telemetry::Telemetry;
 use vapres_sim::time::Ps;
@@ -307,6 +307,12 @@ pub struct VapresSystem {
     pub(crate) sdram: Sdram,
     pub(crate) library: ModuleLibrary,
     pub(crate) isolated_writes: u64,
+    /// Swap methodology steps entered (Fig. 5's nine, or halt-and-swap's).
+    pub(crate) swap_steps: u64,
+    /// Bytes read from CompactFlash by Table-2 API calls.
+    pub(crate) cf_bytes: u64,
+    /// Bytes staged into or read from SDRAM by Table-2 API calls.
+    pub(crate) sdram_bytes: u64,
     /// The activity-tracked component scheduler (see `vapres_sim::exec`).
     pub(crate) exec: Executor,
     /// Executor component id → what it drives.
@@ -335,9 +341,9 @@ pub struct VapresSystem {
     /// freshly rendered payloads at every sample boundary. Host
     /// plumbing, not simulation state — never persisted.
     live: Option<LiveSink>,
-    /// The two-plane self-profiler; `None` (the default) keeps every
-    /// hook a single branch. The work plane is persisted in
-    /// checkpoints; the host plane (wall time) never is.
+    /// The self-profiler's host plane; `None` (the default) keeps every
+    /// hook a single branch. Host plumbing, never persisted: its work
+    /// rows are read from the counters above.
     profile: Option<Box<SelfProfile>>,
     /// The staged-bitstream cache; `None` (the default) keeps the
     /// reconfiguration path byte-identical to the uncached model. Cache
@@ -345,124 +351,39 @@ pub struct VapresSystem {
     pub(crate) bs_cache: Option<BitstreamCache>,
 }
 
-/// The self-profiler plus its pre-resolved work and scope ids, so
-/// hot-loop charging is an array index, not a name lookup.
+/// The self-profiler plus one cached dispatch scope per executor
+/// component, so hot-loop timing is an array index, not a name lookup.
 struct SelfProfile {
     prof: Profiler,
-    /// Per executor component, in executor registration order.
-    comps: Vec<CompProfile>,
-    /// One unit per time-series sample captured.
-    sampling: WorkId,
-    /// One unit per swap methodology step entered.
-    swap_steps: WorkId,
-    /// Raised to `Icap::words_pushed` at harvest — pushed counts the
-    /// driver's effort, including streams the ICAP later rejected.
-    icap_words: WorkId,
-    /// Bytes read from CompactFlash by Table-2 API calls.
-    cf_bytes: WorkId,
-    /// Bytes staged into / read from SDRAM by Table-2 API calls.
-    sdram_bytes: WorkId,
-    /// Raised to the staged-bitstream cache's hit count at harvest.
-    cache_hits: WorkId,
-    /// Raised to the cache's storage bytes avoided at harvest.
-    cache_bytes_saved: WorkId,
-}
-
-/// One executor component's profiler handles.
-struct CompProfile {
-    /// Host scope name, equal to the work component name.
-    name: &'static str,
-    work: WorkId,
-    /// The dispatch scope, with the open scope it was resolved under
-    /// (always `run` today); re-resolved when that parent differs.
-    scope: Option<(Option<ScopeId>, ScopeId)>,
+    /// Per executor component, in executor registration order: the
+    /// dispatch scope, with the open scope it was resolved under (always
+    /// `run` today); re-resolved when that parent differs.
+    scopes: Vec<Option<(Option<ScopeId>, ScopeId)>>,
 }
 
 impl SelfProfile {
-    /// Registers the fixed component set in deterministic order (the
-    /// executor's registration order, then the shared engines), so the
-    /// work plane's layout is a pure function of the configuration.
-    fn new(comp_kind: &[CompKind]) -> Self {
-        let mut prof = Profiler::new(DEFAULT_RING_CAPACITY);
-        let mut comps = Vec::with_capacity(comp_kind.len());
-        for kind in comp_kind {
-            let name = match kind {
-                CompKind::Fabric => intern_static("exec/fabric"),
-                CompKind::Iom(i) => intern_static(&format!("exec/iom{i}")),
-                CompKind::Prr(i) => intern_static(&format!("exec/prr{i}")),
-            };
-            let work = prof.work_mut().unit(name);
-            comps.push(CompProfile {
-                name,
-                work,
-                scope: None,
-            });
-        }
-        let sampling = prof.work_mut().unit("sample");
-        let swap_steps = prof.work_mut().unit("swap/steps");
-        let icap_words = prof.work_mut().unit("icap/words");
-        let cf_bytes = prof.work_mut().unit("cf/bytes");
-        let sdram_bytes = prof.work_mut().unit("sdram/bytes");
-        let cache_hits = prof.work_mut().unit("cache/hits");
-        let cache_bytes_saved = prof.work_mut().unit("cache/bytes_saved");
-        SelfProfile {
-            prof,
-            comps,
-            sampling,
-            swap_steps,
-            icap_words,
-            cf_bytes,
-            sdram_bytes,
-            cache_hits,
-            cache_bytes_saved,
-        }
-    }
-
-    /// Adopts a restored work plane and re-resolves every cached id
-    /// against it (the restored registry was laid out by this same
-    /// registration sequence, so ids land on the same components).
-    fn adopt_work(&mut self, work: WorkUnits) {
-        self.prof.set_work(work);
-        let SelfProfile {
-            prof,
-            comps,
-            sampling,
-            swap_steps,
-            icap_words,
-            cf_bytes,
-            sdram_bytes,
-            cache_hits,
-            cache_bytes_saved,
-        } = self;
-        let w = prof.work_mut();
-        for c in comps.iter_mut() {
-            c.work = w.unit(c.name);
-        }
-        *sampling = w.unit("sample");
-        *swap_steps = w.unit("swap/steps");
-        *icap_words = w.unit("icap/words");
-        *cf_bytes = w.unit("cf/bytes");
-        *sdram_bytes = w.unit("sdram/bytes");
-        *cache_hits = w.unit("cache/hits");
-        *cache_bytes_saved = w.unit("cache/bytes_saved");
-    }
-
-    /// Runs one dispatch of executor component `comp`: one work unit,
-    /// and one call of its scope under the open scope, sampled by
-    /// [`Profiler::dispatch`].
-    fn dispatch<R>(&mut self, comp: usize, f: impl FnOnce() -> R) -> R {
-        let c = &mut self.comps[comp];
-        self.prof.work_mut().add(c.work, 1);
+    /// Runs one dispatch of executor component `comp` as one call of its
+    /// scope under the open scope, sampled by [`Profiler::dispatch`].
+    fn dispatch<R>(&mut self, comp: usize, kind: CompKind, f: impl FnOnce() -> R) -> R {
         let parent = self.prof.open_scope();
-        let scope = match c.scope {
+        let scope = match self.scopes[comp] {
             Some((at, scope)) if at == parent => scope,
             _ => {
-                let scope = self.prof.resolve(c.name);
-                c.scope = Some((parent, scope));
+                let scope = self.prof.resolve(comp_name(kind));
+                self.scopes[comp] = Some((parent, scope));
                 scope
             }
         };
         self.prof.dispatch(scope, f)
+    }
+}
+
+/// The work-row and scope name of an executor component.
+fn comp_name(kind: CompKind) -> &'static str {
+    match kind {
+        CompKind::Fabric => "exec/fabric",
+        CompKind::Iom(i) => intern_static(&format!("exec/iom{i}")),
+        CompKind::Prr(i) => intern_static(&format!("exec/prr{i}")),
     }
 }
 
@@ -581,6 +502,9 @@ impl VapresSystem {
             sdram: Sdram::new(),
             library,
             isolated_writes: 0,
+            swap_steps: 0,
+            cf_bytes: 0,
+            sdram_bytes: 0,
             exec,
             comp_kind,
             comp_fabric,
@@ -862,7 +786,7 @@ impl VapresSystem {
                     ),
                 };
                 match profile.as_deref_mut() {
-                    Some(p) => p.dispatch(id.0, tick),
+                    Some(p) => p.dispatch(id.0, comp_kind[id.0], tick),
                     None => tick(),
                 }
             };
@@ -924,15 +848,10 @@ impl VapresSystem {
     }
 
     /// Executor work counters (edges delivered/elided, component ticks
-    /// dispatched/skipped) accumulated across runs. All zeros in dense
-    /// mode.
-    pub fn exec_stats(&self) -> &ExecStats {
+    /// dispatched/skipped) accumulated since construction. All zeros in
+    /// dense mode.
+    pub fn exec_stats(&self) -> ExecStats {
         self.exec.stats()
-    }
-
-    /// Zeroes the executor work counters (e.g. between benchmark phases).
-    pub fn reset_exec_stats(&mut self) {
-        self.exec.reset_stats();
     }
 
     /// Starts capturing system waveforms — established channels, active
@@ -1181,16 +1100,22 @@ impl VapresSystem {
     ///
     /// The *work plane* counts deterministic simulation effort — one
     /// unit per component tick dispatched (`exec/fabric`, `exec/iom*`,
-    /// `exec/prr*`), per route span the fabric dispatched or folded
-    /// (`fabric/route*`), per swap step, per time-series sample, plus
-    /// ICAP words and CF/SDRAM bytes moved. It is persisted in
-    /// checkpoints and byte-identical across `--jobs` counts and
-    /// warm/cold starts, like every other observable.
+    /// `exec/prr*`), per time-series sample, per swap step, per route
+    /// span the fabric dispatched or folded (`fabric/route*`), plus ICAP
+    /// words, CF/SDRAM bytes moved and staged-cache hits. The profiler
+    /// keeps none of it: the work plane is a view of counters the system
+    /// keeps and persists anyway, read by
+    /// [`profile_cost_model`](Self::profile_cost_model). So it counts
+    /// from construction however late the profiler is armed, and it is
+    /// byte-identical across `--jobs` counts, warm/cold starts and
+    /// restores, like every other observable.
     ///
     /// The *host plane* measures wall-clock nanoseconds per nested run
     /// scope. Like the live sink it is host plumbing, not simulation
-    /// state: never persisted, and outside every determinism contract.
-    /// Component dispatches are counted exactly but timed about one in
+    /// state: never persisted (arming the profiler changes no checkpoint
+    /// byte, and a restored system comes back unarmed), and outside
+    /// every determinism contract. Component dispatches are timed about
+    /// one in
     /// [`DISPATCH_STRIDE_MEAN`](vapres_sim::profile::DISPATCH_STRIDE_MEAN)
     /// ([`Profiler::dispatch`]), cheap enough to leave on.
     ///
@@ -1199,15 +1124,15 @@ impl VapresSystem {
     /// hooks there would only measure the mode nobody ships.
     pub fn enable_profiling(&mut self) {
         if self.profile.is_none() {
-            self.profile = Some(Box::new(SelfProfile::new(&self.comp_kind)));
+            self.profile = Some(Box::new(SelfProfile {
+                prof: Profiler::new(DEFAULT_RING_CAPACITY),
+                scopes: vec![None; self.comp_kind.len()],
+            }));
         }
     }
 
-    /// The self-profiler, if [`enable_profiling`](Self::enable_profiling)
-    /// was called. Event-charged work units (dispatches, swap steps,
-    /// storage bytes) are current; state-derived ones (per-route spans,
-    /// ICAP words) appear after
-    /// [`profile_snapshot`](Self::profile_snapshot).
+    /// The self-profiler's host plane, if
+    /// [`enable_profiling`](Self::enable_profiling) was called.
     pub fn profiler(&self) -> Option<&Profiler> {
         self.profile.as_deref().map(|p| &p.prof)
     }
@@ -1218,43 +1143,55 @@ impl VapresSystem {
         self.profile.as_deref_mut().map(|p| &mut p.prof)
     }
 
-    /// Harvests state-derived work units into the profiler's work
-    /// plane: per-route span counts from the fabric (in channel-id
-    /// order, so registration order is deterministic) and the ICAP
-    /// word count. Idempotent, like
-    /// [`snapshot_metrics`](Self::snapshot_metrics). A no-op when
-    /// profiling is off.
-    pub fn profile_snapshot(&mut self) {
-        if self.profile.is_none() {
-            return;
-        }
+    /// The work rows, in their fixed order: `exec/*` per executor
+    /// component in registration order, `sample`, `swap/steps`,
+    /// `icap/words`, `cf/bytes`, `sdram/bytes`, `cache/hits`,
+    /// `cache/bytes_saved`, then `fabric/route<id>` per live channel in
+    /// id order. Rows that read 0 are kept.
+    fn work_rows(&mut self) -> Vec<(&'static str, u64)> {
         self.sync_fabric();
-        let mut p = self.profile.take().expect("checked above");
-        // Pushed, not written: the polled driver clocks every word of a
-        // stream through the port before the ICAP can reject it, so the
-        // work plane attributes failed writes too.
-        let words = self.icap.words_pushed();
-        let w = p.prof.work_mut();
-        w.set(p.icap_words, words);
-        if let Some(cache) = self.bs_cache.as_ref() {
-            let s = cache.stats();
-            w.set(p.cache_hits, s.hits);
-            w.set(p.cache_bytes_saved, s.bytes_saved);
-        }
+        let cache = self.bs_cache.as_ref().map(BitstreamCache::stats);
+        let stats = self.exec.stats();
+        let mut rows: Vec<(&'static str, u64)> = self
+            .comp_kind
+            .iter()
+            .zip(stats.component_ticks())
+            .map(|(&kind, &ticks)| (comp_name(kind), ticks))
+            .collect();
+        rows.extend([
+            (
+                "sample",
+                self.timeseries
+                    .as_ref()
+                    .map_or(0, TimeSeries::frames_captured),
+            ),
+            ("swap/steps", self.swap_steps),
+            // Pushed, not written: the polled driver clocks every word
+            // of a stream through the port before the ICAP can reject
+            // it, so failed writes count too.
+            ("icap/words", self.icap.words_pushed()),
+            ("cf/bytes", self.cf_bytes),
+            ("sdram/bytes", self.sdram_bytes),
+            ("cache/hits", cache.map_or(0, |c| c.hits)),
+            ("cache/bytes_saved", cache.map_or(0, |c| c.bytes_saved)),
+        ]);
         for id in self.fabric.active_channels() {
             let info = self.fabric.channel_info(id).expect("listed channel");
-            let unit = w.unit(&format!("fabric/route{}", id.0));
-            w.set(unit, info.work_ops);
+            rows.push((
+                intern_static(&format!("fabric/route{}", id.0)),
+                info.work_ops,
+            ));
         }
-        self.profile = Some(p);
+        rows
     }
 
-    /// Harvests ([`profile_snapshot`](Self::profile_snapshot)) and joins
-    /// the planes into the partition-ready cost model. `None` when
-    /// profiling was never enabled.
+    /// Joins the work rows with the profiler's host plane into the
+    /// partition-ready cost model. `None` when profiling was never
+    /// enabled.
     pub fn profile_cost_model(&mut self) -> Option<CostModel> {
-        self.profile_snapshot();
-        self.profile.as_deref().map(|p| p.prof.cost_model())
+        self.profile.as_ref()?;
+        let rows = self.work_rows();
+        self.profile.as_deref().map(|p| p.prof.cost_model(&rows))
     }
 
     /// Records a `profile_dump` flight event carrying the number of
@@ -1283,30 +1220,6 @@ impl VapresSystem {
         }
     }
 
-    /// Charges one swap methodology step to the work plane.
-    pub(crate) fn profile_charge_swap_step(&mut self) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            let unit = p.swap_steps;
-            p.prof.work_mut().add(unit, 1);
-        }
-    }
-
-    /// Charges CompactFlash bytes read to the work plane.
-    pub(crate) fn profile_charge_cf_bytes(&mut self, n: u64) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            let unit = p.cf_bytes;
-            p.prof.work_mut().add(unit, n);
-        }
-    }
-
-    /// Charges SDRAM bytes staged or read to the work plane.
-    pub(crate) fn profile_charge_sdram_bytes(&mut self, n: u64) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            let unit = p.sdram_bytes;
-            p.prof.work_mut().add(unit, n);
-        }
-    }
-
     /// Harvests the registry and folds one delta frame into the
     /// sampler, then feeds any live sink. `at` is the nominal sample
     /// boundary — the scheduler may sit short of it when the tail of
@@ -1315,11 +1228,7 @@ impl VapresSystem {
         let Some(mut ts) = self.timeseries.take() else {
             return;
         };
-        if let Some(p) = self.profile.as_deref_mut() {
-            let unit = p.sampling;
-            p.prof.work_mut().add(unit, 1);
-            p.prof.begin("sample");
-        }
+        self.profile_begin("sample");
         self.snapshot_metrics();
         if let Some(t) = self.telemetry.as_ref() {
             ts.capture(at, t);
@@ -1884,6 +1793,9 @@ impl VapresSystem {
         self.cf.persist(w);
         self.sdram.persist(w);
         w.put_u64(self.isolated_writes);
+        w.put_u64(self.swap_steps);
+        w.put_u64(self.cf_bytes);
+        w.put_u64(self.sdram_bytes);
         w.put_bool(self.dense);
         self.trace.as_ref().map(|t| t.tracer.clone()).persist(w);
         self.telemetry.persist(w);
@@ -1896,19 +1808,8 @@ impl VapresSystem {
             None => w.put_bool(false),
         }
         self.timeseries.persist(w);
-        // v3: the profiler's deterministic work plane. The host plane
-        // (wall-time scopes) is host plumbing and never persisted.
-        // State-derived units (routes, ICAP words) are not harvested
-        // here — the native counters they mirror are persisted above,
-        // and the next harvest recomputes identical values.
-        match &self.profile {
-            Some(p) => {
-                w.put_bool(true);
-                p.prof.work().persist(w);
-            }
-            None => w.put_bool(false),
-        }
-        // v4: the staged-bitstream cache — entries, LRU stamps and
+        // The profiler is host plumbing and never persisted: its work
+        // rows are a view of the counters above. v4: the staged-bitstream cache — entries, LRU stamps and
         // statistics ride along so restored runs hit and evict exactly
         // as a run that never stopped.
         self.bs_cache.persist(w);
@@ -1981,6 +1882,13 @@ impl VapresSystem {
                 "snapshot fabric parameters disagree with the configuration".into(),
             ));
         }
+        // Images are encoded with the fabric materialized to the present
+        // static cycle.
+        if fabric.ticks() != sys.clocks.cycles(sys.static_domain) {
+            return Err(PersistError::Corrupt(
+                "snapshot fabric cycle disagrees with the static clock".into(),
+            ));
+        }
         sys.fabric = fabric;
         let n = r.take_usize()?;
         if n != sys.sockets.len() {
@@ -2018,7 +1926,14 @@ impl VapresSystem {
                         "snapshot holds module {uid} but the library cannot instantiate it"
                     ))
                 })?;
+                // Modules tolerate malformed words by falling back to
+                // defaults; an image only ever holds words a module wrote.
                 module.restore_persisted(&words);
+                if module.persist_words() != words {
+                    return Err(PersistError::Corrupt(format!(
+                        "module {uid} does not re-encode its state words"
+                    )));
+                }
                 Some(module)
             } else {
                 None
@@ -2040,6 +1955,9 @@ impl VapresSystem {
         sys.cf = CompactFlash::restore(r)?;
         sys.sdram = Sdram::restore(r)?;
         sys.isolated_writes = r.take_u64()?;
+        sys.swap_steps = r.take_u64()?;
+        sys.cf_bytes = r.take_u64()?;
+        sys.sdram_bytes = r.take_u64()?;
         sys.dense = r.take_bool()?;
         let nodes = sys.cfg.params.nodes;
         let n_prrs = sys.prrs.len();
@@ -2060,13 +1978,6 @@ impl VapresSystem {
             None
         };
         sys.timeseries = Option::<TimeSeries>::restore(r)?;
-        if r.take_bool()? {
-            sys.enable_profiling();
-            let work = WorkUnits::restore(r)?;
-            if let Some(p) = sys.profile.as_deref_mut() {
-                p.adopt_work(work);
-            }
-        }
         sys.bs_cache = Option::<BitstreamCache>::restore(r)?;
         r.expect_end()?;
         if sys.word_trace.is_some() && sys.fabric.word_tap().is_none() {

@@ -24,7 +24,7 @@
 //! stopped — the §4h warm-start contract lifted to fleets.
 
 use std::io::{self, Write};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vapres_core::fleet::{FleetSystem, ShardPlan};
 use vapres_core::module::ModuleLibrary;
@@ -155,7 +155,8 @@ pub struct FleetRsbRow {
     pub p99_e2e_ps: Option<u64>,
     /// Simulated time at harvest (identical across the fleet).
     pub sim_time_ps: u64,
-    /// Total deterministic work units this RSB's profiler counted.
+    /// Total deterministic work units of this RSB's cost model, counted
+    /// from its bring-up.
     pub work_units: u64,
     /// The sum of [`FleetSpec::work_estimate`] for this RSB.
     pub est_cost: u64,
@@ -288,6 +289,7 @@ pub fn run_fleet_from(
         image,
     )
     .map_err(|e| e.to_string())?;
+    fleet.enable_profiling();
     // The setup phase established the loopback routes; their ids are
     // deterministic (first two channels of each RSB), so the resumed
     // schedule reconstructs them rather than carrying them in-band.
@@ -420,6 +422,26 @@ fn drive(
         .collect()
 }
 
+/// The work rows of a fresh prototype RSB that the fleet runs forward,
+/// idle, across an earlier RSB's bring-up: each component that starts
+/// awake ticks once on its first edge and goes quiescent. Every RSB but
+/// the first is brought up after such a stretch. A fleet row counts
+/// work from its RSB's bring-up, so harvest takes these units off every
+/// row but the first; the RSB's `exec_ticks_total` telemetry still
+/// counts them.
+fn idle_prelude() -> &'static CostModel {
+    static PRELUDE: OnceLock<CostModel> = OnceLock::new();
+    PRELUDE.get_or_init(|| {
+        let mut lib = ModuleLibrary::new();
+        register(&mut lib);
+        let mut sys =
+            VapresSystem::new(SystemConfig::prototype(), lib).expect("the prototype builds");
+        sys.enable_profiling();
+        sys.run_for(Ps::from_us(1));
+        sys.profile_cost_model().expect("profiler armed above")
+    })
+}
+
 /// Phase 3 — per-RSB harvest and index-order merge.
 fn harvest(fleet: &mut FleetSystem, spec: &FleetSpec, outcomes: Vec<String>) -> FleetResult {
     let mut rows = Vec::with_capacity(spec.rsbs);
@@ -514,7 +536,15 @@ fn harvest_rsb(sys: &mut VapresSystem, rsb: usize) -> RsbHarvest {
         samples_out,
         sys.now().as_ps(),
     );
-    let work = sys.profile_cost_model().expect("profiler enabled at setup");
+    let mut work = sys
+        .profile_cost_model()
+        .expect("profiler armed by the runner");
+    if rsb > 0 {
+        for (row, idle) in work.rows.iter_mut().zip(&idle_prelude().rows) {
+            debug_assert_eq!(row.component, idle.component);
+            row.work_units -= idle.work_units;
+        }
+    }
     let flight = sys
         .flight()
         .expect("flight recorder enabled at setup")
@@ -553,6 +583,33 @@ mod tests {
             swaps,
             seed: 0xF1EE7,
             sample_every: None,
+        }
+    }
+
+    /// Harvest discounts [`idle_prelude`] from every RSB but the first:
+    /// it is exactly the work each later RSB has done when its bring-up
+    /// starts, and the first RSB has done none.
+    #[test]
+    fn idle_prelude_is_the_work_before_each_later_bring_up() {
+        let units = |m: CostModel| -> Vec<(&'static str, u64)> {
+            m.rows.iter().map(|r| (r.component, r.work_units)).collect()
+        };
+        let prelude = units(idle_prelude().clone());
+        assert!(prelude.iter().any(|&(_, u)| u > 0), "{prelude:?}");
+        let mut fleet = build(&spec(3, 3)).unwrap();
+        fleet.enable_profiling();
+        for rsb in 0..3 {
+            let before = fleet.with_rsb(rsb, |sys| {
+                let before = sys.profile_cost_model().unwrap();
+                setup_rsb(sys).unwrap();
+                before
+            });
+            let want: Vec<_> = if rsb == 0 {
+                prelude.iter().map(|&(c, _)| (c, 0)).collect()
+            } else {
+                prelude.clone()
+            };
+            assert_eq!(units(before), want, "RSB {rsb}");
         }
     }
 

@@ -71,10 +71,6 @@ struct PrefixKey {
     /// any seed yields the same prefix); `Some((seed, rate_bits))` when
     /// fault injection is live and the prefix is unique per seed.
     fault: Option<(u64, u64)>,
-    /// Whether the self-profiler was armed during the prefix. Its work
-    /// plane rides in the checkpoint image, so a profiled prefix cannot
-    /// serve an unprofiled scenario or vice versa.
-    profile: bool,
     /// Staged-bitstream cache capacity (0 = off). The cache contents and
     /// its hit/miss counters ride in the checkpoint image, so a cached
     /// prefix cannot serve an uncached scenario (or one with a different
@@ -83,7 +79,7 @@ struct PrefixKey {
 }
 
 impl PrefixKey {
-    fn of(sc: &Scenario, sample_every: Option<Ps>, profile: bool) -> Self {
+    fn of(sc: &Scenario, sample_every: Option<Ps>) -> Self {
         PrefixKey {
             kr: sc.kr,
             kl: sc.kl,
@@ -93,7 +89,6 @@ impl PrefixKey {
             interval: sc.interval,
             sample_every_ps: sample_every.map_or(0, |p| p.as_ps()),
             fault: (sc.fault_rate > 0.0).then(|| (sc.seed, sc.fault_rate.to_bits())),
-            profile,
             bitstream_cache: sc.bitstream_cache,
         }
     }
@@ -207,8 +202,10 @@ pub fn run_scenario_sampled(sc: &Scenario, every: Ps, cold: bool) -> (ScenarioRe
 }
 
 /// The warm path behind the public runners: prefix-cache lookup keyed on
-/// the scenario axes plus the sample cadence and profiling switch, then
-/// the suffix.
+/// the scenario axes plus the sample cadence, then the suffix. The
+/// profiler is never persisted, so one prefix serves profiled and
+/// unprofiled scenarios alike: a profiled one arms it after the restore,
+/// and its work rows still count from the prefix's construction.
 fn run_warm(
     sc: &Scenario,
     sample_every: Option<Ps>,
@@ -216,19 +213,22 @@ fn run_warm(
 ) -> (ScenarioResult, Option<TimeSeries>, Option<CostModel>) {
     let slot = {
         let mut map = prefix_cache().lock().expect("prefix cache lock");
-        map.entry(PrefixKey::of(sc, sample_every, profile))
+        map.entry(PrefixKey::of(sc, sample_every))
             .or_default()
             .clone()
     };
     let entry = slot.get_or_init(|| {
-        let (mut sys, setup) = build_prefix(sc, sample_every, profile);
+        let (mut sys, setup) = build_prefix(sc, sample_every, false);
         PrefixEntry {
             bytes: Arc::new(sys.checkpoint()),
             setup,
         }
     });
-    let sys = VapresSystem::restore(sc.system_config(), scenario_library(), &entry.bytes)
+    let mut sys = VapresSystem::restore(sc.system_config(), scenario_library(), &entry.bytes)
         .expect("a prefix snapshot restores into its own configuration");
+    if profile {
+        sys.enable_profiling();
+    }
     finish_scenario(sys, sc, entry.setup.clone())
 }
 
@@ -398,6 +398,13 @@ mod tests {
     use super::*;
     use vapres_core::scenario::{merge_telemetry, run_sweep_with, SweepGrid};
 
+    /// Serializes the tests that clear the process-wide prefix cache, so
+    /// one test's clear cannot drop another's entries mid-test.
+    fn cache_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tiny(swap: SwapMethod, fault_rate: f64, seed: u64) -> Scenario {
         let sc = Scenario {
             index: 0,
@@ -492,6 +499,7 @@ mod tests {
 
     #[test]
     fn warm_start_matches_the_cold_path_byte_for_byte() {
+        let _cache = cache_guard();
         clear_prefix_cache();
         let grid = SweepGrid {
             kr: vec![2],
@@ -519,10 +527,7 @@ mod tests {
         }
         // Six scenarios, two kl values × three methods: the three methods
         // share one prefix per kl, so only two distinct keys exist.
-        let mut keys: Vec<PrefixKey> = scenarios
-            .iter()
-            .map(|sc| PrefixKey::of(sc, None, false))
-            .collect();
+        let mut keys: Vec<PrefixKey> = scenarios.iter().map(|sc| PrefixKey::of(sc, None)).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 2, "swap method must not split the prefix key");
@@ -533,38 +538,31 @@ mod tests {
     fn faulty_prefixes_are_keyed_per_seed() {
         // Fault injection draws from the seed, so faulty prefixes must not
         // be shared across seeds — but fault-free ones must ignore it.
-        let a = PrefixKey::of(&tiny(SwapMethod::Seamless, 1.0, 41), None, false);
-        let b = PrefixKey::of(&tiny(SwapMethod::Seamless, 1.0, 42), None, false);
+        let a = PrefixKey::of(&tiny(SwapMethod::Seamless, 1.0, 41), None);
+        let b = PrefixKey::of(&tiny(SwapMethod::Seamless, 1.0, 42), None);
         assert_ne!(a, b, "distinct seeds under fault share a prefix");
-        let c = PrefixKey::of(&tiny(SwapMethod::Seamless, 0.0, 41), None, false);
-        let d = PrefixKey::of(&tiny(SwapMethod::Halt, 0.0, 42), None, false);
+        let c = PrefixKey::of(&tiny(SwapMethod::Seamless, 0.0, 41), None);
+        let d = PrefixKey::of(&tiny(SwapMethod::Halt, 0.0, 42), None);
         assert_eq!(c, d, "fault-free prefixes are seed- and method-agnostic");
         // The sample cadence splits the key: a sampled prefix image holds
         // sampler frames an unsampled scenario must not inherit.
-        let e = PrefixKey::of(
-            &tiny(SwapMethod::Seamless, 0.0, 41),
-            Some(Ps::from_us(100)),
-            false,
-        );
+        let e = PrefixKey::of(&tiny(SwapMethod::Seamless, 0.0, 41), Some(Ps::from_us(100)));
         assert_ne!(c, e, "sample cadence must split the prefix key");
-        // Likewise the profiling switch: a profiled prefix image carries
-        // a work-unit slot an unprofiled scenario must not inherit.
-        let f = PrefixKey::of(&tiny(SwapMethod::Seamless, 0.0, 41), None, true);
-        assert_ne!(c, f, "profiling must split the prefix key");
         // And the staged-bitstream cache: its contents and counters ride
         // in the checkpoint image, so capacity (including "off") must
         // split the key.
         let mut cached = tiny(SwapMethod::Seamless, 0.0, 41);
         cached.bitstream_cache = 4;
-        let g = PrefixKey::of(&cached, None, false);
+        let g = PrefixKey::of(&cached, None);
         assert_ne!(c, g, "cache capacity must split the prefix key");
         cached.bitstream_cache = 8;
-        let h = PrefixKey::of(&cached, None, false);
+        let h = PrefixKey::of(&cached, None);
         assert_ne!(g, h, "distinct capacities must not share a prefix");
     }
 
     #[test]
     fn cached_sweep_is_jobs_invariant_warm_cold_identical_and_10x() {
+        let _cache = cache_guard();
         clear_prefix_cache();
         let grid = SweepGrid {
             kr: vec![2],
@@ -667,6 +665,7 @@ mod tests {
 
     #[test]
     fn profiled_work_plane_is_jobs_invariant_and_warm_cold_identical() {
+        let _cache = cache_guard();
         clear_prefix_cache();
         let grid = SweepGrid {
             kr: vec![2],
@@ -701,8 +700,54 @@ mod tests {
         clear_prefix_cache();
     }
 
+    /// The profiler is never persisted, so a profiled prefix is the same
+    /// image as an unprofiled one and one cache entry serves both; the
+    /// profiled scenario arms its profiler after the restore and still
+    /// reads the cold run's work column.
+    #[test]
+    fn profiled_and_unprofiled_scenarios_share_one_prefix() {
+        let _cache = cache_guard();
+        let mut sc = tiny(SwapMethod::Seamless, 0.0, 5);
+        // A sample count no other test uses, so the entries counted
+        // below are this test's alone.
+        sc.samples = 347;
+        let image = |profile| build_prefix(&sc, None, profile).0.checkpoint();
+        assert_eq!(
+            image(true),
+            image(false),
+            "arming the profiler changed the prefix"
+        );
+
+        let (plain, _, none) = run_warm(&sc, None, false);
+        assert!(none.is_none(), "an unprofiled run builds no cost model");
+        let (warm, _, warm_model) = run_warm(&sc, None, true);
+        let entries = prefix_cache()
+            .lock()
+            .expect("prefix cache lock")
+            .keys()
+            .filter(|k| k.samples == sc.samples)
+            .count();
+        assert_eq!(entries, 1, "profiling split the prefix cache");
+        assert_eq!(plain.summary, warm.summary);
+
+        let (cold, _, cold_model) = run_cold(&sc, None, true);
+        assert_eq!(warm.summary, cold.summary);
+        let work = |m: Option<CostModel>| -> Vec<(&'static str, u64)> {
+            let rows = m.expect("profiled run builds a cost model").rows;
+            rows.iter().map(|r| (r.component, r.work_units)).collect()
+        };
+        let warm_work = work(warm_model);
+        assert!(warm_work.iter().any(|&(c, u)| c == "exec/fabric" && u > 0));
+        assert_eq!(
+            warm_work,
+            work(cold_model),
+            "warm work column differs from cold"
+        );
+    }
+
     #[test]
     fn sampled_series_is_jobs_invariant_and_warm_cold_identical() {
+        let _cache = cache_guard();
         clear_prefix_cache();
         let grid = SweepGrid {
             kr: vec![2],

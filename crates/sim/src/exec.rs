@@ -30,7 +30,10 @@
 //!
 //! Per-domain counters ([`ExecStats`]) record edges delivered, edges
 //! elided by fast-forward, component ticks dispatched, and ticks skipped,
-//! so every run can report how much work it actually did.
+//! so every run can report how much work it actually did. Ticks are kept
+//! once, per component; a domain's tick count is the sum over its
+//! components. The counters are model state: they are persisted, and
+//! nothing resets them.
 //!
 //! # Examples
 //!
@@ -94,16 +97,28 @@ pub struct DomainStats {
     pub edges: u64,
     /// Edges elided wholesale by fast-forward (everything asleep).
     pub ff_edges: u64,
-    /// Component ticks actually dispatched.
+    /// Component ticks actually dispatched (the sum over the domain's
+    /// components).
     pub ticks: u64,
     /// Component ticks skipped because the component was asleep.
     pub skips: u64,
 }
 
-/// Executor work counters, per clock domain plus aggregates.
+/// The counters an executor stores per domain; ticks live with each
+/// component.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct DomainCounts {
+    edges: u64,
+    ff_edges: u64,
+    skips: u64,
+}
+
+/// Executor work counters, per clock domain and per component, plus
+/// aggregates. A view built by [`Executor::stats`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecStats {
     domains: Vec<DomainStats>,
+    components: Vec<u64>,
 }
 
 impl ExecStats {
@@ -120,9 +135,14 @@ impl ExecStats {
             .map(|(i, s)| (DomainId(i), s))
     }
 
+    /// Ticks dispatched per component, in registration order.
+    pub fn component_ticks(&self) -> &[u64] {
+        &self.components
+    }
+
     /// Total component ticks dispatched.
     pub fn total_ticks(&self) -> u64 {
-        self.domains.iter().map(|d| d.ticks).sum()
+        self.components.iter().sum()
     }
 
     /// Total component ticks skipped (asleep at a delivered or elided edge).
@@ -144,12 +164,6 @@ impl ExecStats {
         }
         self.dense_equivalent_ticks() as f64 / ticks as f64
     }
-
-    fn ensure(&mut self, idx: usize) {
-        if self.domains.len() <= idx {
-            self.domains.resize(idx + 1, DomainStats::default());
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -161,6 +175,8 @@ struct Comp {
     /// queue. `seq` numbers every timer ever set, in order; it is only
     /// kept so checkpoints stay in their established encoding.
     timer: Option<(Ps, u64)>,
+    /// Ticks dispatched to this component.
+    ticks: u64,
 }
 
 /// The earliest due over all wake slots.
@@ -222,7 +238,8 @@ pub struct Executor {
     earliest: Option<Ps>,
     /// `seq` of the next timer set.
     next_seq: u64,
-    stats: ExecStats,
+    /// Per-domain edge and skip counters.
+    counts: Vec<DomainCounts>,
     wake_scratch: Vec<ComponentId>,
     sched_scratch: Vec<(ComponentId, Ps)>,
     ff_scratch: Vec<u64>,
@@ -234,7 +251,7 @@ impl std::fmt::Debug for Executor {
         f.debug_struct("Executor")
             .field("components", &self.comps.len())
             .field("awake", &self.awake_total)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -255,6 +272,7 @@ impl Executor {
             domain,
             awake: true,
             timer: None,
+            ticks: 0,
         });
         self.domain_comps[domain.0].push(id);
         self.awake_per_domain[domain.0] += 1;
@@ -267,7 +285,13 @@ impl Executor {
             self.domain_comps.resize_with(idx + 1, Vec::new);
             self.awake_per_domain.resize(idx + 1, 0);
         }
-        self.stats.ensure(idx);
+        self.ensure_counts(idx);
+    }
+
+    fn ensure_counts(&mut self, idx: usize) {
+        if self.counts.len() <= idx {
+            self.counts.resize(idx + 1, DomainCounts::default());
+        }
     }
 
     /// Number of registered components.
@@ -340,14 +364,22 @@ impl Executor {
     }
 
     /// Work counters accumulated so far.
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
-    }
-
-    /// Zeroes the work counters (e.g. between bench phases).
-    pub fn reset_stats(&mut self) {
-        for d in &mut self.stats.domains {
-            *d = DomainStats::default();
+    pub fn stats(&self) -> ExecStats {
+        // Every component's domain has a slot (restore checks it), and
+        // fast-forward may count domains that hold no component.
+        let mut domains =
+            vec![DomainStats::default(); self.counts.len().max(self.domain_comps.len())];
+        for (d, c) in domains.iter_mut().zip(&self.counts) {
+            d.edges = c.edges;
+            d.ff_edges = c.ff_edges;
+            d.skips = c.skips;
+        }
+        for c in &self.comps {
+            domains[c.domain.0].ticks += c.ticks;
+        }
+        ExecStats {
+            domains,
+            components: self.comps.iter().map(|c| c.ticks).collect(),
         }
     }
 
@@ -465,9 +497,9 @@ impl Executor {
             if elided == 0 {
                 continue;
             }
-            self.stats.ensure(d);
+            self.ensure_counts(d);
             let comps = self.domain_comps.get(d).map_or(0, Vec::len) as u64;
-            let st = &mut self.stats.domains[d];
+            let st = &mut self.counts[d];
             st.ff_edges += elided;
             st.skips += elided * comps;
         }
@@ -480,14 +512,15 @@ impl Executor {
     {
         let d = edge.domain.0;
         self.ensure_domain(d);
-        self.stats.domains[d].edges += 1;
+        self.counts[d].edges += 1;
         for i in 0..self.domain_comps[d].len() {
             let id = self.domain_comps[d][i];
-            if !self.comps[id.0].awake {
-                self.stats.domains[d].skips += 1;
+            let comp = &mut self.comps[id.0];
+            if !comp.awake {
+                self.counts[d].skips += 1;
                 continue;
             }
-            self.stats.domains[d].ticks += 1;
+            comp.ticks += 1;
             let mut pending = std::mem::take(&mut self.wake_scratch);
             let mut scheduled = std::mem::take(&mut self.sched_scratch);
             let activity = host(
@@ -566,9 +599,7 @@ impl Persist for ComponentId {
     }
 }
 
-crate::persist_fields!(DomainStats: edges, ff_edges, ticks, skips);
-
-crate::persist_fields!(ExecStats: domains);
+crate::persist_fields!(DomainCounts: edges, ff_edges, skips);
 
 impl Persist for Executor {
     fn persist(&self, w: &mut Writer) {
@@ -599,7 +630,10 @@ impl Persist for Executor {
             w.put_u64(seq);
             w.put_usize(idx);
         }
-        self.stats.persist(w);
+        self.counts.persist(w);
+        for c in &self.comps {
+            w.put_u64(c.ticks);
+        }
         self.trace.as_ref().map(|t| &t.tracer).cloned().persist(w);
         // Scratch vectors are empty between steps and never encoded.
     }
@@ -625,6 +659,7 @@ impl Persist for Executor {
                 domain,
                 awake,
                 timer: None,
+                ticks: 0,
             });
             seqs.push(seq);
         }
@@ -658,7 +693,10 @@ impl Persist for Executor {
         if let Some(idx) = (0..n).find(|&i| seqs[i].is_some() && comps[i].timer.is_none()) {
             return corrupt(format!("component {idx} has a timer but no timer entry"));
         }
-        let stats = ExecStats::restore(r)?;
+        let counts = Vec::<DomainCounts>::restore(r)?;
+        for c in &mut comps {
+            c.ticks = r.take_u64()?;
+        }
         let trace = Option::<Tracer>::restore(r)?
             .map(|tracer| {
                 if tracer.signal_count() == 0 {
@@ -689,7 +727,7 @@ impl Persist for Executor {
             awake_per_domain: vec![0; n_domains],
             awake_total: 0,
             next_seq,
-            stats,
+            counts,
             trace,
             ..Executor::default()
         };
@@ -1076,7 +1114,7 @@ mod tests {
     /// smallest image with every section populated. Layout: count (8),
     /// then domain (8), awake (1), timer seq (1 + 8); domain slots (8);
     /// next_seq (8), timer count (8), then (due, seq, component) (24);
-    /// stats (8 + 32); trace tag (1).
+    /// domain counts (8 + 24), component ticks (8); trace tag (1).
     fn one_sleeper() -> Vec<u8> {
         let mut clocks = ClockScheduler::new();
         let clk = clocks.add_domain(Freq::mhz(100));

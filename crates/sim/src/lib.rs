@@ -32,10 +32,10 @@
 //!   [`persist::Writer`]/[`persist::Reader`]) behind bit-exact
 //!   checkpoint/restore of every stateful layer.
 //! * [`profile`] — the two-plane self-profiler ([`profile::Profiler`]):
-//!   deterministic per-component work units (persisted like every other
-//!   observable) plus host wall-time scopes (never persisted; dispatch
-//!   scopes timed about one call in 16 and scaled), joined into a
-//!   per-component [`profile::CostModel`].
+//!   host wall-time scopes (never persisted; dispatch scopes timed about
+//!   one call in 16 and scaled), joined with the caller's deterministic
+//!   per-component work units (a view of counters the system persists)
+//!   into a per-component [`profile::CostModel`].
 //!
 //! Higher layers (`vapres-stream`, `vapres-core`) pull edges from the
 //! scheduler — directly, or through the executor's activity tracking — and
@@ -78,9 +78,7 @@ pub use clock::{ClockScheduler, DomainId, Edge};
 pub use exec::{Activity, ComponentId, DomainStats, ExecStats, Executor, Waker};
 pub use flight::{FlightEntry, FlightEvent, FlightRecorder};
 pub use persist::{Persist, PersistError, Reader, Writer};
-pub use profile::{
-    CostModel, CostRow, Profiler, ScopeEvent, ScopeId, ScopeStat, WorkId, WorkUnits,
-};
+pub use profile::{CostModel, CostRow, Profiler, ScopeEvent, ScopeId, ScopeStat};
 pub use rng::SplitMix64;
 pub use telemetry::{CounterId, GaugeId, HistogramId, Span, Telemetry};
 pub use time::{Freq, Ps};

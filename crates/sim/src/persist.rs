@@ -44,7 +44,12 @@ pub const MAGIC: [u8; 8] = *b"VAPRESCK";
 /// v5: the header carries a section count and the image moves into a
 /// tagged section (fingerprint and system body bytes unchanged); fleet
 /// and CLI checkpoints are containers of the same format.
-pub const FORMAT_VERSION: u32 = 5;
+/// v6: the executor encodes its tick counters per component instead of
+/// per domain; the system encodes swap-step, CF-byte and SDRAM-byte
+/// counters after the isolated-write count and no longer carries a
+/// self-profiler slot (the profiler's work rows are a view of these
+/// counters).
+pub const FORMAT_VERSION: u32 = 6;
 
 /// An error from decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -560,6 +565,11 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
         for _ in 0..len {
             let k = K::restore(r)?;
             let v = V::restore(r)?;
+            // Encoded in key order: a repeated or out-of-order key would
+            // decode to a map that re-encodes differently.
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(PersistError::Corrupt("map keys out of order".into()));
+            }
             out.insert(k, v);
         }
         Ok(out)

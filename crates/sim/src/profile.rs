@@ -3,16 +3,20 @@
 //!
 //! Two strictly separated planes:
 //!
-//! * **Work units** ([`WorkUnits`]) — deterministic counts of simulation
-//!   effort: component ticks dispatched, route-span folds, ICAP words,
-//!   storage bytes, swap steps, samples captured. Pure functions of the
-//!   simulated schedule, so they are persisted in checkpoints and
-//!   byte-identical across `--jobs` counts and warm/cold sweep paths,
-//!   like every other observable.
+//! * **Work units** — deterministic counts of simulation effort:
+//!   component ticks dispatched, route-span folds, ICAP words, storage
+//!   bytes, swap steps, samples captured. The profiler keeps none of
+//!   them. They are a view of counters the simulated system already
+//!   keeps and persists (executor ticks, fabric route work, storage and
+//!   ICAP counters), read when a cost model is built, so they are
+//!   byte-identical across `--jobs` counts and warm/cold sweep paths and
+//!   count from the system's construction whenever the profiler was
+//!   armed.
 //! * **Host time** — wall-clock nanoseconds per nested scope, measured
-//!   with the monotonic clock ([`std::time::Instant`]). Host plumbing,
-//!   not simulation state: never persisted, explicitly outside every
-//!   determinism contract (like the live sink).
+//!   with the monotonic clock ([`std::time::Instant`]). The profiler
+//!   holds only this plane. It is host plumbing, not simulation state:
+//!   never persisted, explicitly outside every determinism contract
+//!   (like the live sink).
 //!
 //! The host plane keeps two structures. An *aggregation tree* accumulates
 //! calls/total/child time per `(parent, name)` scope — self time is
@@ -28,16 +32,15 @@
 //! for about one call in [`DISPATCH_STRIDE_MEAN`]: each timed duration is
 //! scaled by its stride, an unbiased estimate of the stride's total.
 //!
-//! Joining the planes, [`Profiler::cost_model`] emits one row per work
-//! component — `{work_units, host_ns, ns_per_unit}` — which `vapres
-//! profile --cost-model` exports and `vapres diff` gates. Per-route rows carry no scope of their own
+//! Joining the planes, [`Profiler::cost_model`] takes the work rows and
+//! emits one row per work component — `{work_units, host_ns,
+//! ns_per_unit}` — which `vapres sim --profile yes --cost-model` exports
+//! and `vapres diff` gates. Per-route rows carry no scope of their own
 //! (routes are folded inside the fabric tick), so their host time is
 //! apportioned from the `exec/fabric` scope's self time by work-unit
 //! share.
 
-use crate::persist::{intern_static, Persist, PersistError, Reader, Writer};
 use crate::rng::SplitMix64;
-use std::collections::HashSet;
 use std::io::{self, Write};
 use std::time::Instant;
 
@@ -52,104 +55,6 @@ pub const DISPATCH_STRIDE_MEAN: u64 = 16;
 /// Seed of the host-side stride generator (host plumbing: never
 /// persisted, and nothing observable depends on it).
 const STRIDE_SEED: u64 = 0x5EED;
-
-/// Handle to one registered work component (an index; `Copy`, cheap to
-/// store at instrumentation sites).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkId(usize);
-
-/// The deterministic plane: named monotone work counters in registration
-/// order.
-///
-/// Two charge styles, mirroring the telemetry registry's split:
-/// event-recording sites [`add`](Self::add) as they run; state-derived
-/// components are raised to their externally-tracked running total with
-/// [`set`](Self::set) at harvest time (idempotent, so repeated harvests
-/// don't double-count).
-#[derive(Debug, Clone, Default)]
-pub struct WorkUnits {
-    names: Vec<&'static str>,
-    units: Vec<u64>,
-}
-
-impl WorkUnits {
-    /// An empty registry.
-    pub fn new() -> Self {
-        WorkUnits::default()
-    }
-
-    /// Returns the id for `name`, registering it (in first-seen order) if
-    /// unknown.
-    pub fn unit(&mut self, name: &str) -> WorkId {
-        if let Some(i) = self.names.iter().position(|n| *n == name) {
-            return WorkId(i);
-        }
-        self.names.push(intern_static(name));
-        self.units.push(0);
-        WorkId(self.names.len() - 1)
-    }
-
-    /// Adds `n` units to a component (event-charging sites).
-    pub fn add(&mut self, id: WorkId, n: u64) {
-        self.units[id.0] += n;
-    }
-
-    /// Raises a component to an externally-tracked running total
-    /// (harvest sites; idempotent).
-    pub fn set(&mut self, id: WorkId, total: u64) {
-        self.units[id.0] = total;
-    }
-
-    /// Current value of a component.
-    pub fn get(&self, id: WorkId) -> u64 {
-        self.units[id.0]
-    }
-
-    /// Number of registered components.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// `(name, units)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.names.iter().copied().zip(self.units.iter().copied())
-    }
-}
-
-impl Persist for WorkUnits {
-    fn persist(&self, w: &mut Writer) {
-        w.put_usize(self.names.len());
-        for (name, units) in self.iter() {
-            w.put_str(name);
-            w.put_u64(units);
-        }
-    }
-
-    /// Rejects a repeated component name: [`unit`](Self::unit) would
-    /// fold it into the earlier entry, so the plane would re-encode
-    /// shorter than the image it came from.
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let n = r.take_usize()?;
-        let mut out = WorkUnits::new();
-        let mut seen = HashSet::new();
-        for _ in 0..n {
-            let name = intern_static(&r.take_string()?);
-            if !seen.insert(name) {
-                return Err(PersistError::Corrupt(format!(
-                    "work plane names component {name:?} twice"
-                )));
-            }
-            out.names.push(name);
-            out.units.push(r.take_u64()?);
-        }
-        Ok(out)
-    }
-}
 
 /// Handle to one scope of the host-time tree, resolved once with
 /// [`Profiler::resolve`] (a node index; `Copy`, cheap to cache at a
@@ -224,13 +129,13 @@ pub struct CostRow {
     pub host_ns: u64,
 }
 
-/// The cost model: one row per work component, in registration order.
+/// The cost model: one row per work component, in work-row order.
 /// The work-unit column is deterministic and exact; the host columns are
 /// not (and are skipped by structural comparisons), and for dispatch
 /// components they are sampled estimates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostModel {
-    /// The rows, in work-plane registration order.
+    /// The rows, in work-row order.
     pub rows: Vec<CostRow>,
 }
 
@@ -286,10 +191,10 @@ impl CostModel {
     }
 }
 
-/// The two-plane self-profiler. See the module docs.
+/// The self-profiler's host plane, joined with a caller's work rows in
+/// [`cost_model`](Self::cost_model). See the module docs.
 #[derive(Debug, Clone)]
 pub struct Profiler {
-    work: WorkUnits,
     nodes: Vec<Node>,
     stack: Vec<Frame>,
     ring: Vec<ScopeEvent>,
@@ -314,7 +219,6 @@ impl Profiler {
     pub fn new(ring_capacity: usize) -> Self {
         assert!(ring_capacity > 0, "ring capacity must be >= 1");
         Profiler {
-            work: WorkUnits::new(),
             nodes: Vec::new(),
             stack: Vec::new(),
             ring: Vec::with_capacity(ring_capacity),
@@ -324,23 +228,6 @@ impl Profiler {
             epoch: Instant::now(),
             strides: SplitMix64::new(STRIDE_SEED),
         }
-    }
-
-    /// The deterministic work plane.
-    pub fn work(&self) -> &WorkUnits {
-        &self.work
-    }
-
-    /// The deterministic work plane, mutably (registration and charging).
-    pub fn work_mut(&mut self) -> &mut WorkUnits {
-        &mut self.work
-    }
-
-    /// Replaces the work plane (checkpoint restore: the host plane starts
-    /// fresh — wall time is not simulation state — while the work plane
-    /// resumes bit-exactly).
-    pub fn set_work(&mut self, work: WorkUnits) {
-        self.work = work;
     }
 
     fn now_ns(&self) -> u64 {
@@ -642,26 +529,24 @@ impl Profiler {
         Ok(())
     }
 
-    /// Joins the planes: one row per work component in registration
-    /// order. Host time comes from the scope with the component's exact
-    /// name (summed across parents); `fabric/route*` components — folded
-    /// inside the fabric tick, so they own no scope — split the
-    /// `exec/fabric` scope's self time by work-unit share. Work units
-    /// are exact; for scopes entered through [`dispatch`](Self::dispatch)
-    /// (`exec/*`, and so the route rows) host time is the sampled
-    /// estimate.
-    pub fn cost_model(&self) -> CostModel {
-        let route_total: u64 = self
-            .work
+    /// Joins the planes: one row per `(component, work units)` pair of
+    /// `work`, in its order. Host time comes from the scope with the
+    /// component's exact name (summed across parents); `fabric/route*`
+    /// components — folded inside the fabric tick, so they own no scope —
+    /// split the `exec/fabric` scope's self time by work-unit share. Work
+    /// units are exact; for scopes entered through
+    /// [`dispatch`](Self::dispatch) (`exec/*`, and so the route rows) host
+    /// time is the sampled estimate.
+    pub fn cost_model(&self, work: &[(&'static str, u64)]) -> CostModel {
+        let route_total: u64 = work
             .iter()
             .filter(|(n, _)| n.starts_with("fabric/route"))
             .map(|(_, u)| u)
             .sum();
         let fabric_self = self.self_ns_named("exec/fabric");
-        let rows = self
-            .work
+        let rows = work
             .iter()
-            .map(|(component, work_units)| {
+            .map(|&(component, work_units)| {
                 let host_ns = if component.starts_with("fabric/route") {
                     if route_total == 0 {
                         0
@@ -693,11 +578,6 @@ impl Scope<'_> {
     pub fn scope(&mut self, name: &'static str) -> Scope<'_> {
         self.prof.begin(name);
         Scope { prof: self.prof }
-    }
-
-    /// The profiler, for work-plane charging inside a scope.
-    pub fn profiler(&mut self) -> &mut Profiler {
-        self.prof
     }
 }
 
@@ -871,87 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_repeated_component() {
-        let mut w = Writer::new();
-        w.put_usize(2);
-        for units in [5, 9] {
-            w.put_str("exec/fabric");
-            w.put_u64(units);
-        }
-        let bytes = w.into_bytes();
-        let err = WorkUnits::restore(&mut Reader::new(&bytes)).unwrap_err();
-        assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
-    }
-
-    /// Every single-byte mutant of a small plane is a typed error, or
-    /// decodes and re-encodes to exactly the bytes it consumed. (`0x30`
-    /// turns `exec/iom1` into a second `exec/iom0`.)
-    #[test]
-    fn single_byte_mutants_are_rejected_or_round_trip() {
-        let mut w = WorkUnits::new();
-        for (name, units) in [("exec/fabric", 7), ("exec/iom0", 3), ("exec/iom1", 300)] {
-            let id = w.unit(name);
-            w.set(id, units);
-        }
-        let mut wr = Writer::new();
-        w.persist(&mut wr);
-        let bytes = wr.into_bytes();
-        for at in 0..bytes.len() {
-            for v in [0x00, 0x01, 0x07, 0x30, 0xFF] {
-                let mut mutant = bytes.clone();
-                mutant[at] = v;
-                let mut r = Reader::new(&mutant);
-                let Ok(back) = WorkUnits::restore(&mut r) else {
-                    continue;
-                };
-                let used = mutant.len() - r.remaining();
-                let mut wr = Writer::new();
-                back.persist(&mut wr);
-                assert_eq!(wr.into_bytes(), &mutant[..used], "byte {at} := {v:#04x}");
-            }
-        }
-    }
-
-    #[test]
-    fn work_units_register_charge_and_iterate_in_order() {
-        let mut w = WorkUnits::new();
-        let a = w.unit("exec/fabric");
-        let b = w.unit("cf");
-        assert_eq!(w.unit("exec/fabric"), a, "get-or-register is idempotent");
-        w.add(a, 3);
-        w.add(a, 4);
-        w.set(b, 100);
-        w.set(b, 100);
-        assert_eq!(w.get(a), 7);
-        assert_eq!(w.get(b), 100, "set is idempotent");
-        let pairs: Vec<_> = w.iter().collect();
-        assert_eq!(pairs, vec![("exec/fabric", 7), ("cf", 100)]);
-    }
-
-    #[test]
-    fn work_units_round_trip_through_the_codec() {
-        let mut w = WorkUnits::new();
-        let a = w.unit("exec/iom0");
-        let b = w.unit("fabric/route3");
-        w.add(a, 42);
-        w.set(b, 7);
-        let mut wr = Writer::new();
-        w.persist(&mut wr);
-        let bytes = wr.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = WorkUnits::restore(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(
-            back.iter().collect::<Vec<_>>(),
-            w.iter().collect::<Vec<_>>()
-        );
-        // And the persisted image itself is a pure function of contents.
-        let mut wr2 = Writer::new();
-        back.persist(&mut wr2);
-        assert_eq!(bytes, wr2.into_bytes());
-    }
-
-    #[test]
     fn nested_scope_accounting_sums_exactly() {
         let mut p = Profiler::new(64);
         p.begin("run");
@@ -1092,16 +891,14 @@ mod tests {
     #[test]
     fn cost_model_joins_planes_and_apportions_route_time() {
         let mut p = Profiler::new(8);
-        let fabric = p.work_mut().unit("exec/fabric");
-        let r0 = p.work_mut().unit("fabric/route0");
-        let r1 = p.work_mut().unit("fabric/route1");
-        p.work_mut().add(fabric, 10);
-        p.work_mut().set(r0, 30);
-        p.work_mut().set(r1, 10);
         p.begin("exec/fabric");
         busy();
         p.end();
-        let model = p.cost_model();
+        let model = p.cost_model(&[
+            ("exec/fabric", 10),
+            ("fabric/route0", 30),
+            ("fabric/route1", 10),
+        ]);
         let row = |name: &str| model.rows.iter().find(|r| r.component == name).unwrap();
         let fabric_self = p.self_ns_named("exec/fabric");
         assert!(fabric_self > 0);

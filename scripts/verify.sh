@@ -430,6 +430,10 @@ sed 's/"work_units":\([0-9][0-9]*\)/"work_units":1\1/' \
     "$fleetdir/BENCH_a.json" > "$fleetdir/BENCH_drift.json"
 must_regress "fleet work-unit drift" "rsb0 work_units: \([0-9]*\) -> 1\1 " \
     "$fleetdir/BENCH_a.json" "$fleetdir/BENCH_drift.json"
+# The same sed reaches the merged `work` rows, which diff names by
+# component and field.
+must_regress "fleet merged work drift" "work exec/fabric work_units: \([0-9]*\) -> 1\1" \
+    "$fleetdir/BENCH_a.json" "$fleetdir/BENCH_drift.json"
 rm -rf "$fleetdir"
 
 echo "==> overhead guards (disabled instrumentation, sampling, profiling within 2% of bare; sampled dispatch profiling within 0.25x of exact; churned fabric within 1.5x of fresh)"

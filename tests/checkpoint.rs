@@ -250,6 +250,9 @@ fn checkpoint_with_buffered_crossings_matches_never_stopped() {
 /// a deliberate encoding change updates them and says why. v5 moved the
 /// image into a container section (+13 bytes: section count, tag and
 /// length); the fingerprint and body bytes after them did not change.
+/// v6 (+31 bytes) keeps executor ticks per component instead of per
+/// domain (+8 × 4 components, −8 × 3 domains), adds the swap-step, CF
+/// and SDRAM byte counters (+24), and drops the profiler slot (−1).
 #[test]
 fn e3_checkpoint_images_are_pinned() {
     let (mut sys, spec) = e3_system(Method::Seamless);
@@ -263,9 +266,9 @@ fn e3_checkpoint_images_are_pinned() {
     images.push(sys.checkpoint());
     let got: Vec<(usize, u64)> = images.iter().map(|b| (b.len(), fnv1a(b))).collect();
     let pinned: [(usize, u64); 3] = [
-        (210_121, 0x6fcc_bd5f_4d88_f63b),
-        (639_188, 0x85a6_b7f9_6106_92a1),
-        (639_188, 0x078f_8279_0a7d_4f6a),
+        (210_152, 0x962b_8594_71b8_8f42),
+        (639_219, 0x4e46_9355_1848_ff91),
+        (639_219, 0xa28f_d299_021d_35dc),
     ];
     assert_eq!(got, pinned, "E3 checkpoint encoding moved");
 }
@@ -275,10 +278,10 @@ fn restore_rejects_version_mismatch() {
     let (mut sys, _) = e3_system(Method::Seamless);
     let image = sys.checkpoint();
     // Header layout: 8 magic bytes, the format version (LE u32), then the
-    // section count. A v4 image (no section table) and a newer one both
-    // fail on the version alone.
-    assert_eq!(FORMAT_VERSION, 5);
-    for version in [4, FORMAT_VERSION + 1] {
+    // section count. A v5 image (with a profiler slot and per-domain
+    // executor ticks) and a newer one both fail on the version alone.
+    assert_eq!(FORMAT_VERSION, 6);
+    for version in [5, FORMAT_VERSION + 1] {
         let mut bytes = image.clone();
         bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
         match VapresSystem::restore(SystemConfig::prototype(), library(), &bytes) {
