@@ -11,10 +11,12 @@
 use vapres_bench::{banner, row, rule};
 use vapres_core::config::SystemConfig;
 use vapres_core::module::ModuleLibrary;
-use vapres_core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
+use vapres_core::scenario::SwapMethod;
+use vapres_core::switching::{halt_and_swap, seamless_swap, SwapSpec};
 use vapres_core::system::VapresSystem;
-use vapres_core::{PortRef, Ps};
-use vapres_modules::{register_standard_modules, uids};
+use vapres_core::Ps;
+use vapres_kpn::e3::{swap_spec, Arrangement};
+use vapres_modules::register_standard_modules;
 
 struct Outcome {
     max_gap_us: f64,
@@ -34,35 +36,22 @@ fn run(seamless: bool, interval: u64, samples: usize) -> Outcome {
     let mut sys = VapresSystem::new(SystemConfig::prototype(), lib).expect("prototype");
     sys.iom_set_input_interval(0, interval);
 
-    sys.install_bitstream(0, uids::FIR_A, "a.bit")
-        .expect("install a");
-    let b_prr = if seamless { 1 } else { 0 };
-    sys.install_bitstream(b_prr, uids::FIR_B, "b.bit")
-        .expect("install b");
-    sys.vapres_cf2array("b.bit", "b").expect("stage b");
-    sys.vapres_cf2icap("a.bit").expect("load a");
-
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .expect("upstream");
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .expect("downstream");
-    sys.bring_up_node(0, false).expect("iom up");
-    sys.bring_up_node(1, false).expect("prr0 up");
+    let method = if seamless {
+        SwapMethod::Seamless
+    } else {
+        SwapMethod::Halt
+    };
+    let channels = Arrangement::fig5(method)
+        .deploy(&mut sys)
+        .expect("E3 arrangement");
 
     let input: Vec<u32> = (0..samples as u32).map(|i| (i * 37) % 9_973).collect();
     sys.iom_feed(0, input.iter().copied());
     sys.run_for(Ps::from_ms(1));
 
     let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
         timeout: Ps::from_ms(50),
+        ..swap_spec(1, 2, "fir_b", channels)
     };
     let report = if seamless {
         seamless_swap(&mut sys, &spec).expect("seamless swap")

@@ -22,10 +22,12 @@ use std::time::Instant;
 use vapres_bench::{banner, row, rule};
 use vapres_core::config::SystemConfig;
 use vapres_core::module::ModuleLibrary;
-use vapres_core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
+use vapres_core::scenario::SwapMethod;
+use vapres_core::switching::{halt_and_swap, seamless_swap, SwapSpec};
 use vapres_core::system::VapresSystem;
-use vapres_core::{PortRef, Ps};
-use vapres_modules::{register_standard_modules, uids};
+use vapres_core::Ps;
+use vapres_kpn::e3::{swap_spec, Arrangement};
+use vapres_modules::register_standard_modules;
 
 const SAMPLE_INTERVAL: u64 = 500;
 const N_SAMPLES: u32 = 5_000;
@@ -68,32 +70,21 @@ fn run(label: &'static str, dense: bool, seamless: bool) -> Measure {
     sys.set_dense(dense);
     sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
 
-    sys.install_bitstream(0, uids::FIR_A, "a.bit").expect("a");
-    let b_prr = if seamless { 1 } else { 0 };
-    sys.install_bitstream(b_prr, uids::FIR_B, "b.bit")
-        .expect("b");
-    sys.vapres_cf2array("b.bit", "b").expect("stage b");
-    sys.vapres_cf2icap("a.bit").expect("load a");
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .expect("upstream");
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .expect("downstream");
-    sys.bring_up_node(0, false).expect("iom up");
-    sys.bring_up_node(1, false).expect("prr0 up");
+    let method = if seamless {
+        SwapMethod::Seamless
+    } else {
+        SwapMethod::Halt
+    };
+    let channels = Arrangement::fig5(method)
+        .deploy(&mut sys)
+        .expect("E3 arrangement");
 
     let input: Vec<u32> = (0..N_SAMPLES).map(|i| (i * 97) % 10_007).collect();
     sys.iom_feed(0, input.iter().copied());
 
     let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
         timeout: Ps::from_ms(50),
+        ..swap_spec(1, 2, "fir_b", channels)
     };
 
     // Setup (bitstream staging runs ~2 s of simulated transfer time) is

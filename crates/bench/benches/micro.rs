@@ -152,10 +152,18 @@ fn bench_channel_establish() {
     });
 }
 
-/// The hot loop the overhead guards wrap: one multiply-add the compiler
-/// cannot elide, on an accumulator [`ns_per_iter`] threads through.
-fn hot_work(acc: u64) -> u64 {
-    black_box(acc.wrapping_mul(2_654_435_761).wrapping_add(1))
+/// The hot loop the overhead guards wrap, on an accumulator
+/// [`ns_per_iter`] threads through: four rounds of a xor-shift-multiply
+/// mix the compiler cannot fold, one dependency chain of ~20 cycles. A
+/// never-taken instrumentation branch sits off that chain, so a guard
+/// reads what the branch costs a live system, and a code-placement offset
+/// between two copies of the loop stays a small fraction of one
+/// iteration.
+fn hot_work(mut acc: u64) -> u64 {
+    for _ in 0..4 {
+        acc = (acc ^ (acc >> 31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    black_box(acc)
 }
 
 /// Runs `f` `n` times, threading an accumulator through the calls;
@@ -233,7 +241,7 @@ fn bench_metrics_overhead() {
     let mut bare = hot_work;
     let mut off = |acc| {
         let acc = hot_work(acc);
-        if let Some(t) = disabled.as_mut() {
+        if let Some(t) = black_box(&mut disabled).as_mut() {
             t.inc(id, 1);
         }
         acc
@@ -277,7 +285,7 @@ fn bench_sampling_overhead() {
     let mut bare = hot_work;
     let mut off = |acc| {
         let acc = hot_work(acc);
-        if let Some(ts) = disabled.as_ref() {
+        if let Some(ts) = black_box(&disabled).as_ref() {
             black_box(ts.next_sample_at());
         }
         acc
@@ -330,7 +338,7 @@ fn bench_profile_overhead() {
     let mut bare = hot_work;
     let mut off = |acc| {
         let acc = hot_work(acc);
-        if let Some(p) = disabled.as_mut() {
+        if let Some(p) = black_box(&mut disabled).as_mut() {
             p.begin("bench");
             p.end();
         }

@@ -314,12 +314,12 @@ fn touched_frames<S: WordSource + ?Sized>(src: &S) -> Vec<FrameAddress> {
             Some(Packet::Type2Write { word_count }) => {
                 let avail = n.saturating_sub(i + 1);
                 let payload = (word_count as usize).min(avail);
-                if let Some(mut far) = current {
-                    for _ in 0..payload / 41 {
-                        out.push(far);
-                        far.minor += 1;
-                    }
-                    current = Some(far);
+                // Frames past the minor field's last address were never
+                // addressed, so nothing of them can be attributed.
+                for _ in 0..payload / 41 {
+                    let Some(far) = current else { break };
+                    out.push(far);
+                    current = far.next_minor();
                 }
                 i += 1 + payload;
             }
@@ -383,6 +383,22 @@ mod tests {
         // Every frame the stream addressed reads as zeros now.
         let some_far = touched_frames(words.as_slice())[0];
         assert_eq!(icap.memory().frame(some_far).unwrap(), &[0u32; 41]);
+    }
+
+    /// A committed case of the hostile-bitstream mutants: a zero-length
+    /// FDRI header inflated to 2047 words runs the lenient recovery past
+    /// its column's last minor address, which once panicked encoding the
+    /// frame address instead of failing the write.
+    #[test]
+    fn inflated_fdri_header_fails_without_panicking() {
+        let mut icap = Icap::new();
+        let mut words = proto_bitstream(7).words().to_vec();
+        let fdri = crate::packet::type1_write(crate::packet::ConfigReg::Fdri, 0);
+        let at = words.iter().position(|&w| w == fdri).unwrap();
+        words[at] |= crate::packet::TYPE1_MAX_WORDS;
+        assert!(icap.write_stream(&words).is_err());
+        assert_eq!(icap.failed_write_count(), 1);
+        assert!(icap.memory().written_frames() > 0, "touched frames zeroed");
     }
 
     #[test]

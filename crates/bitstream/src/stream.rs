@@ -144,6 +144,8 @@ pub enum ParseError {
     },
     /// The stream did not end with a DESYNC command.
     NotDesynced,
+    /// Frame data ran past the last minor address of its column.
+    FrameOverflow,
 }
 
 impl fmt::Display for ParseError {
@@ -166,6 +168,12 @@ impl fmt::Display for ParseError {
                 "bitstream idcode {found:#010x} does not match device {device:#010x}"
             ),
             ParseError::NotDesynced => write!(f, "bitstream did not desync"),
+            ParseError::FrameOverflow => {
+                write!(
+                    f,
+                    "frame data runs past the last minor address of its column"
+                )
+            }
         }
     }
 }
@@ -451,7 +459,8 @@ pub fn parse_source<S: WordSource>(src: S) -> Result<ParsedBitstream, ParseError
 
 /// Splits an FDRI payload (the word range `start..end` of `src`) into
 /// frames, auto-incrementing the minor address the way the configuration
-/// logic does. The CRC is fed whole frames at a time — the batch path.
+/// logic does; a payload that runs past the minor field's last address is
+/// [`ParseError::FrameOverflow`]. The CRC is fed whole frames at a time — the batch path.
 fn consume_frames<S: WordSource + ?Sized>(
     src: &S,
     start: usize,
@@ -463,19 +472,20 @@ fn consume_frames<S: WordSource + ?Sized>(
     if !(end - start).is_multiple_of(FRAME_WORDS as usize) {
         return Err(ParseError::Truncated);
     }
-    let mut far = current_far.ok_or(ParseError::BadFrameAddress(0))?;
+    let mut next = Some(current_far.ok_or(ParseError::BadFrameAddress(0))?);
     let mut pos = start;
     while pos < end {
+        let far = next.ok_or(ParseError::FrameOverflow)?;
         let mut frame = Vec::with_capacity(FRAME_WORDS as usize);
         for k in 0..FRAME_WORDS as usize {
             frame.push(src.word_at(pos + k));
         }
         crc.update_words(&frame);
         frames.push((far, frame));
-        far.minor += 1;
+        next = far.next_minor();
         pos += FRAME_WORDS as usize;
     }
-    *current_far = Some(far);
+    *current_far = next;
     Ok(())
 }
 
@@ -545,6 +555,48 @@ mod tests {
         // epilogue(7) = 9075 words.
         assert_eq!(bs.words().len(), 10 * (4 + 902) + 8 + 7);
         assert_eq!(bs.len_bytes(), 36_300);
+    }
+
+    /// CRC-valid streams whose one FDRI payload starts at minor 60: four
+    /// frames fill the 6-bit minor field, a fifth has no address it can
+    /// hold, so that stream is rejected rather than handed to an ICAP
+    /// that cannot encode it.
+    #[test]
+    fn frames_past_the_minor_field_are_rejected() {
+        let far = FrameAddress {
+            block: vapres_fabric::frame::BlockType::Clb,
+            band: 0,
+            major: 3,
+            minor: 60,
+        };
+        let stream = |frames: u32| {
+            let mut crc = Crc32::new();
+            let mut words = vec![DUMMY_WORD, SYNC_WORD];
+            words.extend([
+                packet::type1_write(ConfigReg::Cmd, 1),
+                Command::Rcrc.encode(),
+            ]);
+            words.extend([packet::type1_write(ConfigReg::Idcode, 1), IDCODE_XC4VLX25]);
+            crc.update_word(IDCODE_XC4VLX25);
+            words.extend([packet::type1_write(ConfigReg::Far, 1), far.encode()]);
+            crc.update_word(far.encode());
+            words.push(packet::type1_write(ConfigReg::Fdri, 0));
+            words.push(packet::type2_write(frames * FRAME_WORDS));
+            for k in 0..frames * FRAME_WORDS {
+                words.push(k);
+                crc.update_word(k);
+            }
+            words.extend([packet::type1_write(ConfigReg::Crc, 1), crc.value()]);
+            words.extend([
+                packet::type1_write(ConfigReg::Cmd, 1),
+                Command::Desync.encode(),
+            ]);
+            words
+        };
+        let four = parse(&stream(4)).unwrap();
+        let minors: Vec<u32> = four.frames.iter().map(|(f, _)| f.minor).collect();
+        assert_eq!(minors, [60, 61, 62, 63]);
+        assert_eq!(parse(&stream(5)), Err(ParseError::FrameOverflow));
     }
 
     #[test]

@@ -15,7 +15,8 @@ use vapres_floorplan::planner::{plan, PlanOutcome, PrrRequest};
 use vapres_floorplan::report::utilization_report;
 use vapres_floorplan::resources::{comm_arch_slices, static_region_slices};
 use vapres_floorplan::sysdef::{generate_mhs, generate_ucf, parse_ucf};
-use vapres_sim::persist::{Container, Persist, PersistError, Reader, SectionTag, Writer};
+use vapres_kpn::e3::{Arrangement, Checkpoints, Drive, DriveError, Phase};
+use vapres_sim::persist::PersistError;
 use vapres_sim::watchdog::HealthReport;
 use vapres_stream::params::FabricParams;
 
@@ -516,50 +517,6 @@ fn stage_by_name(name: &str) -> Result<vapres_core::ModuleUid, CmdError> {
     }
 }
 
-/// Builds the paper's E3 scenario on `sys` (Fig. 5): IOM (node 0) →
-/// FIR A (node 1) → IOM, with FIR B staged in SDRAM. For a seamless
-/// swap the FIR B bitstream targets the spare PRR (node 2); for the
-/// halt-and-swap baseline it targets the active PRR (node 1) so the
-/// module is replaced in place. Returns the drive state poised before
-/// the pre-swap window.
-fn setup_e3(sys: &mut VapresSystem, halt: bool, fail_swap: bool) -> Result<DriveState, CmdError> {
-    use vapres_core::PortRef;
-    use vapres_modules::uids;
-
-    let core = |e: vapres_core::ApiError| CmdError(e.to_string());
-    sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
-        .map_err(core)?;
-    let (prr, fir_b) = if halt {
-        (0, "fir_b_prr0.bit")
-    } else {
-        (1, "fir_b_prr1.bit")
-    };
-    sys.install_bitstream(prr, uids::FIR_B, fir_b)
-        .map_err(core)?;
-    sys.vapres_cf2array(fir_b, "fir_b").map_err(core)?;
-    sys.vapres_cf2icap("fir_a_prr0.bit").map_err(core)?;
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .map_err(core)?;
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .map_err(core)?;
-    sys.bring_up_node(0, false).map_err(core)?;
-    sys.bring_up_node(1, false).map_err(core)?;
-    Ok(DriveState {
-        phase: if halt {
-            Phase::PendingHalt
-        } else {
-            Phase::PendingSeamless
-        },
-        budget: Ps::from_ms(1),
-        fail_swap,
-        upstream: upstream.0 as u64,
-        downstream: downstream.0 as u64,
-        ..DriveState::pipeline()
-    })
-}
-
 /// Starts the `--live-port` endpoint when asked for and announces its
 /// address. The server serves until dropped.
 fn start_live(args: &Args, out: &mut dyn Write) -> Result<Option<LiveServer>, CmdError> {
@@ -582,240 +539,51 @@ fn write_flight_dump(sys: &mut VapresSystem, path: &str) -> Result<(), CmdError>
     write_file(path, |f| sys.dump_flight_jsonl(f))
 }
 
-/// Where the drive stands in its scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// A plain pipeline run: nothing left but draining the input.
-    NoSwap,
-    /// The E3 swap has not happened yet; the drive performs it once the
-    /// pre-swap window has run out.
-    PendingSeamless,
-    /// Like [`Phase::PendingSeamless`] but via halt-and-swap.
-    PendingHalt,
-    /// The swap already completed; the drive only drains.
-    SwapDone,
-}
-
-vapres_sim::persist_tags!(
-    Phase, "drive phase": NoSwap = 0, PendingSeamless = 1, PendingHalt = 2, SwapDone = 3
-);
-
-/// The drive's state: what a fresh run carries from phase to phase, and
-/// what a checkpoint's [`SectionTag::Drive`] section records so a
-/// restored run finishes the scenario exactly as one that never stopped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct DriveState {
-    phase: Phase,
-    /// Simulated time left in the current phase: the pre-swap window of
-    /// a pending swap, or the drain's stall timeout.
-    budget: Ps,
-    /// The run deliberately pointed the swap at a missing SDRAM array.
-    fail_swap: bool,
-    /// Channel ids of the E3 stream (only meaningful for pending swaps).
-    upstream: u64,
-    downstream: u64,
-    /// Sequence number of the checkpoint within its run (`ckpt_NNNN`);
-    /// a restored run stamps it into the `restore` flight event.
-    ordinal: u64,
-    /// The swap this run performed, once it has: the `swap` summary line
-    /// and the swap-deadline monitors read it.
-    report: Option<SwapReport>,
-}
-
-impl DriveState {
-    /// A pipeline run, about to drain its input.
-    fn pipeline() -> Self {
-        DriveState {
-            phase: Phase::NoSwap,
-            budget: Ps::from_ms(100),
-            fail_swap: false,
-            upstream: 0,
-            downstream: 0,
-            ordinal: 0,
-            report: None,
-        }
-    }
-
-    /// Decodes a [`SectionTag::Drive`] section body, which it must
-    /// consume exactly.
-    fn decode(body: &[u8]) -> Result<Self, PersistError> {
-        let r = &mut Reader::new(body);
-        let state = DriveState::restore(r)?;
-        r.expect_end()?;
-        Ok(state)
-    }
-}
-
-vapres_sim::persist_fields!(
-    DriveState: phase, budget, fail_swap, upstream, downstream, ordinal, report
-);
-
-/// Splits a `--checkpoint-every` file into its system section body and
-/// its decoded drive state.
-fn read_checkpoint(bytes: &[u8]) -> Result<(&[u8], DriveState), PersistError> {
-    let [image, drive] =
-        Container::parse(bytes)?.expect([SectionTag::System, SectionTag::Drive])?;
-    Ok((image, DriveState::decode(drive)?))
-}
-
-/// Periodic checkpoint emission: the drive's optional sink.
-struct CkptSink<'a> {
-    dir: &'a str,
-    every: Ps,
-    seq: u32,
-}
-
-impl CkptSink<'_> {
-    /// Writes one numbered checkpoint file — the system and the drive
-    /// state, stamped with its ordinal — and reports it.
-    fn emit(
-        &mut self,
-        sys: &mut VapresSystem,
-        state: &mut DriveState,
-        out: &mut dyn Write,
-    ) -> Result<(), CmdError> {
-        state.ordinal = u64::from(self.seq);
-        // Note the event first so it rides inside the image: a restored
-        // flight ring shows the checkpoint it was cut at.
-        sys.note_flight(vapres_sim::flight::FlightEvent::Checkpoint {
-            ordinal: state.ordinal,
-        });
-        let mut w = Writer::container(2);
-        sys.checkpoint_into(&mut w);
-        w.section(SectionTag::Drive, |w| state.persist(w));
-        let path = format!("{}/ckpt_{:04}.vapresck", self.dir, self.seq);
-        std::fs::write(&path, w.into_bytes()).map_err(|e| write_err(&path, e))?;
-        writeln!(out, "checkpoint {path} (t={})", sys.now())?;
-        self.seq += 1;
-        Ok(())
-    }
-}
-
-/// Runs the current phase for what remains of `state.budget`, stopping
-/// where `done` first holds (with no `done`, for the whole budget). With
-/// a sink the run pauses every `sink.every` of simulated time to write a
-/// checkpoint of `state`; the slices stop exactly where one run would,
-/// so a checkpointed run ends where a plain one does. Returns whether
-/// `done` held on exit.
-fn run_phase(
+/// Runs `state` to its end through the library drive. With `ckpt`
+/// (cadence, directory) every cut is written to `DIR/ckpt_NNNN.vapresck`
+/// and reported. On a failed swap or a panic the flight ring is dumped
+/// to `flight_path` before the error propagates, so the tail of the ring
+/// is the causal trail into the failure.
+fn drive(
     sys: &mut VapresSystem,
-    state: &mut DriveState,
-    done: Option<fn(&VapresSystem) -> bool>,
-    mut sink: Option<&mut CkptSink<'_>>,
-    out: &mut dyn Write,
-) -> Result<bool, CmdError> {
-    let every = sink.as_ref().map_or(state.budget, |s| s.every);
-    let mut fired = false;
-    while !fired && state.budget > Ps::ZERO {
-        let start = sys.now();
-        let slice = every.min(state.budget);
-        fired = match done {
-            Some(done) => sys.run_until(slice, done),
-            None => {
-                sys.run_for(slice);
-                false
-            }
-        };
-        state.budget = state.budget - (sys.now() - start);
-        if let (false, Some(sink)) = (fired, sink.as_deref_mut()) {
-            sink.emit(sys, state, out)?;
-        }
-    }
-    Ok(fired)
-}
-
-/// Performs the E3 swap `state` describes. On a failure or a panic the
-/// flight ring is dumped to `flight_path` before the error propagates,
-/// so the tail of the ring is the causal trail into the failure.
-fn perform_swap(
-    sys: &mut VapresSystem,
-    state: &DriveState,
+    state: &mut Drive,
+    ckpt: Option<(Ps, &str)>,
     flight_path: Option<&str>,
     out: &mut dyn Write,
-) -> Result<SwapReport, CmdError> {
-    use vapres_core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
-    use vapres_core::ChannelId;
-
-    // `--fail-swap` names a missing array: the swap dies reconfiguring,
-    // exercising the flight-dump-on-failure path.
-    let array = if state.fail_swap {
-        "nonexistent"
+) -> Result<(), CmdError> {
+    let method = if state.phase == Phase::PendingHalt {
+        SwapMethod::Halt
     } else {
-        "fir_b"
+        SwapMethod::Seamless
     };
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram(array.into()),
-        upstream: ChannelId(state.upstream as usize),
-        downstream: ChannelId(state.downstream as usize),
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
+    let arrangement = Arrangement::fig5(method);
+    let mut write = |ordinal: u64, image: Vec<u8>, now: Ps| {
+        let path = format!("{}/ckpt_{ordinal:04}.vapresck", ckpt.map_or("", |c| c.1));
+        std::fs::write(&path, image).map_err(|e| std::io::Error::other(write_err(&path, e).0))?;
+        writeln!(out, "checkpoint {path} (t={now})")
+            .map_err(|e| std::io::Error::other(CmdError::from(e).0))
     };
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if state.phase == Phase::PendingHalt {
-            halt_and_swap(sys, &spec)
-        } else {
-            seamless_swap(sys, &spec)
-        }
+    let mut sink = ckpt.map(|(every, _)| Checkpoints::new(every, &mut write));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        state.run(sys, &arrangement, sink.as_mut())
     }));
-    let swapped = match caught {
-        Ok(r) => r,
+    match run {
+        Ok(Ok(())) => Ok(()),
+        Ok(Err(e @ DriveError::Swap(_))) => {
+            if let Some(path) = flight_path {
+                write_flight_dump(sys, path)?;
+                writeln!(out, "wrote {path}: flight ring at failure")?;
+            }
+            Err(CmdError(e.to_string()))
+        }
+        Ok(Err(e)) => Err(CmdError(e.to_string())),
         Err(panic) => {
             if let Some(path) = flight_path {
                 let _ = write_flight_dump(sys, path);
             }
             std::panic::resume_unwind(panic);
         }
-    };
-    swapped.or_else(|e| {
-        if let Some(path) = flight_path {
-            write_flight_dump(sys, path)?;
-            writeln!(out, "wrote {path}: flight ring at failure")?;
-        }
-        Err(CmdError(format!("swap failed: {e}")))
-    })
-}
-
-/// The one scenario drive: pre-swap window → swap → drain → settle,
-/// entered at `state.phase` with `state.budget` left of that phase. A
-/// fresh run enters at the start; a restored run where its checkpoint
-/// was cut, so it finishes exactly as the run that wrote it. A pipeline
-/// (`NoSwap`) only drains. The swap report lands in `state.report`.
-fn drive(
-    sys: &mut VapresSystem,
-    state: &mut DriveState,
-    mut sink: Option<&mut CkptSink<'_>>,
-    flight_path: Option<&str>,
-    out: &mut dyn Write,
-) -> Result<(), CmdError> {
-    if matches!(state.phase, Phase::PendingSeamless | Phase::PendingHalt) {
-        run_phase(sys, state, None, sink.as_deref_mut(), out)?;
-        state.report = Some(perform_swap(sys, state, flight_path, out)?);
-        state.phase = Phase::SwapDone;
-        state.budget = Ps::from_ms(300);
-        // The moment right after the handoff is the most useful restore
-        // point, and the drain below may already be satisfied (the input
-        // finishes feeding during the ~72 ms reconfiguration) — emit it
-        // unconditionally rather than only at slice boundaries.
-        if let Some(sink) = sink.as_deref_mut() {
-            sink.emit(sys, state, out)?;
-        }
     }
-    // E3 has drained once its input is consumed; a pipeline also waits
-    // for its output to start.
-    let done: fn(&VapresSystem) -> bool = if state.phase == Phase::NoSwap {
-        |s| s.iom_pending_input(0) == 0 && !s.iom_output(0).is_empty()
-    } else {
-        |s| s.iom_pending_input(0) == 0
-    };
-    if !run_phase(sys, state, Some(done), sink, out)? {
-        return Err(CmdError("simulation stalled before consuming input".into()));
-    }
-    // Let in-flight words drain: a variable-rate pipeline may emit fewer
-    // or more words than it consumed, so run a fixed settle window.
-    sys.run_for(Ps::from_us(100));
-    Ok(())
 }
 
 /// How `--health` reports the watchdog verdicts.
@@ -1008,7 +776,7 @@ fn build_fresh(
     spec: &RunSpec<'_>,
     args: &Args,
     out: &mut dyn Write,
-) -> Result<(VapresSystem, DriveState, Option<LiveServer>), CmdError> {
+) -> Result<(VapresSystem, Drive, Option<LiveServer>), CmdError> {
     use vapres_core::config::SystemConfig;
     use vapres_core::module::ModuleLibrary;
     use vapres_kpn::{deploy, map_pipeline, Pipeline};
@@ -1065,9 +833,15 @@ fn build_fresh(
         let pipeline = Pipeline::new(stages);
         let mapping = map_pipeline(sys.config(), &pipeline).map_err(|e| CmdError(e.to_string()))?;
         deploy(&mut sys, &pipeline, &mapping).map_err(|e| CmdError(e.to_string()))?;
-        DriveState::pipeline()
+        Drive::pipeline()
     } else {
-        setup_e3(&mut sys, spec.swap == SwapMethod::Halt, spec.fail_swap)?
+        let channels = Arrangement::fig5(spec.swap)
+            .deploy(&mut sys)
+            .map_err(|e| CmdError(e.to_string()))?;
+        Drive {
+            fail_swap: spec.fail_swap,
+            ..Drive::e3(spec.swap, channels)
+        }
     };
     Ok((sys, state, live))
 }
@@ -1087,18 +861,11 @@ fn run_sim(
         Some(path) => {
             let bytes = std::fs::read(path).map_err(|e| read_err(path, e))?;
             let corrupt = |e: PersistError| CmdError(format!("{path}: {e}"));
-            let (image, mut state) = read_checkpoint(&bytes).map_err(corrupt)?;
             let mut lib = vapres_core::module::ModuleLibrary::new();
             vapres_modules::register_standard_modules(&mut lib, 0);
-            let mut sys = VapresSystem::restore_section(
-                vapres_core::config::SystemConfig::prototype(),
-                lib,
-                image,
-            )
-            .map_err(corrupt)?;
-            sys.note_flight(vapres_sim::flight::FlightEvent::Restore {
-                ordinal: state.ordinal,
-            });
+            let (mut sys, mut state) =
+                Drive::resume(vapres_core::config::SystemConfig::prototype(), lib, &bytes)
+                    .map_err(corrupt)?;
             sys.note_flight(vapres_sim::flight::FlightEvent::Replay {
                 until_breach: spec.health.is_some(),
             });
@@ -1112,20 +879,16 @@ fn run_sim(
             (sys, state, None, None)
         }
         None => {
-            let mut ckpt = match spec.checkpoint {
+            let ckpt = match spec.checkpoint {
                 None => None,
                 Some((us, dir)) => {
                     std::fs::create_dir_all(dir).map_err(|e| write_err(dir, e))?;
-                    Some(CkptSink {
-                        dir,
-                        every: Ps::from_us(us),
-                        seq: 0,
-                    })
+                    Some((Ps::from_us(us), dir))
                 }
             };
             let (mut sys, mut state, live) = build_fresh(spec, args, out)?;
             sys.iom_feed(0, 0..spec.samples);
-            drive(&mut sys, &mut state, ckpt.as_mut(), flight_path, out)?;
+            drive(&mut sys, &mut state, ckpt, flight_path, out)?;
             let pipeline = match spec.swap {
                 SwapMethod::None => spec.stages,
                 SwapMethod::Seamless => "fir-a -> fir-b (seamless swap)",
@@ -2120,6 +1883,7 @@ pub fn dispatch(subcommand: &str, args: &Args, out: &mut dyn Write) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vapres_sim::persist::{Container, Persist, SectionTag, Writer};
 
     fn run(sub: &str, tokens: &[&str]) -> Result<String, CmdError> {
         let args = Args::parse(tokens.iter().copied())?;
@@ -3044,7 +2808,7 @@ mod tests {
         let files = checkpoint_files(&dir);
         let first = files.first().expect("halt run wrote checkpoints");
         let bytes = std::fs::read(first).unwrap();
-        let (_, state) = read_checkpoint(&bytes).unwrap();
+        let (_, state) = Drive::read_checkpoint(&bytes).unwrap();
         assert_eq!(state.phase, Phase::PendingHalt);
 
         // Restoring it re-performs the halt swap and streams the same
@@ -3236,11 +3000,11 @@ mod tests {
         .unwrap();
         let cli = std::fs::read(checkpoint_files(&dir).last().unwrap()).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        let (_, state) = read_checkpoint(&cli).unwrap();
+        let (_, state) = Drive::read_checkpoint(&cli).unwrap();
         assert_eq!(state.phase, Phase::SwapDone);
         assert!(state.report.is_some());
         let decoded = check_mutants(&cli, &table_spans(&cli, Some(SectionTag::Drive)), |m| {
-            let (image, state) = alloc_count::within(m, || read_checkpoint(m))?;
+            let (image, state) = alloc_count::within(m, || Drive::read_checkpoint(m))?;
             let mut w = Writer::container(2);
             w.section(SectionTag::System, |w| w.put_raw(image));
             w.section(SectionTag::Drive, |w| state.persist(w));
@@ -3559,19 +3323,11 @@ mod tests {
         assert!(files.len() >= 2, "expected several checkpoints: {files:?}");
         for (i, path) in files.iter().enumerate() {
             let bytes = std::fs::read(path).unwrap();
-            let (image, state) = read_checkpoint(&bytes).unwrap();
-            assert_eq!(state.ordinal, i as u64, "{path:?}");
             let mut lib = vapres_core::module::ModuleLibrary::new();
             vapres_modules::register_standard_modules(&mut lib, 0);
-            let mut sys = vapres_core::system::VapresSystem::restore_section(
-                vapres_core::config::SystemConfig::prototype(),
-                lib,
-                image,
-            )
-            .unwrap();
-            sys.note_flight(vapres_sim::flight::FlightEvent::Restore {
-                ordinal: state.ordinal,
-            });
+            let (mut sys, state) =
+                Drive::resume(vapres_core::config::SystemConfig::prototype(), lib, &bytes).unwrap();
+            assert_eq!(state.ordinal, i as u64, "{path:?}");
             let mut buf = Vec::new();
             sys.dump_flight_jsonl(&mut buf).unwrap();
             let ring = String::from_utf8(buf).unwrap();

@@ -83,3 +83,6 @@ pub use vapres_sim::time::{Freq, Ps};
 pub use vapres_sim::timeseries::TimeSeries;
 pub use vapres_stream::fabric::{ChannelId, PortRef};
 pub use vapres_stream::word::Word;
+// The simulation kernel itself, for crates that persist their own state
+// beside a system's without depending on it directly.
+pub use vapres_sim as sim;

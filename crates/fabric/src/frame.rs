@@ -102,6 +102,16 @@ impl FrameAddress {
         (self.block.encode() << 19) | (self.band << 14) | (self.major << 6) | self.minor
     }
 
+    /// The next frame of the column, as the configuration logic's FAR
+    /// auto-increment steps; `None` past the last address the 6-bit minor
+    /// field holds.
+    pub fn next_minor(self) -> Option<Self> {
+        (self.minor < 63).then_some(FrameAddress {
+            minor: self.minor + 1,
+            ..self
+        })
+    }
+
     /// Unpacks a FAR word; `None` if the block type field is invalid.
     pub fn decode(word: u32) -> Option<Self> {
         Some(FrameAddress {

@@ -29,17 +29,15 @@ use std::sync::{Arc, OnceLock};
 use vapres_core::fleet::{FleetSystem, ShardPlan};
 use vapres_core::module::ModuleLibrary;
 use vapres_core::scenario::scenario_seed;
-use vapres_core::switching::{seamless_swap, BitstreamSource, SwapSpec};
+use vapres_core::switching::seamless_swap;
 use vapres_core::system::VapresSystem;
 use vapres_core::{
-    evaluate_health, ChannelId, CostModel, FlightEntry, HealthPolicy, MultiRsbConfigError, PortRef,
-    Ps, SplitMix64, SystemConfig, Telemetry,
+    evaluate_health, ChannelId, CostModel, FlightEntry, HealthPolicy, MultiRsbConfigError, Ps,
+    SplitMix64, SystemConfig, Telemetry,
 };
-use vapres_modules::{register_standard_modules, uids};
+use vapres_modules::register_standard_modules;
 
-/// Every Nth streamed word carries a provenance tag (matches the E3
-/// sweep runner's cadence).
-const TRACE_EVERY: u32 = 7;
+use crate::e3::{swap_spec, Arrangement, TRACE_EVERY};
 
 /// Flight-recorder ring capacity per RSB.
 const FLIGHT_CAPACITY: usize = 4_096;
@@ -300,9 +298,10 @@ pub fn run_fleet_from(
     Ok(harvest(&mut fleet, spec, outcomes))
 }
 
-/// Phase 1 — bring-up: every RSB gets the E3 arrangement (FIR A live on
-/// PRR 0, FIR B staged in SDRAM for the spare, loopback channels) plus
-/// its heterogeneous input stream and observability. Returns each RSB's
+/// Phase 1 — bring-up: every RSB gets the fleet's E3 arrangement
+/// ([`Arrangement::FLEET`]: FIR A live on PRR 0, FIR B staged in SDRAM
+/// for the spare and FIR A for the way back, loopback channels) plus its
+/// heterogeneous input stream and observability. Returns each RSB's
 /// (upstream, downstream) channel ids for the swap schedule.
 fn setup(fleet: &mut FleetSystem, spec: &FleetSpec) -> Vec<(ChannelId, ChannelId)> {
     (0..spec.rsbs)
@@ -318,35 +317,17 @@ fn setup(fleet: &mut FleetSystem, spec: &FleetSpec) -> Vec<(ChannelId, ChannelId
                     sys.enable_timeseries(every, vapres_core::TimeSeries::DEFAULT_CAPACITY);
                 }
                 sys.iom_set_input_interval(0, interval);
-                let channels = setup_rsb(sys).expect("prototype E3 arrangement deploys");
+                let channels = Arrangement::FLEET
+                    .deploy(sys)
+                    .expect("prototype E3 arrangement deploys");
+                // The restore path reconstructs these ids instead of
+                // persisting them; keep that assumption honest.
+                debug_assert_eq!(channels, (ChannelId(0), ChannelId(1)));
                 sys.iom_feed(0, 0..samples);
                 channels
             })
         })
         .collect()
-}
-
-/// One RSB's E3-style deployment. FIR A runs on PRR 0 (node 1); FIR B
-/// is staged in SDRAM for the seamless spare (PRR 1) and FIR A for the
-/// way back, so the rotating schedule can revisit an RSB. Returns the
-/// (upstream, downstream) channel ids the swap spec references.
-fn setup_rsb(sys: &mut VapresSystem) -> Result<(ChannelId, ChannelId), vapres_core::ApiError> {
-    sys.install_bitstream(0, uids::FIR_A, "fir_a.bit")?;
-    let fir_b_p1 = sys.bitstream_for(1, uids::FIR_B)?.to_bytes();
-    sys.cf_store_raw("fir_b_p1.bit", fir_b_p1);
-    sys.vapres_cf2array("fir_b_p1.bit", "fir_b_p1")?;
-    let fir_a_p0 = sys.bitstream_for(0, uids::FIR_A)?.to_bytes();
-    sys.cf_store_raw("fir_a_p0.bit", fir_a_p0);
-    sys.vapres_cf2array("fir_a_p0.bit", "fir_a_p0")?;
-    sys.vapres_cf2icap("fir_a.bit")?;
-    let upstream = sys.vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))?;
-    let downstream = sys.vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))?;
-    // The restore path reconstructs these ids instead of persisting
-    // them; keep that assumption honest.
-    debug_assert_eq!((upstream, downstream), (ChannelId(0), ChannelId(1)));
-    sys.bring_up_node(0, false)?;
-    sys.bring_up_node(1, false)?;
-    Ok((upstream, downstream))
 }
 
 /// Phase 2 — the rotating swap schedule, then the drain. Returns each
@@ -375,23 +356,15 @@ fn drive(
         let (samples, _) = spec.workload(rsb);
         fleet.with_rsb(rsb, move |sys| sys.iom_feed(0, 0..samples));
         fleet.run_for(Ps::from_us(20));
-        let (upstream, downstream) = channels[rsb];
+        let channels = channels[rsb];
         let swapped: Result<(), String> = fleet.with_rsb(rsb, move |sys| {
-            let (active, spare, array) = if back {
-                (2, 1, "fir_a_p0")
-            } else {
-                (1, 2, "fir_b_p1")
-            };
-            let spec = SwapSpec {
-                active_node: active,
-                spare_node: spare,
-                source: BitstreamSource::Sdram(array.into()),
-                upstream,
-                downstream,
-                clk_sel: false,
-                timeout: Ps::from_ms(10),
-            };
-            seamless_swap(sys, &spec)
+            let (active, spare) = if back { (2, 1) } else { (1, 2) };
+            // Node n is PRR n - 1; the arrangement staged an image for
+            // either spare.
+            let array = Arrangement::FLEET
+                .array_for(spare - 1)
+                .expect("the fleet arrangement stages both PRRs");
+            seamless_swap(sys, &swap_spec(active, spare, array, channels))
                 .map(|_| ())
                 .map_err(|e| e.to_string())
         });
@@ -601,7 +574,7 @@ mod tests {
         for rsb in 0..3 {
             let before = fleet.with_rsb(rsb, |sys| {
                 let before = sys.profile_cost_model().unwrap();
-                setup_rsb(sys).unwrap();
+                Arrangement::FLEET.deploy(sys).unwrap();
                 before
             });
             let want: Vec<_> = if rsb == 0 {

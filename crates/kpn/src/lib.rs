@@ -11,8 +11,12 @@
 //!   teardown;
 //! * [`mod@reference`] — the software golden-model executor that E8 checks
 //!   hardware output against;
+//! * [`e3`] — the paper's E3 scenario (Fig. 5) written once: the
+//!   arrangement as data and the persisted swap drive that `vapres sim`,
+//!   the sweep and the fleet step through;
 //! * [`sweep`] — the concrete E3 scenario runner behind `vapres sweep`
-//!   (the batch engine itself lives in `vapres_core::scenario`).
+//!   (the batch engine itself lives in `vapres_core::scenario`);
+//! * [`fleet`] — the multi-RSB runner behind `vapres fleet`.
 //!
 //! # Examples
 //!
@@ -51,6 +55,7 @@
 //! ```
 
 pub mod dot;
+pub mod e3;
 pub mod fleet;
 pub mod graph;
 pub mod pipeline;

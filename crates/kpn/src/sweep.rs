@@ -31,26 +31,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use vapres_core::module::ModuleLibrary;
 use vapres_core::scenario::{Scenario, ScenarioResult, ScenarioSummary, SwapMethod, SwapOutcome};
-use vapres_core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
 use vapres_core::system::VapresSystem;
-use vapres_core::{ApiError, ChannelId, CostModel, PortRef, Ps, SplitMix64, TimeSeries};
-use vapres_modules::{register_standard_modules, uids};
+use vapres_core::{CostModel, Ps, SplitMix64, TimeSeries};
+use vapres_modules::register_standard_modules;
 
-/// Every Nth streamed word carries a provenance tag (enough tags for
-/// stable p50/p95/p99 without tracing every word).
-const TRACE_EVERY: u32 = 7;
+use crate::e3::{Arrangement, Drive, DriveError, TRACE_EVERY};
 
 /// Corrupted-bitstream faults flip one bit within this prefix — the
 /// sync/header region — so an injected fault deterministically trips the
 /// ICAP's validation instead of landing silently in frame payload.
 const FAULT_WINDOW_BYTES: usize = 32;
-
-/// Simulated time budget for draining the input after the swap.
-const DRAIN_BUDGET: Ps = Ps::from_ms(300);
-
-/// What the suffix needs from a completed prefix: the two channel ids
-/// the swap spec references, or the setup failure message.
-type PrefixSetup = Result<(ChannelId, ChannelId), String>;
 
 /// The scenario fields that shape the pre-swap prefix. Scenarios whose
 /// keys are equal produce bit-identical systems at the checkpoint
@@ -94,10 +84,11 @@ impl PrefixKey {
     }
 }
 
-/// A cached prefix: the snapshot plus the setup outcome the suffix needs.
+/// A cached prefix: the snapshot, and the drive cut at the end of its
+/// pre-swap window (or the setup failure message).
 struct PrefixEntry {
     bytes: Arc<Vec<u8>>,
-    setup: PrefixSetup,
+    drive: Result<Drive, String>,
 }
 
 type PrefixCache = Mutex<BTreeMap<PrefixKey, Arc<OnceLock<PrefixEntry>>>>;
@@ -127,7 +118,7 @@ fn build_prefix(
     sc: &Scenario,
     sample_every: Option<Ps>,
     profile: bool,
-) -> (VapresSystem, PrefixSetup) {
+) -> (VapresSystem, Result<Drive, String>) {
     let mut sys = VapresSystem::new(sc.system_config(), scenario_library())
         .expect("scenario config was validated before dispatch");
     sys.enable_telemetry();
@@ -144,12 +135,20 @@ fn build_prefix(
     sys.iom_set_input_interval(0, sc.interval);
 
     let mut rng = SplitMix64::new(sc.seed);
-    let setup = setup_e3(&mut sys, sc, &mut rng).map_err(|e| e.to_string());
-    if setup.is_ok() {
-        sys.iom_feed(0, 0..sc.samples);
-        sys.run_for(Ps::from_ms(1));
-    }
-    (sys, setup)
+    let drive = Arrangement::SWEEP
+        .deploy_mutated(&mut sys, |images| inject_fault(images, sc, &mut rng))
+        .map(|channels| {
+            sys.iom_feed(0, 0..sc.samples);
+            // The prefix is shared across swap methods: it is cut pending
+            // seamless, and each scenario aims the restored drive.
+            let mut drive = Drive::e3(SwapMethod::Seamless, channels);
+            drive
+                .pre_swap(&mut sys, None)
+                .expect("a drive without a checkpoint sink does no I/O");
+            drive
+        })
+        .map_err(|e| e.to_string());
+    (sys, drive)
 }
 
 /// Runs one scenario to completion, warm-starting from a cached prefix
@@ -218,10 +217,10 @@ fn run_warm(
             .clone()
     };
     let entry = slot.get_or_init(|| {
-        let (mut sys, setup) = build_prefix(sc, sample_every, false);
+        let (mut sys, drive) = build_prefix(sc, sample_every, false);
         PrefixEntry {
             bytes: Arc::new(sys.checkpoint()),
-            setup,
+            drive,
         }
     });
     let mut sys = VapresSystem::restore(sc.system_config(), scenario_library(), &entry.bytes)
@@ -229,7 +228,7 @@ fn run_warm(
     if profile {
         sys.enable_profiling();
     }
-    finish_scenario(sys, sc, entry.setup.clone())
+    finish_scenario(sys, sc, entry.drive.clone())
 }
 
 /// The cold path behind the public runners.
@@ -238,78 +237,52 @@ fn run_cold(
     sample_every: Option<Ps>,
     profile: bool,
 ) -> (ScenarioResult, Option<TimeSeries>, Option<CostModel>) {
-    let (sys, setup) = build_prefix(sc, sample_every, profile);
-    finish_scenario(sys, sc, setup)
+    let (sys, drive) = build_prefix(sc, sample_every, profile);
+    finish_scenario(sys, sc, drive)
 }
 
 /// Everything after the prefix: the swap itself, the drain, the harvest.
 fn finish_scenario(
     mut sys: VapresSystem,
     sc: &Scenario,
-    setup: PrefixSetup,
+    drive: Result<Drive, String>,
 ) -> (ScenarioResult, Option<TimeSeries>, Option<CostModel>) {
-    let (outcome, swap_failed) = match setup {
+    let (outcome, drained) = match drive {
         Err(e) => (
             SwapOutcome::Failed {
                 error: format!("setup: {e}"),
             },
-            true,
+            None,
         ),
-        Ok((upstream, downstream)) => match sc.swap {
-            SwapMethod::None => (SwapOutcome::NotRequested, false),
-            method => {
-                // Halt reconfigures PRR 0 in place; seamless lands FIR B
-                // in the spare PRR 1. Both images were staged during the
-                // prefix, so the suffix just picks the right array.
-                let array = if method == SwapMethod::Halt {
-                    "fir_b_p0"
-                } else {
-                    "fir_b_p1"
-                };
-                let spec = SwapSpec {
-                    active_node: 1,
-                    spare_node: 2,
-                    source: BitstreamSource::Sdram(array.into()),
-                    upstream,
-                    downstream,
-                    clk_sel: false,
-                    timeout: Ps::from_ms(10),
-                };
-                let swapped = if method == SwapMethod::Halt {
-                    halt_and_swap(&mut sys, &spec)
-                } else {
-                    seamless_swap(&mut sys, &spec)
-                };
-                match swapped {
-                    Ok(report) => (
-                        SwapOutcome::Completed {
-                            total_ps: report.total().as_ps(),
-                            reconfig_ps: report.reconfig.total().as_ps(),
-                            state_words: report.state_words as u64,
-                        },
-                        false,
-                    ),
-                    Err(e) => (
-                        SwapOutcome::Failed {
-                            error: e.to_string(),
-                        },
-                        true,
-                    ),
-                }
+        Ok(mut drive) => {
+            drive.aim(sc.swap);
+            match drive.run(&mut sys, &Arrangement::SWEEP, None) {
+                Err(DriveError::Swap(e)) => (
+                    SwapOutcome::Failed {
+                        error: e.to_string(),
+                    },
+                    None,
+                ),
+                result => (
+                    drive
+                        .report
+                        .map_or(SwapOutcome::NotRequested, |r| SwapOutcome::Completed {
+                            total_ps: r.total().as_ps(),
+                            reconfig_ps: r.reconfig.total().as_ps(),
+                            state_words: r.state_words as u64,
+                        }),
+                    Some(result.is_ok()),
+                ),
             }
-        },
+        }
     };
-
+    let swap_failed = drained.is_none();
     // A failed halt-and-swap leaves the stream halted, so insisting on a
     // drain would burn the whole budget; settle briefly instead.
-    let drained = if swap_failed {
+    let drained = drained.unwrap_or_else(|| {
         sys.run_for(Ps::from_ms(1));
         sys.iom_pending_input(0) == 0
-    } else {
-        let done = sys.run_until(DRAIN_BUDGET, |s| s.iom_pending_input(0) == 0);
-        sys.run_for(Ps::from_us(100));
-        done
-    };
+    });
 
     let samples_out = sys.iom_output(0).len() as u64;
 
@@ -358,39 +331,20 @@ fn finish_scenario(
     )
 }
 
-/// Deploys the E3 arrangement and stages FIR B for **both** swap targets
-/// (corrupted with probability [`Scenario::fault_rate`] — the same bit in
-/// both images, off one RNG draw sequence, so the prefix is agnostic to
-/// which swap method the suffix will pick). Returns the channel ids the
-/// swap spec references.
-fn setup_e3(
-    sys: &mut VapresSystem,
-    sc: &Scenario,
-    rng: &mut SplitMix64,
-) -> Result<(ChannelId, ChannelId), ApiError> {
-    // FIR A runs on PRR 0 (node 1). FIR B is staged for PRR 0 (the
-    // halt-and-swap in-place target) and PRR 1 (the seamless spare).
-    sys.install_bitstream(0, uids::FIR_A, "fir_a.bit")?;
-
-    let mut fir_b_p0 = sys.bitstream_for(0, uids::FIR_B)?.to_bytes();
-    let mut fir_b_p1 = sys.bitstream_for(1, uids::FIR_B)?.to_bytes();
+/// Corrupts the staged FIR B images with probability
+/// [`Scenario::fault_rate`]: the same bit in both, off one RNG draw
+/// sequence, so the prefix is agnostic to which swap method the suffix
+/// will pick.
+fn inject_fault(images: &mut [Vec<u8>], sc: &Scenario, rng: &mut SplitMix64) {
     if sc.fault_rate > 0.0 && rng.gen_bool(sc.fault_rate) {
-        let window = FAULT_WINDOW_BYTES.min(fir_b_p0.len()).min(fir_b_p1.len());
+        let window = images
+            .iter()
+            .fold(FAULT_WINDOW_BYTES, |w, image| w.min(image.len()));
         let bit = rng.gen_usize(0..window * 8);
-        fir_b_p0[bit / 8] ^= 1 << (bit % 8);
-        fir_b_p1[bit / 8] ^= 1 << (bit % 8);
+        for image in images {
+            image[bit / 8] ^= 1 << (bit % 8);
+        }
     }
-    sys.cf_store_raw("fir_b_p0.bit", fir_b_p0);
-    sys.vapres_cf2array("fir_b_p0.bit", "fir_b_p0")?;
-    sys.cf_store_raw("fir_b_p1.bit", fir_b_p1);
-    sys.vapres_cf2array("fir_b_p1.bit", "fir_b_p1")?;
-
-    sys.vapres_cf2icap("fir_a.bit")?;
-    let upstream = sys.vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))?;
-    let downstream = sys.vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))?;
-    sys.bring_up_node(0, false)?;
-    sys.bring_up_node(1, false)?;
-    Ok((upstream, downstream))
 }
 
 #[cfg(test)]

@@ -508,8 +508,9 @@ impl Telemetry {
     }
 
     /// Writes the spans as a `chrome://tracing` / Perfetto JSON document:
-    /// complete (`"ph":"X"`) events with microsecond timestamps on one
-    /// track per span family.
+    /// complete (`"ph":"X"`) events on one track per span family, `ts`
+    /// and `dur` in microseconds of simulated time (ps / 10⁶), the unit
+    /// chrome's trace format defines.
     ///
     /// # Errors
     ///
@@ -546,8 +547,8 @@ impl Telemetry {
             json_string(&mut ev, s.name);
             ev.push_str(&format!(
                 ",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{}}}",
-                json_f64(s.start.as_ps() as f64 / 1_000.0),
-                json_f64(s.duration().as_ps() as f64 / 1_000.0),
+                json_f64(s.start.as_ps() as f64 / 1e6),
+                json_f64(s.duration().as_ps() as f64 / 1e6),
             ));
             if !first {
                 writeln!(w, ",")?;
@@ -1248,7 +1249,8 @@ mod tests {
         // 2 thread-name metadata events + 2 span events.
         assert_eq!(events.len(), 4);
         assert!(text.contains("\"ph\":\"X\""));
-        assert!(text.contains("\"ts\":1"));
+        // Chrome's fields are µs: the 1 ns start reads 0.001.
+        assert!(text.contains("\"ts\":0.001,\"dur\":0.002"), "{text}");
     }
 
     #[test]

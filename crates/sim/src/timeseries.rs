@@ -433,7 +433,7 @@ impl TimeSeries {
                 w,
                 "{{\"name\":{name},\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\
                  \"args\":{{\"value\":{}}}}}",
-                at.as_ps() as f64 / 1000.0,
+                at.as_ps() as f64 / 1e6,
                 json_f64(value)
             )?;
             first = false;

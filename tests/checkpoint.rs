@@ -18,9 +18,10 @@
 
 use vapres::core::config::SystemConfig;
 use vapres::core::module::ModuleLibrary;
-use vapres::core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
+use vapres::core::switching::{halt_and_swap, seamless_swap, SwapSpec};
 use vapres::core::system::VapresSystem;
-use vapres::core::{PortRef, Ps, SplitMix64};
+use vapres::core::{Ps, SplitMix64};
+use vapres::kpn::e3::{swap_spec, Arrangement};
 use vapres::modules::{register_standard_modules, uids};
 use vapres::sim::persist::{fnv1a, PersistError, FORMAT_VERSION, MAGIC};
 
@@ -54,39 +55,20 @@ fn e3_system(method: Method) -> (VapresSystem, SwapSpec) {
     sys.enable_tracing();
     sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
 
-    sys.install_bitstream(0, uids::FIR_A, "fir_a.bit").unwrap();
     let fir_b_prr = if method == Method::Halt { 0 } else { 1 };
-    let mut fir_b = sys
-        .bitstream_for(fir_b_prr, uids::FIR_B)
-        .unwrap()
-        .to_bytes();
-    if method == Method::SeamlessFault {
-        fir_b[7] ^= 0x10;
+    let staged = [(fir_b_prr, uids::FIR_B, "fir_b.bit", "fir_b")];
+    let channels = Arrangement {
+        fir_a: "fir_a.bit",
+        staged: &staged,
     }
-    sys.cf_store_raw("fir_b.bit", fir_b);
-    sys.vapres_cf2array("fir_b.bit", "fir_b").unwrap();
-
-    sys.vapres_cf2icap("fir_a.bit").unwrap();
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .unwrap();
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .unwrap();
-    sys.bring_up_node(0, false).unwrap();
-    sys.bring_up_node(1, false).unwrap();
+    .deploy_mutated(&mut sys, |images| {
+        if method == Method::SeamlessFault {
+            images[0][7] ^= 0x10;
+        }
+    })
+    .unwrap();
     sys.iom_feed(0, 0..N_SAMPLES);
-
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
-    };
-    (sys, spec)
+    (sys, swap_spec(1, 2, "fir_b", channels))
 }
 
 /// Drives a system from an arbitrary point to the end of the scenario:
@@ -336,6 +318,84 @@ fn restore_rejects_bad_magic_and_truncation() {
 }
 
 // ---------------------------------------------------------------------------
+// restore ≡ never-stopped through the library E3 driver: every image a
+// driven run cuts, resumed through `Drive::resume`, finishes as that run.
+// ---------------------------------------------------------------------------
+
+use vapres::core::scenario::SwapMethod;
+use vapres::kpn::e3::{Checkpoints, Drive, DriveError};
+
+/// How a driven run ended: the IOM output, the swap report, the drive's
+/// result and the telemetry JSONL.
+fn driven_outcome(sys: &mut VapresSystem, drive: &Drive, result: Result<(), DriveError>) -> String {
+    let mut jsonl = Vec::new();
+    sys.snapshot_metrics()
+        .unwrap()
+        .write_jsonl(&mut jsonl)
+        .unwrap();
+    format!(
+        "now={}\noutputs={:?}\nreport={:?}\nresult={:?}\n{}",
+        sys.now().as_ps(),
+        sys.iom_output(0),
+        drive.report,
+        result.map_err(|e| e.to_string()),
+        String::from_utf8(jsonl).unwrap()
+    )
+}
+
+#[test]
+fn every_driven_checkpoint_resumes_to_the_run_that_wrote_it() {
+    for (method, fail_swap) in [
+        (SwapMethod::Seamless, false),
+        (SwapMethod::Halt, false),
+        (SwapMethod::Seamless, true),
+    ] {
+        let arrangement = Arrangement::fig5(method);
+        let mut sys = VapresSystem::new(SystemConfig::prototype(), library()).unwrap();
+        sys.enable_telemetry();
+        sys.iom_set_input_interval(0, 500);
+        let channels = arrangement.deploy(&mut sys).unwrap();
+        sys.iom_feed(0, 0..2_000);
+        let mut drive = Drive {
+            fail_swap,
+            ..Drive::e3(method, channels)
+        };
+        let mut images = Vec::new();
+        let mut keep = |_: u64, image: Vec<u8>, _: Ps| {
+            images.push(image);
+            Ok(())
+        };
+        let mut sink = Checkpoints::new(Ps::from_us(300), &mut keep);
+        let result = drive.run(&mut sys, &arrangement, Some(&mut sink));
+        assert_eq!(result.is_err(), fail_swap, "{result:?}");
+        let golden = driven_outcome(&mut sys, &drive, result);
+        // One cut after each 300 µs slice of the 1 ms pre-swap window, one
+        // right after a swap that succeeded, and one per drain slice the
+        // stream is still draining after it.
+        assert!(
+            images.len() >= if fail_swap { 4 } else { 5 },
+            "{}",
+            images.len()
+        );
+        for (i, image) in images.iter().enumerate() {
+            let (mut restored, mut resumed) =
+                Drive::resume(SystemConfig::prototype(), library(), image).unwrap();
+            assert_eq!(resumed.ordinal, i as u64);
+            // The resumed run slices as the run that wrote the image did:
+            // a slice boundary costs executor ticks, which telemetry counts.
+            let mut discard = |_: u64, _: Vec<u8>, _: Ps| Ok(());
+            let mut sink = Checkpoints::new(Ps::from_us(300), &mut discard);
+            let result = resumed.run(&mut restored, &arrangement, Some(&mut sink));
+            assert_eq!(
+                driven_outcome(&mut restored, &resumed, result),
+                golden,
+                "{method:?} (fail_swap {fail_swap}): image {i} diverged from never-stopped"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Fleet-scale golden equivalence: restore ≡ never-stopped for a 3-RSB
 // `FleetSystem`.
 // ---------------------------------------------------------------------------
@@ -355,6 +415,12 @@ fn fleet_configs() -> Vec<SystemConfig> {
     vec![SystemConfig::prototype(), slow, SystemConfig::prototype()]
 }
 
+/// FIR A live on PRR 0 and FIR B staged for the spare PRR 1.
+const FLEET_E3: Arrangement<'static> = Arrangement {
+    fir_a: "fir_a.bit",
+    staged: &[(1, uids::FIR_B, "fir_b.bit", "fir_b")],
+};
+
 fn fleet_register() -> SharedRegister {
     Arc::new(|lib: &mut ModuleLibrary| register_standard_modules(lib, 0))
 }
@@ -370,21 +436,9 @@ fn fleet_e3_setup(m: &mut FleetSystem) -> Vec<(ChannelId, ChannelId)> {
                 sys.enable_flight_recorder(512);
                 sys.enable_word_trace(5);
                 sys.iom_set_input_interval(0, 150 + 50 * rsb as u64);
-                sys.install_bitstream(0, uids::FIR_A, "fir_a.bit").unwrap();
-                let fir_b = sys.bitstream_for(1, uids::FIR_B).unwrap().to_bytes();
-                sys.cf_store_raw("fir_b.bit", fir_b);
-                sys.vapres_cf2array("fir_b.bit", "fir_b").unwrap();
-                sys.vapres_cf2icap("fir_a.bit").unwrap();
-                let upstream = sys
-                    .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-                    .unwrap();
-                let downstream = sys
-                    .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-                    .unwrap();
-                sys.bring_up_node(0, false).unwrap();
-                sys.bring_up_node(1, false).unwrap();
+                let channels = FLEET_E3.deploy(sys).unwrap();
                 sys.iom_feed(0, 0..(400 + 100 * rsb as u32));
-                (upstream, downstream)
+                channels
             })
         })
         .collect()
@@ -394,18 +448,9 @@ fn fleet_e3_setup(m: &mut FleetSystem) -> Vec<(ChannelId, ChannelId)> {
 /// RSB, then a sliced drain and settle.
 fn fleet_drive_leg(m: &mut FleetSystem, channels: &[(ChannelId, ChannelId)]) {
     m.run_for(Ps::from_us(200));
-    for (rsb, &(upstream, downstream)) in channels.iter().enumerate() {
+    for (rsb, &channels) in channels.iter().enumerate() {
         m.with_rsb(rsb, |sys| {
-            let spec = SwapSpec {
-                active_node: 1,
-                spare_node: 2,
-                source: BitstreamSource::Sdram("fir_b".into()),
-                upstream,
-                downstream,
-                clk_sel: false,
-                timeout: Ps::from_ms(10),
-            };
-            seamless_swap(sys, &spec).map(|_| ())
+            seamless_swap(sys, &swap_spec(1, 2, "fir_b", channels)).map(|_| ())
         })
         .unwrap();
         m.run_for(Ps::from_us(150));

@@ -397,10 +397,12 @@ fn churned_fabric_matches_a_fresh_one_and_the_dense_oracle() {
 mod system_sweep {
     use vapres::core::config::SystemConfig;
     use vapres::core::module::ModuleLibrary;
-    use vapres::core::switching::{seamless_swap, BitstreamSource, SwapSpec};
+    use vapres::core::scenario::SwapMethod;
+    use vapres::core::switching::seamless_swap;
     use vapres::core::system::VapresSystem;
-    use vapres::core::{PortRef, Ps};
-    use vapres::modules::{register_standard_modules, uids};
+    use vapres::core::Ps;
+    use vapres::kpn::e3::{swap_spec, Arrangement};
+    use vapres::modules::register_standard_modules;
 
     const SAMPLE_INTERVAL: u64 = 500;
     const N_SAMPLES: u32 = 1_000;
@@ -418,34 +420,15 @@ mod system_sweep {
         sys.enable_word_trace(16);
         sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
 
-        sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
+        let channels = Arrangement::fig5(SwapMethod::Seamless)
+            .deploy(&mut sys)
             .unwrap();
-        sys.install_bitstream(1, uids::FIR_B, "fir_b_prr1.bit")
-            .unwrap();
-        sys.vapres_cf2array("fir_b_prr1.bit", "fir_b").unwrap();
-        sys.vapres_cf2icap("fir_a_prr0.bit").unwrap();
-        let upstream = sys
-            .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-            .unwrap();
-        let downstream = sys
-            .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-            .unwrap();
-        sys.bring_up_node(0, false).unwrap();
-        sys.bring_up_node(1, false).unwrap();
 
         let input: Vec<u32> = (0..N_SAMPLES).map(|i| (i * 97) % 10_007).collect();
         sys.iom_feed(0, input.iter().copied());
         sys.run_for(Ps::from_ms(1));
 
-        let spec = SwapSpec {
-            active_node: 1,
-            spare_node: 2,
-            source: BitstreamSource::Sdram("fir_b".into()),
-            upstream,
-            downstream,
-            clk_sel: false,
-            timeout: Ps::from_ms(10),
-        };
+        let spec = swap_spec(1, 2, "fir_b", channels);
         seamless_swap(&mut sys, &spec).expect("swap succeeds");
 
         let expected_total = input.len() + 1;

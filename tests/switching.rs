@@ -5,9 +5,11 @@
 
 use vapres::core::config::SystemConfig;
 use vapres::core::module::ModuleLibrary;
+use vapres::core::scenario::SwapMethod;
 use vapres::core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
 use vapres::core::system::VapresSystem;
-use vapres::core::{PortRef, Ps};
+use vapres::core::Ps;
+use vapres::kpn::e3::{swap_spec, Arrangement};
 use vapres::modules::kernels::FirFilter;
 use vapres::modules::{register_standard_modules, run_kernel, uids, StreamKernel};
 use vapres::sim::time::Freq;
@@ -25,33 +27,11 @@ fn fig5_system() -> (VapresSystem, SwapSpec) {
     sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
 
     // Application flow: install bitstreams for A (PRR0) and B (PRR1).
-    sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
+    let channels = Arrangement::fig5(SwapMethod::Seamless)
+        .deploy(&mut sys)
         .unwrap();
-    sys.install_bitstream(1, uids::FIR_B, "fir_b_prr1.bit")
-        .unwrap();
-    // Stage B's bitstream in SDRAM at startup (the paper's fast path).
-    sys.vapres_cf2array("fir_b_prr1.bit", "fir_b").unwrap();
 
-    // Load A and start the RSPS.
-    sys.vapres_cf2icap("fir_a_prr0.bit").unwrap();
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .unwrap();
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .unwrap();
-    sys.bring_up_node(0, false).unwrap();
-    sys.bring_up_node(1, false).unwrap();
-
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
-    };
+    let spec = swap_spec(1, 2, "fir_b", channels);
     (sys, spec)
 }
 

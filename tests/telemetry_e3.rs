@@ -4,50 +4,36 @@
 
 use vapres::core::config::SystemConfig;
 use vapres::core::module::ModuleLibrary;
-use vapres::core::switching::{seamless_swap, BitstreamSource, SwapSpec};
+use vapres::core::scenario::SwapMethod;
 use vapres::core::system::VapresSystem;
-use vapres::core::{PortRef, Ps};
-use vapres::modules::{register_standard_modules, uids};
+use vapres::core::Ps;
+use vapres::kpn::e3::{Arrangement, Drive};
+use vapres::modules::register_standard_modules;
+use vapres::sim::json;
 use vapres::sim::telemetry::{parse_jsonl, Record};
 
 /// External ADC sample interval in fabric cycles (200 kS/s at 100 MHz).
 const SAMPLE_INTERVAL: u64 = 500;
 
-/// The Fig. 5 scenario: IOM (node 0) -> filter A in PRR0 (node 1) ->
+/// The Fig. 5 arrangement: IOM (node 0) -> filter A in PRR0 (node 1) ->
 /// IOM, with filter B's bitstream staged in SDRAM for PRR1 (node 2).
-fn fig5_system() -> (VapresSystem, SwapSpec) {
+fn fig5() -> Arrangement<'static> {
+    Arrangement::fig5(SwapMethod::Seamless)
+}
+
+/// The Fig. 5 system with telemetry on, 20,000 samples fed and the
+/// pre-swap window streamed: the drive is poised at the swap.
+fn fig5_at_swap() -> (VapresSystem, Drive) {
     let mut lib = ModuleLibrary::new();
     register_standard_modules(&mut lib, 0);
     let mut sys = VapresSystem::new(SystemConfig::prototype(), lib).unwrap();
     sys.enable_telemetry();
     sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
-
-    sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
-        .unwrap();
-    sys.install_bitstream(1, uids::FIR_B, "fir_b_prr1.bit")
-        .unwrap();
-    sys.vapres_cf2array("fir_b_prr1.bit", "fir_b").unwrap();
-
-    sys.vapres_cf2icap("fir_a_prr0.bit").unwrap();
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .unwrap();
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .unwrap();
-    sys.bring_up_node(0, false).unwrap();
-    sys.bring_up_node(1, false).unwrap();
-
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
-    };
-    (sys, spec)
+    let channels = fig5().deploy(&mut sys).unwrap();
+    sys.iom_feed(0, 0..20_000u32);
+    let mut drive = Drive::e3(SwapMethod::Seamless, channels);
+    drive.pre_swap(&mut sys, None).unwrap();
+    (sys, drive)
 }
 
 const STEP_LABELS: [&str; 9] = [
@@ -64,11 +50,8 @@ const STEP_LABELS: [&str; 9] = [
 
 #[test]
 fn seamless_swap_emits_nine_spans_tiling_the_swap_latency() {
-    let (mut sys, spec) = fig5_system();
-    sys.iom_feed(0, 0..20_000u32);
-    sys.run_for(Ps::from_ms(1));
-
-    let report = seamless_swap(&mut sys, &spec).expect("swap succeeds");
+    let (mut sys, mut drive) = fig5_at_swap();
+    let report = drive.swap(&mut sys, &fig5()).expect("swap succeeds");
 
     let t = sys.telemetry().expect("telemetry enabled");
     let spans: Vec<_> = t.spans_named("swap_step").collect();
@@ -102,11 +85,9 @@ fn seamless_swap_emits_nine_spans_tiling_the_swap_latency() {
 
 #[test]
 fn e3_reports_zero_missed_slots_and_a_parseable_snapshot() {
-    let (mut sys, spec) = fig5_system();
-    sys.iom_feed(0, 0..20_000u32);
-    sys.run_for(Ps::from_ms(1));
-    seamless_swap(&mut sys, &spec).expect("swap succeeds");
-    let done = sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0);
+    let (mut sys, mut drive) = fig5_at_swap();
+    drive.swap(&mut sys, &fig5()).expect("swap succeeds");
+    let done = drive.drain(&mut sys, None).unwrap();
     assert!(done, "stream must drain");
 
     // Zero interruption: the handoff never costs a whole sample slot.
@@ -148,4 +129,33 @@ fn e3_reports_zero_missed_slots_and_a_parseable_snapshot() {
     assert!(records
         .iter()
         .any(|r| matches!(r, Record::Gauge { name, .. } if name == "channel_stall_ratio")));
+}
+
+/// Chrome's trace format counts `ts` and `dur` in microseconds: the
+/// 71.907 ms reconfiguration step must read 71907.208202, not a
+/// thousand times that.
+#[test]
+fn chrome_trace_spans_are_in_microseconds_of_simulated_time() {
+    let (mut sys, mut drive) = fig5_at_swap();
+    let reconfig = drive
+        .swap(&mut sys, &fig5())
+        .expect("swap succeeds")
+        .reconfig
+        .total();
+    let mut buf = Vec::new();
+    sys.telemetry()
+        .expect("telemetry enabled")
+        .write_chrome_trace(&mut buf)
+        .unwrap();
+    let text = String::from_utf8(buf).unwrap();
+    let trace = json::parse(&text).expect("valid JSON");
+    let events = trace.get("traceEvents").unwrap().items().unwrap();
+    let step = events
+        .iter()
+        .find(|e| e.get("name").and_then(|n| n.as_str().ok()) == Some("2_reconfigure_spare"))
+        .expect("the reconfiguration span is in the trace");
+    let dur = step.get("dur").unwrap().as_f64().unwrap();
+    assert_eq!(reconfig, Ps::new(71_907_208_202));
+    assert_eq!(dur, reconfig.as_ps() as f64 / 1e6);
+    assert!(text.contains("\"dur\":71907.208202}"), "{text}");
 }

@@ -11,10 +11,11 @@
 
 use vapres::core::config::SystemConfig;
 use vapres::core::module::ModuleLibrary;
-use vapres::core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
+use vapres::core::scenario::SwapMethod;
 use vapres::core::system::VapresSystem;
-use vapres::core::{PortRef, Ps};
-use vapres::modules::{register_standard_modules, uids};
+use vapres::core::Ps;
+use vapres::kpn::e3::{Arrangement, Drive};
+use vapres::modules::register_standard_modules;
 use vapres::sim::stats::Histogram;
 
 const SAMPLES: u32 = 4_000;
@@ -23,71 +24,30 @@ const SAMPLE_INTERVAL: u64 = 500;
 const BUCKET_PS: u64 = 250_000;
 const BUCKETS: usize = 64;
 
-enum Scenario {
-    NoSwap,
-    Seamless,
-    Halt,
-}
-
-/// Runs the E3 stream under `scenario` with every word tagged, returning
-/// the per-word e2e latency histogram.
-fn run_traced(scenario: Scenario) -> Histogram {
+/// Runs the E3 stream with every word tagged — the pre-swap window, then
+/// the `method` swap (none at all for [`SwapMethod::None`]), the drain
+/// and the settle — returning the per-word e2e latency histogram.
+fn run_traced(method: SwapMethod) -> Histogram {
     let mut lib = ModuleLibrary::new();
     register_standard_modules(&mut lib, 0);
     let mut sys = VapresSystem::new(SystemConfig::prototype(), lib).unwrap();
     sys.enable_word_trace(1);
     sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
 
-    sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
-        .unwrap();
     // Halt-and-swap reconfigures the active PRR (node 1 = PRR0) in
-    // place, so its FIR B bitstream must target PRR0; the seamless swap
+    // place, so its FIR B bitstream targets PRR0; the seamless swap
     // loads the spare PRR1 instead.
-    match scenario {
-        Scenario::Halt => {
-            sys.install_bitstream(0, uids::FIR_B, "fir_b_prr0.bit")
-                .unwrap();
-            sys.vapres_cf2array("fir_b_prr0.bit", "fir_b").unwrap();
-        }
-        _ => {
-            sys.install_bitstream(1, uids::FIR_B, "fir_b_prr1.bit")
-                .unwrap();
-            sys.vapres_cf2array("fir_b_prr1.bit", "fir_b").unwrap();
-        }
-    }
-    sys.vapres_cf2icap("fir_a_prr0.bit").unwrap();
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .unwrap();
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .unwrap();
-    sys.bring_up_node(0, false).unwrap();
-    sys.bring_up_node(1, false).unwrap();
-
+    let arrangement = Arrangement::fig5(method);
+    let channels = arrangement.deploy(&mut sys).unwrap();
     sys.iom_feed(0, 0..SAMPLES);
-    sys.run_for(Ps::from_ms(1));
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
-    };
-    match scenario {
-        Scenario::NoSwap => {}
-        Scenario::Seamless => {
-            seamless_swap(&mut sys, &spec).expect("seamless swap succeeds");
-        }
-        Scenario::Halt => {
-            halt_and_swap(&mut sys, &spec).expect("halt swap succeeds");
-        }
-    }
-    let done = sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0);
-    assert!(done, "stream must drain");
-    sys.run_for(Ps::from_us(100));
+    // Every method streams the same window first; only then is the
+    // drive aimed at its swap.
+    let mut drive = Drive::e3(SwapMethod::Seamless, channels);
+    drive.pre_swap(&mut sys, None).unwrap();
+    drive.aim(method);
+    drive
+        .run(&mut sys, &arrangement, None)
+        .expect("the swap succeeds and the stream drains");
 
     let tr = sys.word_trace().expect("trace enabled");
     assert_eq!(tr.tagged(), SAMPLES as usize, "every word is tagged");
@@ -101,9 +61,9 @@ fn run_traced(scenario: Scenario) -> Histogram {
 
 #[test]
 fn seamless_p99_matches_no_swap_baseline_and_halt_explodes() {
-    let baseline = run_traced(Scenario::NoSwap);
-    let seamless = run_traced(Scenario::Seamless);
-    let halt = run_traced(Scenario::Halt);
+    let baseline = run_traced(SwapMethod::None);
+    let seamless = run_traced(SwapMethod::Seamless);
+    let halt = run_traced(SwapMethod::Halt);
 
     let base_p99 = baseline.percentile(0.99).expect("baseline populated");
     let seam_p99 = seamless.percentile(0.99).expect("seamless populated");
@@ -137,8 +97,8 @@ fn seamless_p99_matches_no_swap_baseline_and_halt_explodes() {
 
 #[test]
 fn median_latency_is_unchanged_by_the_seamless_swap() {
-    let baseline = run_traced(Scenario::NoSwap);
-    let seamless = run_traced(Scenario::Seamless);
+    let baseline = run_traced(SwapMethod::None);
+    let seamless = run_traced(SwapMethod::Seamless);
     assert_eq!(baseline.percentile(0.50), seamless.percentile(0.50));
     assert_eq!(baseline.percentile(0.95), seamless.percentile(0.95));
 }

@@ -12,9 +12,10 @@
 use std::collections::HashSet;
 use vapres::core::config::SystemConfig;
 use vapres::core::module::ModuleLibrary;
-use vapres::core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
+use vapres::core::switching::{halt_and_swap, seamless_swap, SwapSpec};
 use vapres::core::system::VapresSystem;
-use vapres::core::{PortRef, Ps, SplitMix64};
+use vapres::core::{Ps, SplitMix64};
+use vapres::kpn::e3::{swap_spec, Arrangement};
 use vapres::modules::{register_standard_modules, uids};
 use vapres::sim::persist::{Container, SectionTag};
 
@@ -51,36 +52,16 @@ fn e3_system(method: Method, profile: bool) -> (VapresSystem, SwapSpec) {
     }
     sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
 
-    sys.install_bitstream(0, uids::FIR_A, "fir_a.bit").unwrap();
     let fir_b_prr = if method == Method::Halt { 0 } else { 1 };
-    let fir_b = sys
-        .bitstream_for(fir_b_prr, uids::FIR_B)
-        .unwrap()
-        .to_bytes();
-    sys.cf_store_raw("fir_b.bit", fir_b);
-    sys.vapres_cf2array("fir_b.bit", "fir_b").unwrap();
-
-    sys.vapres_cf2icap("fir_a.bit").unwrap();
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .unwrap();
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .unwrap();
-    sys.bring_up_node(0, false).unwrap();
-    sys.bring_up_node(1, false).unwrap();
+    let staged = [(fir_b_prr, uids::FIR_B, "fir_b.bit", "fir_b")];
+    let channels = Arrangement {
+        fir_a: "fir_a.bit",
+        staged: &staged,
+    }
+    .deploy(&mut sys)
+    .unwrap();
     sys.iom_feed(0, 0..N_SAMPLES);
-
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
-    };
-    (sys, spec)
+    (sys, swap_spec(1, 2, "fir_b", channels))
 }
 
 /// The pre-swap stretch of the stream.
