@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use vapres_sim::time::{Ps, PS_PER_US};
 
 /// A command-line parsing error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,6 +101,23 @@ impl Args {
         }
     }
 
+    /// A period in µs of simulated time: `None` when absent or 0 (off).
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError`] naming the flag when unparsable or past the range of
+    /// the picosecond clock.
+    pub fn get_us(&self, key: &str) -> Result<Option<Ps>, ArgError> {
+        let us = self.get_num(key, 0u64)?;
+        let max = u64::MAX / PS_PER_US;
+        let ps = us.checked_mul(PS_PER_US).ok_or_else(|| {
+            ArgError(format!(
+                "--{key}: {us} us overflows the picosecond clock (max {max} us)"
+            ))
+        })?;
+        Ok((ps > 0).then_some(Ps::new(ps)))
+    }
+
     /// The positional arguments.
     pub fn positionals(&self) -> &[String] {
         &self.positionals
@@ -168,6 +186,39 @@ mod tests {
                 (w, g) => panic!("{tokens:?}: wanted {w:?}, got {g:?}"),
             }
         }
+    }
+
+    #[test]
+    fn microsecond_flags_are_off_at_zero_and_reject_overflow() {
+        let max = u64::MAX / PS_PER_US;
+        // (value, expected: Ok(picoseconds or off) or Err(substring))
+        let cases: Vec<(String, Result<Option<u64>, &str>)> = vec![
+            ("0".into(), Ok(None)),
+            ("1".into(), Ok(Some(1_000_000))),
+            ("100".into(), Ok(Some(100_000_000))),
+            (max.to_string(), Ok(Some(max * PS_PER_US))),
+            (
+                (max + 1).to_string(),
+                Err("--sample-every: 18446744073710 us overflows"),
+            ),
+            (
+                "18446744073709552".into(),
+                Err("overflows the picosecond clock"),
+            ),
+            ("-1".into(), Err("--sample-every: cannot parse")),
+            ("1.5".into(), Err("--sample-every: cannot parse")),
+        ];
+        for (value, want) in &cases {
+            let got = Args::parse(["--sample-every", value.as_str()])
+                .unwrap()
+                .get_us("sample-every");
+            match (want, got) {
+                (Ok(w), Ok(g)) => assert_eq!(*w, g.map(Ps::as_ps), "{value}"),
+                (Err(w), Err(e)) => assert!(e.0.contains(w), "{value}: {e}"),
+                (w, g) => panic!("{value}: wanted {w:?}, got {g:?}"),
+            }
+        }
+        assert_eq!(Args::default().get_us("sample-every"), Ok(None));
     }
 
     #[test]

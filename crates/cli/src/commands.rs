@@ -607,15 +607,17 @@ struct RunSpec<'a> {
     samples: u32,
     interval: u64,
     fail_swap: bool,
-    /// `--checkpoint-every` (µs of simulated time) and its directory.
-    checkpoint: Option<(u64, &'a str)>,
+    /// `--checkpoint-every` (given in µs of simulated time) and its
+    /// directory.
+    checkpoint: Option<(Ps, &'a str)>,
     health: Option<HealthOut>,
     profile: bool,
     stats: bool,
     /// `--metrics`/`--trace-json`/`--prom` asked for a telemetry export.
     telemetry: bool,
     trace_words: u32,
-    sample_every_us: u64,
+    /// `--sample-every` (given in µs of simulated time).
+    sample_every: Option<Ps>,
     bitstream_cache: usize,
 }
 
@@ -658,12 +660,9 @@ impl<'a> RunSpec<'a> {
         if interval == 0 {
             return Err(CmdError("--interval must be >= 1".into()));
         }
-        let checkpoint = match (
-            args.get_num("checkpoint-every", 0u64)?,
-            args.get("checkpoint-dir"),
-        ) {
-            (0, None) => None,
-            (us, Some(dir)) if us > 0 => Some((us, dir)),
+        let checkpoint = match (args.get_us("checkpoint-every")?, args.get("checkpoint-dir")) {
+            (None, None) => None,
+            (Some(every), Some(dir)) => Some((every, dir)),
             _ => {
                 return Err(CmdError(
                     "--checkpoint-every N (microseconds of simulated time) and \
@@ -672,16 +671,11 @@ impl<'a> RunSpec<'a> {
                 ))
             }
         };
-        let sample_every_us = args.get_num("sample-every", 0u64)?;
-        let sampled = [
-            "timeseries",
-            "timeseries-trace",
-            "timeseries-csv",
-            "live-port",
-        ];
-        if sample_every_us == 0 && sampled.iter().any(|k| args.get(k).is_some()) {
+        let sample_every = args.get_us("sample-every")?;
+        let sampled = ["timeseries", "timeseries-csv", "live-port"];
+        if sample_every.is_none() && sampled.iter().any(|k| args.get(k).is_some()) {
             return Err(CmdError(
-                "--timeseries/--timeseries-trace/--timeseries-csv/--live-port need \
+                "--timeseries/--timeseries-csv/--live-port need \
                  --sample-every N (microseconds of simulated time)"
                     .into(),
             ));
@@ -705,7 +699,7 @@ impl<'a> RunSpec<'a> {
                 .iter()
                 .any(|k| args.get(k).is_some()),
             trace_words: args.get_num("trace-words", 0u32)?,
-            sample_every_us,
+            sample_every,
             bitstream_cache: args.get_num("bitstream-cache", 0usize)?,
         })
     }
@@ -731,6 +725,9 @@ impl<'a> RunSpec<'a> {
 /// end-to-end latency, `--flight-dump` writes the flight ring (before
 /// the error on a failed swap), `--sample-every` with `--timeseries*`
 /// captures a time series, and `--live-port` serves it mid-run.
+/// `--trace-json` writes one chrome://tracing timeline of everything the
+/// run armed: spans, time-series counters and flight instants on a
+/// simulated-time process, profiler scopes on a host-time process.
 ///
 /// `--checkpoint-every N --checkpoint-dir D` pauses the run every N
 /// microseconds of simulated time and writes a numbered, bit-exact
@@ -803,11 +800,8 @@ fn build_fresh(
     if args.get("flight-dump").is_some() {
         sys.enable_flight_recorder(vapres_sim::flight::DEFAULT_CAPACITY);
     }
-    if spec.sample_every_us > 0 {
-        sys.enable_timeseries(
-            Ps::from_us(spec.sample_every_us),
-            vapres_core::TimeSeries::DEFAULT_CAPACITY,
-        );
+    if let Some(every) = spec.sample_every {
+        sys.enable_timeseries(every, vapres_core::TimeSeries::DEFAULT_CAPACITY);
     }
     let live = start_live(args, out)?;
     if let Some(server) = &live {
@@ -879,16 +873,12 @@ fn run_sim(
             (sys, state, None, None)
         }
         None => {
-            let ckpt = match spec.checkpoint {
-                None => None,
-                Some((us, dir)) => {
-                    std::fs::create_dir_all(dir).map_err(|e| write_err(dir, e))?;
-                    Some((Ps::from_us(us), dir))
-                }
-            };
+            if let Some((_, dir)) = spec.checkpoint {
+                std::fs::create_dir_all(dir).map_err(|e| write_err(dir, e))?;
+            }
             let (mut sys, mut state, live) = build_fresh(spec, args, out)?;
             sys.iom_feed(0, 0..spec.samples);
-            drive(&mut sys, &mut state, ckpt, flight_path, out)?;
+            drive(&mut sys, &mut state, spec.checkpoint, flight_path, out)?;
             let pipeline = match spec.swap {
                 SwapMethod::None => spec.stages,
                 SwapMethod::Seamless => "fir-a -> fir-b (seamless swap)",
@@ -1044,10 +1034,6 @@ fn write_exports(
                 t.spans().len()
             )?;
         }
-        if let Some(path) = args.get("trace-json") {
-            write_file(path, |f| t.write_chrome_trace(f))?;
-            writeln!(out, "wrote {path}: chrome://tracing timeline")?;
-        }
         if let Some(path) = args.get("prom") {
             write_file(path, |f| t.write_prometheus(f))?;
             writeln!(out, "wrote {path}: prometheus text")?;
@@ -1067,24 +1053,17 @@ fn write_exports(
             write_file(path, |f| ts.write_jsonl(f))?;
             writeln!(out, "wrote {path}: time-series JSONL")?;
         }
-        if let Some(path) = args.get("timeseries-trace") {
-            // With the profiler armed, its completed-scope ring rides in
-            // the same file as an "X" duration track (tid 1) next to the
-            // counter track (tid 0).
-            write_file(path, |f| match sys.profiler() {
-                Some(p) => ts.write_chrome_trace_with_events(f, p.chrome_events()),
-                None => ts.write_chrome_trace(f),
-            })?;
-            let tracks = match sys.profiler() {
-                Some(_) => "counter + scope tracks",
-                None => "counter track",
-            };
-            writeln!(out, "wrote {path}: chrome://tracing {tracks}")?;
-        }
         if let Some(path) = args.get("timeseries-csv") {
             write_file(path, |f| ts.write_csv(f))?;
             writeln!(out, "wrote {path}: per-metric CSV")?;
         }
+    }
+
+    if let Some(path) = args.get("trace-json") {
+        // One timeline: spans, counters and flight instants on the
+        // simulated-time process, profiler scopes on the host-time one.
+        write_file(path, |f| sys.write_timeline(f))?;
+        writeln!(out, "wrote {path}: chrome://tracing timeline")?;
     }
 
     if spec.profile {
@@ -1202,8 +1181,9 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     // rebuilds its own pre-swap prefix) — the reference the warm path is
     // byte-compared against, and the baseline for its wall-clock win.
     let cold = args.flag("cold")?;
-    let sample_every_us: u64 = args.get_num("sample-every", 0u64)?;
-    if (args.get("timeseries").is_some() || args.get("live-port").is_some()) && sample_every_us == 0
+    let sample_every = args.get_us("sample-every")?;
+    if (args.get("timeseries").is_some() || args.get("live-port").is_some())
+        && sample_every.is_none()
     {
         return Err(CmdError(
             "--timeseries/--live-port need --sample-every N (microseconds of simulated time)"
@@ -1214,7 +1194,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     if args.get("cost-model").is_some() && !profile {
         return Err(CmdError("--cost-model needs --profile yes".into()));
     }
-    if profile && sample_every_us > 0 {
+    if profile && sample_every.is_some() {
         return Err(CmdError(
             "--profile yes cannot combine with --sample-every (the profiled and \
              sampled runners use different prefix images; run two sweeps)"
@@ -1242,22 +1222,11 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             *chunks[sc.index].lock().expect("cost model lock") = Some(model);
             r
         })
-    } else if sample_every_us == 0 {
-        run_sweep_with(
-            &scenarios,
-            jobs,
-            if cold {
-                vapres_kpn::run_scenario_cold
-            } else {
-                vapres_kpn::run_scenario
-            },
-        )
-    } else {
+    } else if let Some(every) = sample_every {
         // Sampled sweep: each worker captures its scenario's series and
         // parks the tagged JSONL in a per-index slot, so the export is
         // in scenario order no matter which worker finished first —
         // byte-identical for any `--jobs` value.
-        let every = Ps::from_us(sample_every_us);
         series_chunks = scenarios
             .iter()
             .map(|_| std::sync::Mutex::new(None))
@@ -1275,6 +1244,16 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             }
             r
         })
+    } else {
+        run_sweep_with(
+            &scenarios,
+            jobs,
+            if cold {
+                vapres_kpn::run_scenario_cold
+            } else {
+                vapres_kpn::run_scenario
+            },
+        )
     };
     let wall_ms = started.elapsed().as_millis();
 
@@ -1513,10 +1492,7 @@ pub fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         interval: args.get_num("interval", 50u64)?,
         swaps: args.get_num("swaps", rsbs)?,
         seed: args.get_num("seed", 0xE3u64)?,
-        sample_every: match args.get_num("sample-every", 0u64)? {
-            0 => None,
-            us => Some(Ps::from_us(us)),
-        },
+        sample_every: args.get_us("sample-every")?,
     };
     spec.validate().map_err(CmdError)?;
     if args.get("timeseries").is_some() && spec.sample_every.is_none() {
@@ -1738,7 +1714,6 @@ fn known_flags(subcommand: &str) -> Option<&'static [&'static str]> {
             "restore",
             "sample-every",
             "timeseries",
-            "timeseries-trace",
             "timeseries-csv",
             "live-port",
             "profile",
@@ -1832,8 +1807,7 @@ pub fn usage() -> &'static str {
      \x20                [--stats yes] [--vcd out.vcd] [--trace-words N]\n\
      \x20                [--metrics out.jsonl] [--trace-json out.json] [--prom out.prom]\n\
      \x20                [--flight-dump out.jsonl] [--bitstream-cache N]\n\
-     \x20                [--sample-every US] [--timeseries out.jsonl]\n\
-     \x20                [--timeseries-trace out.json] [--timeseries-csv out.csv]\n\
+     \x20                [--sample-every US] [--timeseries out.jsonl] [--timeseries-csv out.csv]\n\
      \x20                [--live-port N]   (serves /metrics /health /flight)\n\
      \x20                [--checkpoint-every US --checkpoint-dir D]\n\
      \x20                | --restore ckpt [--health yes|jsonl]   (finish a checkpoint)\n\
@@ -2268,6 +2242,8 @@ mod tests {
             ("sweep", &["--warm", "yes"]),
             ("sim", &["--sample-ever", "100"]),
             ("sim", &["--timeserie", "ts.jsonl"]),
+            // Folded into `--trace-json`'s one timeline.
+            ("sim", &["--timeseries-trace", "ts.json"]),
             ("sim", &["--live-prt", "9100"]),
             ("sweep", &["--sample-every-us", "100"]),
             ("sweep", &["--live-prt", "9100"]),
@@ -3148,7 +3124,7 @@ mod tests {
                 "100",
                 "--timeseries",
                 jsonl.to_str().unwrap(),
-                "--timeseries-trace",
+                "--trace-json",
                 trace.to_str().unwrap(),
                 "--timeseries-csv",
                 csv.to_str().unwrap(),
@@ -3160,9 +3136,10 @@ mod tests {
         let ts = std::fs::read_to_string(&jsonl).unwrap();
         assert!(ts.contains("\"type\":\"series\""), "{ts}");
         assert!(ts.contains("\"type\":\"frame\""), "{ts}");
+        // The series' counters ride the one timeline, on the sim pid.
         let tr = std::fs::read_to_string(&trace).unwrap();
-        assert!(tr.starts_with("{\"traceEvents\":["), "{tr}");
-        assert!(tr.contains("\"ph\":\"C\""), "{tr}");
+        assert!(tr.contains("\"traceEvents\":["), "{tr}");
+        assert!(tr.contains("\"ph\":\"C\",\"pid\":1,"), "{tr}");
         let head = std::fs::read_to_string(&csv).unwrap();
         assert!(head.starts_with("metric,labels,at_ps,value"), "{head}");
         for f in [&jsonl, &trace, &csv] {
@@ -3174,7 +3151,7 @@ mod tests {
     fn timeseries_and_live_flags_need_sample_every() {
         for tokens in [
             &["--timeseries", "/tmp/x.jsonl"][..],
-            &["--timeseries-trace", "/tmp/x.json"][..],
+            &["--timeseries-csv", "/tmp/x.csv"][..],
             &["--live-port", "0"][..],
         ] {
             let err = run("sim", tokens).unwrap_err();
@@ -3199,6 +3176,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.0.contains("--sample-every"), "{}", err.0);
+    }
+
+    #[test]
+    fn microsecond_flags_reject_overflow_per_subcommand() {
+        // About 2^64 / 1000 us: unchecked, the picosecond product wrapped
+        // to a 384 ns cadence and the run went on.
+        let huge = "18446744073709552";
+        for (sub, tokens) in [
+            (
+                "sim",
+                &["--sample-every", huge, "--timeseries", "/tmp/x.jsonl"][..],
+            ),
+            (
+                "sim",
+                &["--checkpoint-every", huge, "--checkpoint-dir", "/tmp/x"][..],
+            ),
+            ("sweep", &["--sample-every", huge, "--samples", "300"][..]),
+            ("fleet", &["--sample-every", huge, "--rsbs", "2"][..]),
+        ] {
+            let err = run(sub, tokens).unwrap_err();
+            assert!(
+                err.0
+                    .contains(&format!("{}: {huge} us overflows", tokens[0])),
+                "{sub}: {}",
+                err.0
+            );
+        }
     }
 
     #[test]

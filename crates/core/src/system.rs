@@ -29,6 +29,7 @@ use vapres_sim::profile::{CostModel, Profiler, ScopeId, DEFAULT_RING_CAPACITY};
 use vapres_sim::stats::GapTracker;
 use vapres_sim::telemetry::Telemetry;
 use vapres_sim::time::Ps;
+use vapres_sim::timeline::Timeline;
 use vapres_sim::timeseries::TimeSeries;
 use vapres_sim::trace::{SignalId, Tracer};
 use vapres_stream::fabric::{FifoEdge, PortRef, StreamFabric};
@@ -988,22 +989,26 @@ impl VapresSystem {
         }
     }
 
-    /// Dumps the flight ring as a chrome://tracing instant-event array,
-    /// loadable next to the telemetry span trace. A no-op when the
-    /// recorder was never armed.
+    /// Writes the run's one chrome://tracing timeline
+    /// ([`vapres_sim::timeline`]): telemetry spans, time-series counters
+    /// and flight-ring instants on the simulated-time process, profiler
+    /// scopes on the host-time process — whatever this system armed.
+    /// Syncs the flight ring and harvests the registry first, as the
+    /// JSONL dumps do, so the file agrees with them.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `w`.
-    pub fn dump_flight_chrome_trace<W: std::io::Write>(
-        &mut self,
-        w: &mut W,
-    ) -> std::io::Result<()> {
+    pub fn write_timeline<W: std::io::Write>(&mut self, w: W) -> std::io::Result<()> {
         self.sync_flight_from_fabric();
-        match &self.flight {
-            Some(fr) => fr.write_chrome_trace(w),
-            None => Ok(()),
+        self.snapshot_metrics();
+        Timeline {
+            spans: self.telemetry.as_ref().map_or(&[], Telemetry::spans),
+            series: self.timeseries.as_ref(),
+            flight: self.flight.as_ref(),
+            host: self.profiler(),
         }
+        .write(w)
     }
 
     /// Starts per-word provenance tracing: every `sample_every`-th data

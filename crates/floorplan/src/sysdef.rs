@@ -101,7 +101,8 @@ impl std::error::Error for ParseUcfError {}
 ///
 /// # Errors
 ///
-/// [`ParseUcfError`] on malformed ranges or a missing `static` group.
+/// [`ParseUcfError`] on malformed ranges, a group named twice or a
+/// missing `static` group.
 pub fn parse_ucf(device: &Device, text: &str) -> Result<Floorplan, ParseUcfError> {
     let mut static_region = None;
     let mut prrs: Vec<PrrPlacement> = Vec::new();
@@ -130,6 +131,13 @@ pub fn parse_ucf(device: &Device, text: &str) -> Result<Floorplan, ParseUcfError
             .trim_end_matches(';')
             .trim();
         let rect = parse_slice_range(range).ok_or_else(|| err("bad SLICE range"))?;
+        let repeated = match name.as_str() {
+            "static" => static_region.is_some(),
+            _ => prrs.iter().any(|p| p.name == name),
+        };
+        if repeated {
+            return Err(err(&format!("AREA_GROUP \"{name}\" given more than once")));
+        }
         if name == "static" {
             static_region = Some(rect);
         } else {
@@ -218,6 +226,18 @@ mod tests {
         // Missing static group.
         let err = parse_ucf(&dev, "AREA_GROUP \"p\" RANGE = SLICE_X0Y0:SLICE_X1Y1 ;").unwrap_err();
         assert!(err.message.contains("static"));
+        // A repeated group is an error on its second line, not a silent
+        // last-one-wins (`static`) or an extra PRR (`prr0`).
+        let prr = "AREA_GROUP \"prr0\" RANGE = SLICE_X0Y0:SLICE_X1Y1 ;";
+        let stat = "AREA_GROUP \"static\" RANGE = SLICE_X2Y0:SLICE_X3Y1 ;";
+        for (text, group) in [
+            (format!("{stat}\n{stat}"), "static"),
+            (format!("{stat}\n{prr}\n{prr}"), "prr0"),
+        ] {
+            let err = parse_ucf(&dev, &text).unwrap_err();
+            assert!(err.message.contains(group), "{err}");
+            assert_eq!(err.line, text.lines().count(), "{err}");
+        }
     }
 
     #[test]

@@ -314,35 +314,6 @@ impl FlightRecorder {
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
         self.events().try_for_each(|e| e.write_jsonl(w, None))
     }
-
-    /// Dumps the retained events as a chrome://tracing JSON array of
-    /// instant events (`ph:"i"`, microsecond timestamps), oldest first —
-    /// loadable next to the telemetry span trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_chrome_trace<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(w, "[")?;
-        let mut first = true;
-        for e in self.events() {
-            if !first {
-                writeln!(w, ",")?;
-            }
-            first = false;
-            let us = e.at.as_ps() as f64 / 1_000_000.0;
-            write!(
-                w,
-                "  {{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{us},\"pid\":1,\"tid\":1,\"s\":\"g\",\"args\":{{\"seq\":{}",
-                e.event.kind(),
-                e.seq
-            )?;
-            write_event_fields(w, &e.event)?;
-            write!(w, "}}}}")?;
-        }
-        writeln!(w, "\n]")?;
-        Ok(())
-    }
 }
 
 impl Persist for FlightEvent {
@@ -558,8 +529,9 @@ impl Persist for FlightRecorder {
     }
 }
 
-/// Writes the variant-specific `,"key":value` fields of one event.
-fn write_event_fields<W: Write>(w: &mut W, event: &FlightEvent) -> io::Result<()> {
+/// Writes the variant-specific `,"key":value` fields of one event —
+/// the JSONL line's tail and the timeline instant's `args`.
+pub(crate) fn write_event_fields<W: Write>(w: &mut W, event: &FlightEvent) -> io::Result<()> {
     match *event {
         FlightEvent::DcrWrite { node } | FlightEvent::DcrRead { node } => {
             write!(w, ",\"node\":{node}")
@@ -733,19 +705,6 @@ mod tests {
         assert!(lines[0].contains("\"step\":\"2_reconfigure_spare\""));
         assert!(lines[1].contains("\"side\":\"consumer\""));
         assert!(lines[1].contains("\"edge\":\"became_full\""));
-    }
-
-    #[test]
-    fn chrome_trace_is_a_json_array() {
-        let mut fr = FlightRecorder::new(2);
-        fr.record(Ps::from_us(3), FlightEvent::IcapWrite { words: 42 });
-        let mut buf = Vec::new();
-        fr.write_chrome_trace(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.trim_start().starts_with('['));
-        assert!(text.trim_end().ends_with(']'));
-        assert!(text.contains("\"ph\":\"i\""));
-        assert!(text.contains("\"ts\":3"));
     }
 
     #[test]

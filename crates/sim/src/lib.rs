@@ -17,11 +17,11 @@
 //! * [`stats`] — measurement helpers ([`stats::GapTracker`] measures the
 //!   paper's "stream processing interruption" directly).
 //! * [`telemetry`] — the unified metrics registry ([`telemetry::Telemetry`]):
-//!   counters/gauges/histograms plus simulated-time spans, with JSON-lines,
-//!   Prometheus-text, and chrome://tracing exporters.
+//!   counters/gauges/histograms plus simulated-time spans, with JSON-lines
+//!   and Prometheus-text exporters.
 //! * [`flight`] — the always-on [`flight::FlightRecorder`]: a fixed-capacity,
 //!   allocation-free ring of recent control-plane/fabric events, dumped as
-//!   JSONL or chrome-trace when something fails.
+//!   JSONL when something fails.
 //! * [`watchdog`] — declarative [`watchdog::Monitor`] limits folded into a
 //!   structured [`watchdog::HealthReport`] (policy lives in higher layers).
 //! * [`json`] — the one strict JSON reader ([`json::Json`]) for artifacts
@@ -36,6 +36,10 @@
 //!   one call in 16 and scaled), joined with the caller's deterministic
 //!   per-component work units (a view of counters the system persists)
 //!   into a per-component [`profile::CostModel`].
+//! * [`timeline`] — the one chrome://tracing writer
+//!   ([`timeline::Timeline`]): spans, time-series counters and flight
+//!   instants on a simulated-time process, profiler scopes on a host-time
+//!   process, in one `traceEvents` document.
 //!
 //! Higher layers (`vapres-stream`, `vapres-core`) pull edges from the
 //! scheduler — directly, or through the executor's activity tracking — and
@@ -70,6 +74,7 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
+pub mod timeline;
 pub mod timeseries;
 pub mod trace;
 pub mod watchdog;

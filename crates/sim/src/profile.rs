@@ -22,8 +22,8 @@
 //! calls/total/child time per `(parent, name)` scope — self time is
 //! `total - children`, and the identity is exact by construction (tested).
 //! A fixed-capacity allocation-free *ring* (like the flight recorder)
-//! keeps the most recent completed scope intervals for the chrome-trace
-//! `"X"` duration track.
+//! keeps the most recent completed scope intervals for the timeline's
+//! host-time process ([`crate::timeline`]).
 //!
 //! Rare scopes (`run`, `sample`, caller-opened phases) are timed exactly
 //! with [`Profiler::begin`]/[`Profiler::end`]. Per-dispatch scopes are
@@ -86,7 +86,7 @@ struct Frame {
     start_ns: u64,
 }
 
-/// A completed scope interval in the ring (for the chrome `"X"` track).
+/// A completed scope interval in the ring (the timeline's host track).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScopeEvent {
     /// Scope name.
@@ -494,41 +494,6 @@ impl Profiler {
         Ok(())
     }
 
-    /// The ring's intervals as serialized chrome-trace `"X"` (complete)
-    /// event objects, oldest first — ready to splice into a
-    /// `"traceEvents"` array next to the time-series counter track
-    /// (`tid` 1 keeps the duration track on its own row).
-    pub fn chrome_events(&self) -> Vec<String> {
-        self.ring_events()
-            .map(|e| {
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                     \"pid\":0,\"tid\":1,\"args\":{{\"depth\":{}}}}}",
-                    e.name,
-                    e.start_ns as f64 / 1000.0,
-                    e.dur_ns as f64 / 1000.0,
-                    e.depth
-                )
-            })
-            .collect()
-    }
-
-    /// Writes the ring as a self-contained chrome-trace file (the `"X"`
-    /// duration track alone).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_chrome_trace<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "{{\"traceEvents\":[")?;
-        let events = self.chrome_events();
-        for (i, e) in events.iter().enumerate() {
-            writeln!(w, "{e}{}", if i + 1 < events.len() { "," } else { "" })?;
-        }
-        writeln!(w, "]}}")?;
-        Ok(())
-    }
-
     /// Joins the planes: one row per `(component, work units)` pair of
     /// `work`, in its order. Host time comes from the scope with the
     /// component's exact name (summed across parents); `fabric/route*`
@@ -867,25 +832,6 @@ mod tests {
         let exp = text.lines().position(|l| l.starts_with("expensive"));
         let cheap = text.lines().position(|l| l.starts_with("cheap"));
         assert!(exp.unwrap() < cheap.unwrap(), "{text}");
-    }
-
-    #[test]
-    fn chrome_events_are_x_phase_on_their_own_track() {
-        let mut p = Profiler::new(8);
-        p.begin("run");
-        p.begin("sample");
-        p.end();
-        p.end();
-        let events = p.chrome_events();
-        assert_eq!(events.len(), 2);
-        assert!(events[0].contains("\"name\":\"sample\""), "{events:?}");
-        assert!(events[0].contains("\"ph\":\"X\""));
-        assert!(events[0].contains("\"tid\":1"));
-        let mut out = Vec::new();
-        p.write_chrome_trace(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("{\"traceEvents\":["), "{text}");
-        assert!(text.trim_end().ends_with("]}"), "{text}");
     }
 
     #[test]

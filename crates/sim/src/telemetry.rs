@@ -22,15 +22,16 @@
 //! `Option` so the disabled path costs one branch (the
 //! `metrics_overhead` micro-benchmark in `crates/bench` proves it).
 //!
-//! Three exporters, all hand-rolled (no serde):
+//! Two exporters, both hand-rolled (no serde):
 //!
 //! * [`Telemetry::write_jsonl`] — one self-describing JSON object per
 //!   line; parse it back with [`parse_jsonl`];
 //! * [`Telemetry::write_prometheus`] — Prometheus text exposition
 //!   (`vapres_`-prefixed, `# TYPE` comments, cumulative histogram
-//!   buckets);
-//! * [`Telemetry::write_chrome_trace`] — `chrome://tracing` / Perfetto
-//!   JSON (`traceEvents` with complete `"X"` events) for the spans.
+//!   buckets).
+//!
+//! The spans also land on the run's one chrome://tracing timeline
+//! ([`crate::timeline`]), one track per span family.
 //!
 //! # Examples
 //!
@@ -504,60 +505,6 @@ impl Telemetry {
                 )?;
             }
         }
-        Ok(())
-    }
-
-    /// Writes the spans as a `chrome://tracing` / Perfetto JSON document:
-    /// complete (`"ph":"X"`) events on one track per span family, `ts`
-    /// and `dur` in microseconds of simulated time (ps / 10⁶), the unit
-    /// chrome's trace format defines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_chrome_trace<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
-        // One tid per span family, in order of first appearance.
-        let mut families: Vec<&str> = Vec::new();
-        for s in &self.spans {
-            if !families.contains(&s.name) {
-                families.push(s.name);
-            }
-        }
-        let mut first = true;
-        for (tid, fam) in families.iter().enumerate() {
-            let mut meta = String::new();
-            meta.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
-            meta.push_str(&(tid + 1).to_string());
-            meta.push_str(",\"args\":{\"name\":");
-            json_string(&mut meta, fam);
-            meta.push_str("}}");
-            if !first {
-                writeln!(w, ",")?;
-            }
-            write!(w, "{meta}")?;
-            first = false;
-        }
-        for s in &self.spans {
-            let tid = families.iter().position(|f| *f == s.name).unwrap_or(0) + 1;
-            let mut ev = String::new();
-            ev.push_str("{\"name\":");
-            json_string(&mut ev, &s.label);
-            ev.push_str(",\"cat\":");
-            json_string(&mut ev, s.name);
-            ev.push_str(&format!(
-                ",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{}}}",
-                json_f64(s.start.as_ps() as f64 / 1e6),
-                json_f64(s.duration().as_ps() as f64 / 1e6),
-            ));
-            if !first {
-                writeln!(w, ",")?;
-            }
-            write!(w, "{ev}")?;
-            first = false;
-        }
-        writeln!(w)?;
-        writeln!(w, "]}}")?;
         Ok(())
     }
 }
@@ -1229,28 +1176,6 @@ mod tests {
                 "malformed sample line {line:?}"
             );
         }
-    }
-
-    #[test]
-    fn chrome_trace_is_parseable_json() {
-        let mut t = Telemetry::new();
-        t.record_span("swap_step", "1_resolve", Ps::new(1_000), Ps::new(3_000));
-        t.record_span("icap", "write", Ps::new(0), Ps::new(500));
-        let mut out = Vec::new();
-        t.write_chrome_trace(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        // Our own parser accepts it: structurally valid JSON.
-        let trace = json::parse(&text).expect("valid JSON");
-        let events = trace
-            .get("traceEvents")
-            .expect("traceEvents missing")
-            .items()
-            .expect("traceEvents must be an array");
-        // 2 thread-name metadata events + 2 span events.
-        assert_eq!(events.len(), 4);
-        assert!(text.contains("\"ph\":\"X\""));
-        // Chrome's fields are µs: the 1 ns start reads 0.001.
-        assert!(text.contains("\"ts\":0.001,\"dur\":0.002"), "{text}");
     }
 
     #[test]

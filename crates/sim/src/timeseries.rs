@@ -27,9 +27,10 @@
 //! When a frame falls off the ring its deltas fold into each column's
 //! `base`, so absolute values reconstruct exactly for the retained
 //! window. Exporters: self-describing JSONL ([`write_jsonl`]
-//! (TimeSeries::write_jsonl)), chrome://tracing counter events
-//! ([`write_chrome_trace`](TimeSeries::write_chrome_trace)), and
-//! per-metric CSV ([`write_csv`](TimeSeries::write_csv)).
+//! (TimeSeries::write_jsonl)) and per-metric CSV
+//! ([`write_csv`](TimeSeries::write_csv)); the run's timeline
+//! ([`crate::timeline`]) draws the same
+//! [`absolute_rows`](TimeSeries::absolute_rows) as counter tracks.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -366,10 +367,10 @@ impl TimeSeries {
         Ok(())
     }
 
-    /// Reconstructed absolute value per column per frame, in `(column,
-    /// frame)` iteration order — the shared backbone of the CSV and
-    /// chrome-trace exporters.
-    fn absolute_rows(&self) -> Vec<(usize, Ps, f64)> {
+    /// Reconstructed absolute value of every changed metric per frame,
+    /// frame-major, as `(name, labels, at, value)` — the shared backbone
+    /// of the CSV export and the timeline's counter tracks.
+    pub fn absolute_rows(&self) -> Vec<(&'static str, &[Label], Ps, f64)> {
         let mut cur: Vec<f64> = self
             .columns
             .iter()
@@ -388,66 +389,11 @@ impl TimeSeries {
                     }
                     Point::Gauge { value, .. } => cur[col] = *value,
                 }
-                rows.push((col, f.at, cur[col]));
+                let c = &self.columns[col];
+                rows.push((c.name, &c.labels[..], f.at, cur[col]));
             }
         }
         rows
-    }
-
-    /// Writes chrome://tracing counter events (`"ph":"C"`): one event
-    /// per changed metric per frame, timestamps in microseconds of
-    /// simulated time, values absolute. Load next to the span trace to
-    /// see counters climb across the swap steps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_chrome_trace<W: Write>(&self, w: W) -> io::Result<()> {
-        self.write_chrome_trace_with_events(w, std::iter::empty::<String>())
-    }
-
-    /// Like [`write_chrome_trace`](Self::write_chrome_trace), but splices
-    /// `extra` pre-serialized event objects (e.g. the self-profiler's
-    /// `"X"` duration track) into the same `"traceEvents"` array, after
-    /// the counter events.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_chrome_trace_with_events<W, I, S>(&self, mut w: W, extra: I) -> io::Result<()>
-    where
-        W: Write,
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        writeln!(w, "{{\"traceEvents\":[")?;
-        let mut first = true;
-        for (col, at, value) in self.absolute_rows() {
-            let c = &self.columns[col];
-            let mut name = String::new();
-            json_string(&mut name, &display_name(c.name, &c.labels));
-            if !first {
-                writeln!(w, ",")?;
-            }
-            write!(
-                w,
-                "{{\"name\":{name},\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\
-                 \"args\":{{\"value\":{}}}}}",
-                at.as_ps() as f64 / 1e6,
-                json_f64(value)
-            )?;
-            first = false;
-        }
-        for e in extra {
-            if !first {
-                writeln!(w, ",")?;
-            }
-            write!(w, "{}", e.as_ref())?;
-            first = false;
-        }
-        writeln!(w)?;
-        writeln!(w, "]}}")?;
-        Ok(())
     }
 
     /// Writes the per-metric CSV: header `metric,labels,at_ps,value`,
@@ -459,13 +405,12 @@ impl TimeSeries {
     /// Propagates I/O errors from `w`.
     pub fn write_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
         writeln!(w, "metric,labels,at_ps,value")?;
-        for (col, at, value) in self.absolute_rows() {
-            let c = &self.columns[col];
-            let labels: Vec<String> = c.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        for (name, labels, at, value) in self.absolute_rows() {
+            let labels: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
             writeln!(
                 w,
                 "{},{},{},{}",
-                csv_field(c.name),
+                csv_field(name),
                 csv_field(&labels.join(";")),
                 at.as_ps(),
                 json_f64(value)
@@ -473,15 +418,6 @@ impl TimeSeries {
         }
         Ok(())
     }
-}
-
-/// `name{k=v,..}` — the per-series display key used in trace exports.
-fn display_name(name: &str, labels: &[Label]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
-    }
-    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    format!("{name}{{{}}}", pairs.join(","))
 }
 
 /// Quotes a CSV field when it holds a delimiter or quote.
@@ -796,13 +732,19 @@ mod tests {
         assert!(csv.contains("words_total,iom=0,10000000,10"), "{csv}");
         assert!(csv.contains("fifo_high_water,,5000000,1.5"), "{csv}");
 
+        // The timeline draws the same rows as counter tracks.
         let mut tr = Vec::new();
-        ts.write_chrome_trace(&mut tr).unwrap();
+        crate::timeline::Timeline {
+            series: Some(&ts),
+            ..Default::default()
+        }
+        .write(&mut tr)
+        .unwrap();
         let tr = String::from_utf8(tr).unwrap();
-        assert!(tr.contains("\"traceEvents\""), "{tr}");
-        assert!(tr.contains("\"name\":\"words_total{iom=0}\""), "{tr}");
-        assert!(tr.contains("\"ph\":\"C\""), "{tr}");
-        assert!(tr.contains("\"value\":10"), "{tr}");
+        assert!(
+            tr.contains("{\"name\":\"words_total{iom=0}\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":10,\"args\":{\"value\":10}}"),
+            "{tr}"
+        );
     }
 
     #[test]

@@ -127,19 +127,35 @@ for method in seamless halt; do
 done
 rm -rf "$ckptdir"
 
-echo "==> time-series smoke (sim exports, sweep series jobs-invariant)"
+echo "==> time-series and timeline smoke (sim exports, one trace, sweep series jobs-invariant)"
 tsdir="$(mktemp -d)"
 ./target/release/vapres-cli sim --swap seamless --samples 2000 --sample-every 100 \
-    --timeseries "$tsdir/ts.jsonl" --timeseries-trace "$tsdir/ts_trace.json" \
-    --timeseries-csv "$tsdir/ts.csv" >/dev/null
+    --profile yes --flight-dump "$tsdir/flight.jsonl" --trace-json "$tsdir/trace.json" \
+    --timeseries "$tsdir/ts.jsonl" --timeseries-csv "$tsdir/ts.csv" >/dev/null
 grep -q '"type":"series"' "$tsdir/ts.jsonl" \
     || { echo "time-series JSONL missing series header lines" >&2; exit 1; }
 grep -q '"type":"frame"' "$tsdir/ts.jsonl" \
     || { echo "time-series JSONL missing frame lines" >&2; exit 1; }
-grep -q '"ph":"C"' "$tsdir/ts_trace.json" \
-    || { echo "chrome trace missing counter events" >&2; exit 1; }
 head -n 1 "$tsdir/ts.csv" | grep -q '^metric,labels,at_ps,value$' \
     || { echo "time-series CSV missing its header row" >&2; exit 1; }
+# One timeline, two clocks: sim-time spans/counters/instants on pid 1,
+# host-time profiler scopes on pid 2, each process named.
+timeline_has() { # <what> <fixed string>
+    grep -qF "$2" "$tsdir/trace.json" \
+        || { echo "timeline missing $1 ($2)" >&2; exit 1; }
+}
+timeline_has "the sim-time process name" '"name":"process_name","ph":"M","pid":1,'
+timeline_has "the host-time process name" '"name":"process_name","ph":"M","pid":2,'
+timeline_has "a counter on the sim pid" '"ph":"C","pid":1,'
+timeline_has "a profiler scope on the host pid" '"ph":"X","pid":2,"tid":1,"cat":"host",'
+timeline_has "the 71.907 ms reconfiguration step in exact us" '"dur":71907.208202'
+# --timeseries-trace was folded into --trace-json: it must be refused.
+if ./target/release/vapres-cli sim --timeseries-trace "$tsdir/x.json" 2> "$tsdir/err.txt"; then
+    echo "sim --timeseries-trace unexpectedly succeeded" >&2
+    exit 1
+fi
+grep -q "unknown option" "$tsdir/err.txt" \
+    || { echo "sim --timeseries-trace failed without naming an unknown option" >&2; exit 1; }
 for j in 1 4; do
     ./target/release/vapres-cli sweep \
         --kr 2 --kl 2,3 --fifo-depth 512 --swap none,seamless \

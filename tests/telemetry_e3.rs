@@ -9,8 +9,8 @@ use vapres::core::system::VapresSystem;
 use vapres::core::Ps;
 use vapres::kpn::e3::{Arrangement, Drive};
 use vapres::modules::register_standard_modules;
-use vapres::sim::json;
 use vapres::sim::telemetry::{parse_jsonl, Record};
+use vapres::sim::{flight, json, timeseries};
 
 /// External ADC sample interval in fabric cycles (200 kS/s at 100 MHz).
 const SAMPLE_INTERVAL: u64 = 500;
@@ -131,31 +131,95 @@ fn e3_reports_zero_missed_slots_and_a_parseable_snapshot() {
         .any(|r| matches!(r, Record::Gauge { name, .. } if name == "channel_stall_ratio")));
 }
 
+/// Fig. 5 with every timeline source armed (telemetry spans, a 100 µs
+/// time series, the flight ring and the profiler), run to its end:
+/// the reconfiguration step's duration and the run's timeline.
+fn armed_timeline() -> (Ps, String) {
+    let mut lib = ModuleLibrary::new();
+    register_standard_modules(&mut lib, 0);
+    let mut sys = VapresSystem::new(SystemConfig::prototype(), lib).unwrap();
+    sys.enable_telemetry();
+    sys.enable_profiling();
+    sys.enable_flight_recorder(flight::DEFAULT_CAPACITY);
+    sys.enable_timeseries(Ps::from_us(100), timeseries::DEFAULT_CAPACITY);
+    sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
+    let channels = fig5().deploy(&mut sys).unwrap();
+    sys.iom_feed(0, 0..2_000u32);
+    let mut drive = Drive::e3(SwapMethod::Seamless, channels);
+    drive.run(&mut sys, &fig5(), None).expect("run completes");
+    let reconfig = drive.report.expect("swapped").reconfig.total();
+    let mut buf = Vec::new();
+    sys.write_timeline(&mut buf).unwrap();
+    (reconfig, String::from_utf8(buf).unwrap())
+}
+
 /// Chrome's trace format counts `ts` and `dur` in microseconds: the
 /// 71.907 ms reconfiguration step must read 71907.208202, not a
-/// thousand times that.
+/// thousand times that. The two clocks sit on two named processes:
+/// spans, counters and flight instants on the simulated-time pid, the
+/// profiler's scopes on the host-time pid, so a viewer never draws a
+/// host µs on the simulated axis. The simulated-time process is a pure
+/// function of the run.
 #[test]
 fn chrome_trace_spans_are_in_microseconds_of_simulated_time() {
-    let (mut sys, mut drive) = fig5_at_swap();
-    let reconfig = drive
-        .swap(&mut sys, &fig5())
-        .expect("swap succeeds")
-        .reconfig
-        .total();
-    let mut buf = Vec::new();
-    sys.telemetry()
-        .expect("telemetry enabled")
-        .write_chrome_trace(&mut buf)
-        .unwrap();
-    let text = String::from_utf8(buf).unwrap();
+    let (reconfig, text) = armed_timeline();
+    assert_eq!(reconfig, Ps::new(71_907_208_202));
+    assert!(text.contains("\"dur\":71907.208202}"), "{text}");
+
     let trace = json::parse(&text).expect("valid JSON");
     let events = trace.get("traceEvents").unwrap().items().unwrap();
+    let str_of =
+        |e: &json::Json, k: &str| e.get(k).and_then(|v| v.as_str().ok()).map(str::to_owned);
     let step = events
         .iter()
-        .find(|e| e.get("name").and_then(|n| n.as_str().ok()) == Some("2_reconfigure_spare"))
+        .find(|e| str_of(e, "name").as_deref() == Some("2_reconfigure_spare"))
         .expect("the reconfiguration span is in the trace");
-    let dur = step.get("dur").unwrap().as_f64().unwrap();
-    assert_eq!(reconfig, Ps::new(71_907_208_202));
-    assert_eq!(dur, reconfig.as_ps() as f64 / 1e6);
-    assert!(text.contains("\"dur\":71907.208202}"), "{text}");
+    assert_eq!(
+        step.get("dur").unwrap().as_f64().unwrap(),
+        reconfig.as_ps() as f64 / 1e6
+    );
+    let mut processes = Vec::new();
+    let mut kinds = std::collections::BTreeSet::new();
+    for e in events {
+        let pid = e.get("pid").unwrap().as_u64().unwrap();
+        let ph = str_of(e, "ph").unwrap();
+        if ph == "M" {
+            if str_of(e, "name").as_deref() == Some("process_name") {
+                processes.push((pid, str_of(e.get("args").unwrap(), "name").unwrap()));
+            }
+            continue;
+        }
+        let host = str_of(e, "cat").as_deref() == Some("host");
+        assert_eq!(
+            pid,
+            if host { 2 } else { 1 },
+            "{ph} event on the wrong clock"
+        );
+        kinds.insert((pid, ph));
+    }
+    assert_eq!(
+        processes,
+        [
+            (1, "simulated time".to_string()),
+            (2, "host time".to_string())
+        ]
+    );
+    let want = [(1, "C"), (1, "X"), (1, "i"), (2, "X")];
+    assert_eq!(
+        kinds
+            .iter()
+            .map(|(p, k)| (*p, k.as_str()))
+            .collect::<Vec<_>>(),
+        want
+    );
+
+    // Host scopes differ run to run; the simulated-time events do not.
+    let sim_events = |t: &str| -> Vec<String> {
+        t.lines()
+            .filter(|l| l.contains("\"pid\":1,"))
+            .map(str::to_owned)
+            .collect()
+    };
+    let (_, again) = armed_timeline();
+    assert_eq!(sim_events(&text), sim_events(&again));
 }
