@@ -541,14 +541,14 @@ fn write_flight_dump(sys: &mut VapresSystem, path: &str) -> Result<(), CmdError>
 
 /// Runs `state` to its end through the library drive. With `ckpt`
 /// (cadence, directory) every cut is written to `DIR/ckpt_NNNN.vapresck`
-/// and reported. On a failed swap or a panic the flight ring is dumped
-/// to `flight_path` before the error propagates, so the tail of the ring
-/// is the causal trail into the failure.
+/// and reported. On a failed swap or a panic the run's `--flight-dump`
+/// ring and `--trace-json` timeline are written before the error
+/// propagates, so both show the causal trail into the failure.
 fn drive(
     sys: &mut VapresSystem,
     state: &mut Drive,
     ckpt: Option<(Ps, &str)>,
-    flight_path: Option<&str>,
+    args: &Args,
     out: &mut dyn Write,
 ) -> Result<(), CmdError> {
     let method = if state.phase == Phase::PendingHalt {
@@ -570,20 +570,33 @@ fn drive(
     match run {
         Ok(Ok(())) => Ok(()),
         Ok(Err(e @ DriveError::Swap(_))) => {
-            if let Some(path) = flight_path {
-                write_flight_dump(sys, path)?;
-                writeln!(out, "wrote {path}: flight ring at failure")?;
-            }
+            write_failure_dumps(sys, args, out)?;
             Err(CmdError(e.to_string()))
         }
         Ok(Err(e)) => Err(CmdError(e.to_string())),
         Err(panic) => {
-            if let Some(path) = flight_path {
-                let _ = write_flight_dump(sys, path);
-            }
+            let _ = write_failure_dumps(sys, args, &mut std::io::sink());
             std::panic::resume_unwind(panic);
         }
     }
+}
+
+/// Writes a failed run's `--flight-dump` ring and `--trace-json`
+/// timeline, naming each file written.
+fn write_failure_dumps(
+    sys: &mut VapresSystem,
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<(), CmdError> {
+    if let Some(path) = args.get("flight-dump") {
+        write_flight_dump(sys, path)?;
+        writeln!(out, "wrote {path}: flight ring at failure")?;
+    }
+    if let Some(path) = args.get("trace-json") {
+        write_file(path, |f| sys.write_timeline(f))?;
+        writeln!(out, "wrote {path}: chrome://tracing timeline at failure")?;
+    }
+    Ok(())
 }
 
 /// How `--health` reports the watchdog verdicts.
@@ -848,7 +861,6 @@ fn run_sim(
     args: &Args,
     out: &mut dyn Write,
 ) -> Result<Option<HealthReport>, CmdError> {
-    let flight_path = args.get("flight-dump");
     // The live server is held until the run finishes: dropping it stops
     // the responder thread.
     let (mut sys, state, fed, _live) = match spec.restore {
@@ -869,7 +881,7 @@ fn run_sim(
                 sys.now(),
                 sys.iom_pending_input(0)
             )?;
-            drive(&mut sys, &mut state, None, None, out)?;
+            drive(&mut sys, &mut state, None, args, out)?;
             (sys, state, None, None)
         }
         None => {
@@ -878,7 +890,7 @@ fn run_sim(
             }
             let (mut sys, mut state, live) = build_fresh(spec, args, out)?;
             sys.iom_feed(0, 0..spec.samples);
-            drive(&mut sys, &mut state, spec.checkpoint, flight_path, out)?;
+            drive(&mut sys, &mut state, spec.checkpoint, args, out)?;
             let pipeline = match spec.swap {
                 SwapMethod::None => spec.stages,
                 SwapMethod::Seamless => "fir-a -> fir-b (seamless swap)",
@@ -1110,11 +1122,13 @@ fn write_exports(
 /// merge the results into one report.
 ///
 /// Every comma-separated flag is one axis of the grid (defaults:
-/// `SweepGrid::e3_default`, the 16-scenario seamless-vs-halt comparison).
-/// The report is byte-identical for any `--jobs` value: scenarios carry
-/// deterministic per-index seeds and results merge in scenario-index
-/// order, never completion order — so the job count is a pure wall-clock
-/// knob that never appears in the report. `--jsonl` exports the merged
+/// `SweepGrid::e3_default`, the 16-scenario seamless-vs-halt comparison);
+/// an axis may not repeat a value. `--cold`, `--sample-every` and
+/// `--profile` pick how the one runner runs each scenario and combine
+/// freely. The report is byte-identical for any `--jobs` value:
+/// scenarios carry deterministic per-index seeds and results merge in
+/// scenario-index order, never completion order — so the job count is a
+/// pure wall-clock knob that never appears in the report. `--jsonl` exports the merged
 /// telemetry registry; `--bench` writes the per-scenario trajectory as
 /// JSON (the `BENCH_sweep.json` artifact), whose single `"host"` line
 /// records the machine context (CPU count, `--jobs`) so wall-clock
@@ -1123,41 +1137,45 @@ fn write_exports(
 pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use vapres_core::scenario::{merge_telemetry, run_sweep_with, SwapOutcome, SweepGrid};
 
-    fn axis<T: std::str::FromStr>(
+    /// One comma-separated grid axis, or `default` when the flag is
+    /// absent. A repeated value is an error: it would run the same
+    /// scenario twice under one label.
+    fn axis<T: PartialEq>(
         args: &Args,
         key: &str,
         default: Vec<T>,
+        parse: impl Fn(&str) -> Result<T, String>,
     ) -> Result<Vec<T>, CmdError> {
-        match args.get(key) {
-            None => Ok(default),
-            Some(spec) => spec
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .map_err(|_| CmdError(format!("--{key}: cannot parse {s:?}")))
-                })
-                .collect(),
+        let Some(spec) = args.get(key) else {
+            return Ok(default);
+        };
+        let mut values = Vec::new();
+        for s in spec.split(',').map(str::trim) {
+            let v = parse(s).map_err(|e| CmdError(format!("--{key}: {e}")))?;
+            if values.contains(&v) {
+                return Err(CmdError(format!(
+                    "--{key} {spec}: {s} repeats a value of the axis"
+                )));
+            }
+            values.push(v);
         }
+        Ok(values)
+    }
+    fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+        s.parse().map_err(|_| format!("cannot parse {s:?}"))
     }
 
     let base = SweepGrid::e3_default();
     let jobs: usize = args.get_num("jobs", 1usize)?;
     let grid = SweepGrid {
-        kr: axis(args, "kr", base.kr)?,
-        kl: axis(args, "kl", base.kl)?,
-        fifo_depth: axis(args, "fifo-depth", base.fifo_depth)?,
-        prr_clock_mhz: axis(args, "clock-mhz", base.prr_clock_mhz)?,
-        swap: match args.get("swap") {
-            None => base.swap,
-            Some(spec) => spec
-                .split(',')
-                .map(|s| SwapMethod::parse(s).map_err(CmdError))
-                .collect::<Result<_, _>>()?,
-        },
-        fault_rate: axis(args, "fault-rate", base.fault_rate)?,
-        samples: axis(args, "samples", base.samples)?,
-        bitstream_cache: axis(args, "bitstream-cache", base.bitstream_cache)?,
+        kr: axis(args, "kr", base.kr, num)?,
+        kl: axis(args, "kl", base.kl, num)?,
+        fifo_depth: axis(args, "fifo-depth", base.fifo_depth, num)?,
+        prr_clock_mhz: axis(args, "clock-mhz", base.prr_clock_mhz, num)?,
+        swap: axis(args, "swap", base.swap, SwapMethod::parse)?,
+        fault_rate: axis(args, "fault-rate", base.fault_rate, num)?,
+        samples: axis(args, "samples", base.samples, num)?,
+        bitstream_cache: axis(args, "bitstream-cache", base.bitstream_cache, num)?,
         interval: args.get_num("interval", base.interval)?,
         seed: args.get_num("seed", base.seed)?,
     };
@@ -1194,67 +1212,25 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     if args.get("cost-model").is_some() && !profile {
         return Err(CmdError("--cost-model needs --profile yes".into()));
     }
-    if profile && sample_every.is_some() {
-        return Err(CmdError(
-            "--profile yes cannot combine with --sample-every (the profiled and \
-             sampled runners use different prefix images; run two sweeps)"
-                .into(),
-        ));
-    }
     // Held until the sweep finishes: dropping the server stops the
     // responder thread. Payloads update as each scenario completes.
-    let live = start_live(args, out)?;
-    let started = std::time::Instant::now();
-    let mut series_chunks: Vec<std::sync::Mutex<Option<String>>> = Vec::new();
-    let mut model_chunks: Vec<std::sync::Mutex<Option<vapres_core::CostModel>>> = Vec::new();
-    let results = if profile {
-        // Profiled sweep: each worker parks its scenario's cost model in
-        // a per-index slot; the merge below walks the slots in scenario
-        // order, so the merged work-unit plane is byte-identical for any
-        // `--jobs` value (host-time fields carry no such contract).
-        model_chunks = scenarios
-            .iter()
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        let chunks = &model_chunks;
-        run_sweep_with(&scenarios, jobs, move |sc| {
-            let (r, model) = vapres_kpn::run_scenario_profiled(sc, cold);
-            *chunks[sc.index].lock().expect("cost model lock") = Some(model);
-            r
-        })
-    } else if let Some(every) = sample_every {
-        // Sampled sweep: each worker captures its scenario's series and
-        // parks the tagged JSONL in a per-index slot, so the export is
-        // in scenario order no matter which worker finished first —
-        // byte-identical for any `--jobs` value.
-        series_chunks = scenarios
-            .iter()
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        let chunks = &series_chunks;
-        let live_ref = live.as_ref();
-        run_sweep_with(&scenarios, jobs, move |sc| {
-            let (r, ts) = vapres_kpn::run_scenario_sampled(sc, every, cold);
-            let mut buf = Vec::new();
-            let _ = ts.write_jsonl_tagged(&mut buf, Some(&sc.label()));
-            *chunks[sc.index].lock().expect("series chunk lock") =
-                Some(String::from_utf8_lossy(&buf).into_owned());
-            if let Some(server) = live_ref {
-                publish_scenario_live(server, &r);
-            }
-            r
-        })
-    } else {
-        run_sweep_with(
-            &scenarios,
-            jobs,
-            if cold {
-                vapres_kpn::run_scenario_cold
-            } else {
-                vapres_kpn::run_scenario
-            },
-        )
+    let server = start_live(args, out)?;
+    let live = server.as_ref();
+    let opts = vapres_kpn::RunOptions {
+        cold,
+        sample_every,
+        profile,
     };
+    let started = std::time::Instant::now();
+    // Results come back in scenario order whichever worker finished
+    // first, so every export below is byte-identical for any `--jobs`.
+    let results = run_sweep_with(&scenarios, jobs, |sc| {
+        let r = vapres_kpn::run_scenario_with(sc, opts);
+        if let Some(server) = live {
+            publish_scenario_live(server, &r);
+        }
+        r
+    });
     let wall_ms = started.elapsed().as_millis();
 
     let pct = |p: Option<u64>| p.map_or_else(|| "-".to_string(), |v| Ps::new(v).to_string());
@@ -1346,22 +1322,21 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     }
     if let Some(path) = args.get("timeseries") {
         write_file(path, |f| {
-            series_chunks.iter().try_for_each(|chunk| {
-                let s = chunk.lock().expect("series chunk lock");
-                f.write_all(s.as_ref().expect("every scenario sampled").as_bytes())
+            results.iter().try_for_each(|r| {
+                let ts = r.series.as_ref().expect("every scenario sampled");
+                ts.write_jsonl_tagged(&mut *f, Some(&r.scenario.label()))
             })
         })?;
         writeln!(
             out,
             "wrote {path}: per-scenario time-series JSONL ({} scenarios)",
-            series_chunks.len()
+            results.len()
         )?;
     }
     if profile {
         let mut merged = vapres_core::CostModel::default();
-        for chunk in &model_chunks {
-            let m = chunk.lock().expect("cost model lock");
-            merged.merge(m.as_ref().expect("every scenario profiled"));
+        for r in &results {
+            merged.merge(r.cost_model.as_ref().expect("every scenario profiled"));
         }
         let total_work: u64 = merged.rows.iter().map(|r| r.work_units).sum();
         writeln!(
@@ -1375,7 +1350,6 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             writeln!(out, "wrote {path}: merged cost model")?;
         }
     }
-    drop(live);
     Ok(())
 }
 
@@ -2543,8 +2517,164 @@ mod tests {
         assert!(err.0.contains("--profile yes"), "{}", err.0);
         let err = run("sweep", &["--cost-model", "out.json"]).unwrap_err();
         assert!(err.0.contains("--profile yes"), "{}", err.0);
-        let err = run("sweep", &["--profile", "yes", "--sample-every", "100"]).unwrap_err();
-        assert!(err.0.contains("cannot combine"), "{}", err.0);
+    }
+
+    /// A profiled and sampled sweep runs both observers in one pass: its
+    /// series is byte-identical to the sampled-only sweep's, and its work
+    /// plane is identical across job counts and warm/cold.
+    #[test]
+    fn sweep_profiled_and_sampled_matches_each_observer_alone() {
+        let dir = std::env::temp_dir().join("vapres_cli_sweep_both_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let sweep = |extra: &[&str]| {
+            let mut tokens = vec![
+                "--kr",
+                "2",
+                "--kl",
+                "2,3",
+                "--fifo-depth",
+                "512",
+                "--swap",
+                "none,seamless",
+                "--samples",
+                "300",
+                "--interval",
+                "50",
+                "--seed",
+                "7",
+                "--sample-every",
+                "100",
+            ];
+            tokens.extend_from_slice(extra);
+            run("sweep", &tokens).unwrap()
+        };
+        sweep(&["--timeseries", &path("alone.jsonl")]);
+        let alone = std::fs::read(path("alone.jsonl")).unwrap();
+        assert!(!alone.is_empty(), "sampled sweep wrote no series");
+        let mut planes = Vec::new();
+        for (tag, extra) in [
+            ("j1", ["--jobs", "1"]),
+            ("j3", ["--jobs", "3"]),
+            ("cold", ["--cold", "yes"]),
+        ] {
+            let (series, model) = (path(&format!("{tag}.jsonl")), path(&format!("{tag}.json")));
+            let text = sweep(&[
+                extra[0],
+                extra[1],
+                "--profile",
+                "yes",
+                "--timeseries",
+                &series,
+                "--cost-model",
+                &model,
+            ]);
+            assert!(text.contains("profile: "), "{text}");
+            assert_eq!(
+                std::fs::read(&series).unwrap(),
+                alone,
+                "{tag}: profiling changed the series"
+            );
+            planes.push(work_plane_of(&std::fs::read_to_string(&model).unwrap()));
+        }
+        assert!(
+            planes[0].contains("\"component\":\"sample\""),
+            "{}",
+            planes[0]
+        );
+        assert_eq!(
+            planes[0], planes[1],
+            "work plane differs between --jobs 1 and 3"
+        );
+        assert_eq!(
+            planes[0], planes[2],
+            "work plane differs between warm and cold"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Fault rates that two decimals would round apart still get
+    /// distinct labels, so the trajectory diffs against itself; an axis
+    /// that repeats a value is rejected by name.
+    #[test]
+    fn sweep_labels_are_unique_and_axes_reject_repeats() {
+        let dir = std::env::temp_dir().join("vapres_cli_sweep_labels_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bench = dir.join("b.json").to_str().unwrap().to_string();
+        let text = run(
+            "sweep",
+            &[
+                "--kr",
+                "2",
+                "--kl",
+                "2",
+                "--fifo-depth",
+                "64",
+                "--swap",
+                "seamless",
+                "--samples",
+                "200",
+                "--fault-rate",
+                "0.001,0.004",
+                "--bench",
+                &bench,
+            ],
+        )
+        .unwrap();
+        assert!(text.contains("_fr0.001_n200"), "{text}");
+        assert!(text.contains("_fr0.004_n200"), "{text}");
+        run("diff", &[&bench, &bench]).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        for (flag, spec) in [
+            ("--kr", "2,2"),
+            ("--swap", "halt,seamless,halt"),
+            ("--fault-rate", "0.5,0.50"),
+            ("--bitstream-cache", "0,4,0"),
+        ] {
+            let err = run("sweep", &[flag, spec]).unwrap_err();
+            assert!(err.0.starts_with(&format!("{flag} {spec}: ")), "{}", err.0);
+            assert!(err.0.contains("repeats"), "{}", err.0);
+        }
+    }
+
+    /// A failed swap still writes the timeline: the flight instants of
+    /// the steps it ran, up to the failure, on the simulated-time process.
+    #[test]
+    fn sim_trace_json_is_written_when_the_swap_fails() {
+        let dir = std::env::temp_dir().join("vapres_cli_failed_trace_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("x.json").to_str().unwrap().to_string();
+        let flight = dir.join("f.jsonl").to_str().unwrap().to_string();
+        let err = run(
+            "sim",
+            &[
+                "--swap",
+                "seamless",
+                "--samples",
+                "2000",
+                "--fail-swap",
+                "yes",
+                "--trace-json",
+                &trace,
+                "--flight-dump",
+                &flight,
+            ],
+        )
+        .unwrap_err();
+        assert!(err.0.contains("swap failed"), "{}", err.0);
+        let doc = vapres_sim::json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let events = doc.get("traceEvents").unwrap().items().unwrap();
+        let on_sim = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("name").and_then(|n| n.as_str().ok()) == Some(name))
+                .filter(|e| e.get("pid").and_then(|p| p.as_u64().ok()) == Some(1))
+                .count()
+        };
+        assert!(on_sim("swap_step") >= 1, "no swap_step on pid 1");
+        assert_eq!(on_sim("swap_failed"), 1, "the failure itself is on pid 1");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Strips the machine-dependent host fields from a cost-model JSON,

@@ -29,9 +29,11 @@ use crate::config::SystemConfig;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use vapres_sim::profile::CostModel;
 use vapres_sim::rng::SplitMix64;
 use vapres_sim::telemetry::Telemetry;
 use vapres_sim::time::Freq;
+use vapres_sim::timeseries::TimeSeries;
 
 /// How (and whether) a scenario swaps FIR A for FIR B mid-stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,17 +110,17 @@ pub struct Scenario {
 
 impl Scenario {
     /// Compact human-readable identity, stable across runs (used as the
-    /// row key in reports).
+    /// row key in reports). The fault rate prints with two decimals
+    /// unless that would round it, so distinct rates get distinct labels
+    /// (`fr0.50`, but `fr0.001`).
     pub fn label(&self) -> String {
+        let mut fault_rate = format!("{:.2}", self.fault_rate);
+        if fault_rate.parse() != Ok(self.fault_rate) {
+            fault_rate = self.fault_rate.to_string();
+        }
         let mut label = format!(
-            "kr{}kl{}_f{}_c{}_{}_fr{:.2}_n{}",
-            self.kr,
-            self.kl,
-            self.fifo_depth,
-            self.prr_clock_mhz,
-            self.swap,
-            self.fault_rate,
-            self.samples
+            "kr{}kl{}_f{}_c{}_{}_fr{fault_rate}_n{}",
+            self.kr, self.kl, self.fifo_depth, self.prr_clock_mhz, self.swap, self.samples
         );
         // Appended only when armed, so every pre-cache label (and the
         // golden artifacts keyed on them) is unchanged.
@@ -392,8 +394,9 @@ impl ScenarioSummary {
     }
 }
 
-/// A completed scenario: identity, summary row, and the full telemetry
-/// registry (for merging and export).
+/// A completed scenario: identity, summary row, the full telemetry
+/// registry (for merging and export), and whatever optional observers the
+/// run armed.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// The scenario that ran.
@@ -402,6 +405,10 @@ pub struct ScenarioResult {
     pub summary: ScenarioSummary,
     /// Its harvested metrics.
     pub telemetry: Telemetry,
+    /// The time series it sampled, when a cadence was armed.
+    pub series: Option<TimeSeries>,
+    /// Its cost model, when the self-profiler was armed.
+    pub cost_model: Option<CostModel>,
 }
 
 /// Runs every scenario through `run`, sharded across `jobs` worker
@@ -527,6 +534,22 @@ mod tests {
     }
 
     #[test]
+    fn labels_print_the_fault_rate_exactly_when_two_decimals_would_round_it() {
+        let mut g = grid();
+        g.fault_rate = vec![0.0, 0.001, 0.004, 0.5, 0.125, 1.0];
+        let labels: Vec<String> = g.expand().iter().map(Scenario::label).collect();
+        let rates: Vec<&str> = labels[..6]
+            .iter()
+            .map(|l| l.split("_fr").nth(1).unwrap().split('_').next().unwrap())
+            .collect();
+        assert_eq!(rates, ["0.00", "0.001", "0.004", "0.50", "0.125", "1.00"]);
+        let mut unique = labels.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), labels.len(), "labels collide: {labels:?}");
+    }
+
+    #[test]
     fn scenario_seeds_differ_and_are_stable() {
         let s0 = scenario_seed(7, 0);
         let s1 = scenario_seed(7, 1);
@@ -583,6 +606,8 @@ mod tests {
             scenario: sc.clone(),
             summary,
             telemetry: t,
+            series: None,
+            cost_model: None,
         }
     }
 

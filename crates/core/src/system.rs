@@ -23,7 +23,7 @@ use vapres_fabric::clocking::Bufgmux;
 use vapres_fabric::frame::FrameAddress;
 use vapres_sim::clock::{ClockScheduler, DomainId, Edge};
 use vapres_sim::exec::{Activity, ComponentId, ExecStats, Executor};
-use vapres_sim::flight::{FifoEdgeKind, FifoSide, FlightEvent, FlightRecorder};
+use vapres_sim::flight::{FifoSide, FlightEvent, FlightRecorder};
 use vapres_sim::persist::intern_static;
 use vapres_sim::profile::{CostModel, Profiler, ScopeId, DEFAULT_RING_CAPACITY};
 use vapres_sim::stats::GapTracker;
@@ -32,7 +32,7 @@ use vapres_sim::time::Ps;
 use vapres_sim::timeline::Timeline;
 use vapres_sim::timeseries::TimeSeries;
 use vapres_sim::trace::{SignalId, Tracer};
-use vapres_stream::fabric::{FifoEdge, PortRef, StreamFabric};
+use vapres_stream::fabric::{PortRef, StreamFabric};
 use vapres_stream::fifo::AsyncFifo;
 use vapres_stream::word::Word;
 
@@ -957,19 +957,13 @@ impl VapresSystem {
             } else {
                 FifoSide::Consumer
             };
-            let edge = match ev.edge {
-                FifoEdge::BecameFull => FifoEdgeKind::BecameFull,
-                FifoEdge::NoLongerFull => FifoEdgeKind::NoLongerFull,
-                FifoEdge::BecameEmpty => FifoEdgeKind::BecameEmpty,
-                FifoEdge::NoLongerEmpty => FifoEdgeKind::NoLongerEmpty,
-            };
             fr.record(
                 Ps::new(ev.cycle * period),
                 FlightEvent::FifoEdge {
                     node: ev.port.node as u32,
                     port: ev.port.port as u32,
                     side,
-                    edge,
+                    edge: ev.edge,
                 },
             );
         }

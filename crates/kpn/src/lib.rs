@@ -74,6 +74,5 @@ pub use graph::{
 pub use pipeline::{deploy, map_pipeline, DeployedPipeline, MapError, Mapping, Pipeline};
 pub use reference::run_chain;
 pub use sweep::{
-    clear_prefix_cache, run_scenario, run_scenario_cold, run_scenario_profiled,
-    run_scenario_sampled,
+    clear_prefix_cache, run_scenario, run_scenario_profiled, run_scenario_with, RunOptions,
 };

@@ -7,6 +7,9 @@
 //! arrangement (IOM → FIR A → IOM, FIR B staged in SDRAM for both swap
 //! targets), streams the scenario's samples, performs the requested swap
 //! mid-stream, and harvests the telemetry registry into a summary row.
+//! [`RunOptions`] picks the path (warm or cold) and the optional
+//! observers (a time-series sampler, the self-profiler); the result
+//! carries whatever they captured.
 //!
 //! The runner is a pure function of the scenario: every random choice
 //! (fault injection) draws from a `SplitMix64` seeded with
@@ -18,13 +21,14 @@
 //!
 //! Everything before the swap — system bring-up, bitstream staging, the
 //! first millisecond of streaming — is identical for every scenario that
-//! shares a [`PrefixKey`] (the grid axes minus the swap method; the
-//! default E3 grid shares each prefix across its Seamless/Halt pair).
-//! [`run_scenario`] builds that prefix once per unique key, checkpoints
-//! it (`VapresSystem::checkpoint`), and forks every scenario from the
-//! restored image. Because restore ≡ never-stopped bit-exactly, the
-//! sweep report is byte-identical to the cold path
-//! ([`run_scenario_cold`]) while skipping the repeated prefix work.
+//! shares a prefix key: the scenario itself with its index, swap method
+//! and (while fault injection is off) seed masked, plus the sample
+//! cadence. The default E3 grid shares each prefix across its
+//! Seamless/Halt pair. The warm path builds that prefix once per unique
+//! key, checkpoints it (`VapresSystem::checkpoint`), and forks every
+//! scenario from the restored image. Because restore ≡ never-stopped
+//! bit-exactly, the sweep report is byte-identical to the cold path
+//! ([`RunOptions::cold`]) while skipping the repeated prefix work.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -32,7 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use vapres_core::module::ModuleLibrary;
 use vapres_core::scenario::{Scenario, ScenarioResult, ScenarioSummary, SwapMethod, SwapOutcome};
 use vapres_core::system::VapresSystem;
-use vapres_core::{CostModel, Ps, SplitMix64, TimeSeries};
+use vapres_core::{CostModel, Ps, SplitMix64};
 use vapres_modules::register_standard_modules;
 
 use crate::e3::{Arrangement, Drive, DriveError, TRACE_EVERY};
@@ -42,46 +46,36 @@ use crate::e3::{Arrangement, Drive, DriveError, TRACE_EVERY};
 /// ICAP's validation instead of landing silently in frame payload.
 const FAULT_WINDOW_BYTES: usize = 32;
 
-/// The scenario fields that shape the pre-swap prefix. Scenarios whose
-/// keys are equal produce bit-identical systems at the checkpoint
-/// boundary, so one snapshot serves them all.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct PrefixKey {
-    kr: usize,
-    kl: usize,
-    fifo_depth: usize,
-    prr_clock_mhz: u64,
-    samples: u32,
-    interval: u64,
-    /// The time-series sample cadence in picoseconds (0 = sampling off).
-    /// The sampler's frames ride in the checkpoint image, so a sampled
-    /// prefix cannot serve an unsampled scenario or vice versa.
-    sample_every_ps: u64,
-    /// `None` when the prefix consults no randomness (`fault_rate` 0, so
-    /// any seed yields the same prefix); `Some((seed, rate_bits))` when
-    /// fault injection is live and the prefix is unique per seed.
-    fault: Option<(u64, u64)>,
-    /// Staged-bitstream cache capacity (0 = off). The cache contents and
-    /// its hit/miss counters ride in the checkpoint image, so a cached
-    /// prefix cannot serve an uncached scenario (or one with a different
-    /// capacity) or vice versa.
-    bitstream_cache: usize,
+/// How one scenario runs: which path, and which observers it arms on top
+/// of the telemetry every run keeps. The default is the warm path with
+/// no extra observers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Rebuild the pre-swap prefix instead of forking the cached one:
+    /// the reference path the warm path must match byte for byte.
+    pub cold: bool,
+    /// Arms the time-series sampler at this cadence; the result then
+    /// carries its series.
+    pub sample_every: Option<Ps>,
+    /// Arms the self-profiler; the result then carries its cost model.
+    pub profile: bool,
 }
 
-impl PrefixKey {
-    fn of(sc: &Scenario, sample_every: Option<Ps>) -> Self {
-        PrefixKey {
-            kr: sc.kr,
-            kl: sc.kl,
-            fifo_depth: sc.fifo_depth,
-            prr_clock_mhz: sc.prr_clock_mhz,
-            samples: sc.samples,
-            interval: sc.interval,
-            sample_every_ps: sample_every.map_or(0, |p| p.as_ps()),
-            fault: (sc.fault_rate > 0.0).then(|| (sc.seed, sc.fault_rate.to_bits())),
-            bitstream_cache: sc.bitstream_cache,
-        }
-    }
+/// The warm-start cache key: the scenario with only the fields the
+/// prefix provably ignores masked — its grid index, its swap method (the
+/// prefix is cut before the swap and stages both targets) and, while
+/// fault injection is off, its seed (nothing else draws from it) — plus
+/// the sample cadence, whose sampler frames ride in the checkpoint image.
+/// Every other field, including any added later, splits the key: a miss
+/// costs a prefix build, never a wrong prefix.
+fn prefix_key(sc: &Scenario, sample_every: Option<Ps>) -> String {
+    let masked = Scenario {
+        index: 0,
+        swap: SwapMethod::None,
+        seed: if sc.fault_rate > 0.0 { sc.seed } else { 0 },
+        ..sc.clone()
+    };
+    format!("{masked:?} sample_every={sample_every:?}")
 }
 
 /// A cached prefix: the snapshot, and the drive cut at the end of its
@@ -91,7 +85,7 @@ struct PrefixEntry {
     drive: Result<Drive, String>,
 }
 
-type PrefixCache = Mutex<BTreeMap<PrefixKey, Arc<OnceLock<PrefixEntry>>>>;
+type PrefixCache = Mutex<BTreeMap<String, Arc<OnceLock<PrefixEntry>>>>;
 
 fn prefix_cache() -> &'static PrefixCache {
     static CACHE: OnceLock<PrefixCache> = OnceLock::new();
@@ -151,73 +145,62 @@ fn build_prefix(
     (sys, drive)
 }
 
-/// Runs one scenario to completion, warm-starting from a cached prefix
-/// snapshot when another scenario with the same [`PrefixKey`] already
-/// built one (and caching its own prefix otherwise).
+/// Runs one scenario warm with no extra observers — the plain sweep.
+/// See [`run_scenario_with`].
+pub fn run_scenario(sc: &Scenario) -> ScenarioResult {
+    run_scenario_with(sc, RunOptions::default())
+}
+
+/// Runs one scenario with the self-profiler armed and hands its cost
+/// model back beside the result. See [`run_scenario_with`].
+pub fn run_scenario_profiled(sc: &Scenario, cold: bool) -> (ScenarioResult, CostModel) {
+    let mut r = run_scenario_with(
+        sc,
+        RunOptions {
+            cold,
+            profile: true,
+            ..RunOptions::default()
+        },
+    );
+    let model = r
+        .cost_model
+        .take()
+        .expect("profiler was armed for this run");
+    (r, model)
+}
+
+/// Runs one scenario to completion. The warm path forks a cached prefix
+/// snapshot when another scenario with the same prefix key already built
+/// one (and caches its own prefix otherwise); the cold path builds its
+/// own and touches no cache. The profiler is never persisted, so one
+/// prefix serves profiled and unprofiled scenarios alike: a warm
+/// profiled run arms it after the restore, and its work rows still count
+/// from the prefix's construction.
+///
+/// The result's series and cost-model work plane are as deterministic as
+/// its telemetry: bit-identical across `--jobs` counts and, because
+/// restore ≡ never-stopped, across the warm and cold paths. The cost
+/// model's host-time fields are wall-clock measurements and carry no
+/// such contract.
 ///
 /// Never fails: a setup error (e.g. a grid point whose channel slots
 /// cannot route the swap) is reported in the summary's
 /// [`SwapOutcome::Failed`] with a `"setup: "` prefix, so a sweep always
 /// produces a full table. The scenario should have passed
 /// [`Scenario::validate`] first — an invalid *system config* panics here.
-pub fn run_scenario(sc: &Scenario) -> ScenarioResult {
-    run_warm(sc, None, false).0
-}
-
-/// Runs one scenario end to end without touching the prefix cache — the
-/// reference path warm-started sweeps must match byte for byte.
-pub fn run_scenario_cold(sc: &Scenario) -> ScenarioResult {
-    run_cold(sc, None, false).0
-}
-
-/// Runs one scenario with the self-profiler armed, returning its cost
-/// model next to the result. The cost model's work-unit plane is as
-/// deterministic as the telemetry — bit-identical across `--jobs`
-/// counts and, because restore ≡ never-stopped, across the warm
-/// (`cold = false`) and cold paths; the host-time fields are wall-clock
-/// measurements and carry no such contract.
-pub fn run_scenario_profiled(sc: &Scenario, cold: bool) -> (ScenarioResult, CostModel) {
-    let (result, _, model) = if cold {
-        run_cold(sc, None, true)
-    } else {
-        run_warm(sc, None, true)
-    };
-    (result, model.expect("profiler was armed for this run"))
-}
-
-/// Runs one scenario with the time-series sampler armed at an `every`
-/// cadence, returning the captured series next to the result. The
-/// cadence is part of the prefix key (the sampler state rides in the
-/// checkpoint image), and the series is as deterministic as the
-/// telemetry: bit-identical across `--jobs` counts and, because restore
-/// ≡ never-stopped, across the warm (`cold = false`) and cold paths.
-pub fn run_scenario_sampled(sc: &Scenario, every: Ps, cold: bool) -> (ScenarioResult, TimeSeries) {
-    let (result, ts, _) = if cold {
-        run_cold(sc, Some(every), false)
-    } else {
-        run_warm(sc, Some(every), false)
-    };
-    (result, ts.expect("sampler was armed for this run"))
-}
-
-/// The warm path behind the public runners: prefix-cache lookup keyed on
-/// the scenario axes plus the sample cadence, then the suffix. The
-/// profiler is never persisted, so one prefix serves profiled and
-/// unprofiled scenarios alike: a profiled one arms it after the restore,
-/// and its work rows still count from the prefix's construction.
-fn run_warm(
-    sc: &Scenario,
-    sample_every: Option<Ps>,
-    profile: bool,
-) -> (ScenarioResult, Option<TimeSeries>, Option<CostModel>) {
+pub fn run_scenario_with(sc: &Scenario, opts: RunOptions) -> ScenarioResult {
+    if opts.cold {
+        let (sys, drive) = build_prefix(sc, opts.sample_every, opts.profile);
+        return finish_scenario(sys, sc, drive);
+    }
     let slot = {
         let mut map = prefix_cache().lock().expect("prefix cache lock");
-        map.entry(PrefixKey::of(sc, sample_every))
+        map.entry(prefix_key(sc, opts.sample_every))
             .or_default()
             .clone()
     };
     let entry = slot.get_or_init(|| {
-        let (mut sys, drive) = build_prefix(sc, sample_every, false);
+        let (mut sys, drive) = build_prefix(sc, opts.sample_every, false);
         PrefixEntry {
             bytes: Arc::new(sys.checkpoint()),
             drive,
@@ -225,20 +208,10 @@ fn run_warm(
     });
     let mut sys = VapresSystem::restore(sc.system_config(), scenario_library(), &entry.bytes)
         .expect("a prefix snapshot restores into its own configuration");
-    if profile {
+    if opts.profile {
         sys.enable_profiling();
     }
     finish_scenario(sys, sc, entry.drive.clone())
-}
-
-/// The cold path behind the public runners.
-fn run_cold(
-    sc: &Scenario,
-    sample_every: Option<Ps>,
-    profile: bool,
-) -> (ScenarioResult, Option<TimeSeries>, Option<CostModel>) {
-    let (sys, drive) = build_prefix(sc, sample_every, profile);
-    finish_scenario(sys, sc, drive)
 }
 
 /// Everything after the prefix: the swap itself, the drain, the harvest.
@@ -246,7 +219,7 @@ fn finish_scenario(
     mut sys: VapresSystem,
     sc: &Scenario,
     drive: Result<Drive, String>,
-) -> (ScenarioResult, Option<TimeSeries>, Option<CostModel>) {
+) -> ScenarioResult {
     let (outcome, drained) = match drive {
         Err(e) => (
             SwapOutcome::Failed {
@@ -312,23 +285,19 @@ fn finish_scenario(
         .snapshot_metrics()
         .expect("telemetry was enabled above")
         .clone();
-    let timeseries = sys.timeseries().cloned();
-    let cost_model = sys.profile_cost_model();
     let mut summary =
         ScenarioSummary::harvest(&telemetry, outcome, drained, samples_out, sim_time_ps);
     if let Some((cold_ps, warm_ps)) = repeat_swap {
         summary.repeat_swap_cold_ps = Some(cold_ps);
         summary.repeat_swap_warm_ps = Some(warm_ps);
     }
-    (
-        ScenarioResult {
-            scenario: sc.clone(),
-            summary,
-            telemetry,
-        },
-        timeseries,
-        cost_model,
-    )
+    ScenarioResult {
+        scenario: sc.clone(),
+        summary,
+        telemetry,
+        series: sys.timeseries().cloned(),
+        cost_model: sys.profile_cost_model(),
+    }
 }
 
 /// Corrupts the staged FIR B images with probability
@@ -357,6 +326,16 @@ mod tests {
     fn cache_guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn run_cold(sc: &Scenario) -> ScenarioResult {
+        run_scenario_with(
+            sc,
+            RunOptions {
+                cold: true,
+                ..RunOptions::default()
+            },
+        )
     }
 
     fn tiny(swap: SwapMethod, fault_rate: f64, seed: u64) -> Scenario {
@@ -468,7 +447,7 @@ mod tests {
             seed: 0xE3,
         };
         let scenarios = grid.expand();
-        let cold = run_sweep_with(&scenarios, 1, run_scenario_cold);
+        let cold = run_sweep_with(&scenarios, 1, run_cold);
         let warm = run_sweep_with(&scenarios, 2, run_scenario);
         let jsonl = |rs: &[ScenarioResult]| {
             let mut out = Vec::new();
@@ -481,7 +460,7 @@ mod tests {
         }
         // Six scenarios, two kl values × three methods: the three methods
         // share one prefix per kl, so only two distinct keys exist.
-        let mut keys: Vec<PrefixKey> = scenarios.iter().map(|sc| PrefixKey::of(sc, None)).collect();
+        let mut keys: Vec<String> = scenarios.iter().map(|sc| prefix_key(sc, None)).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 2, "swap method must not split the prefix key");
@@ -492,26 +471,77 @@ mod tests {
     fn faulty_prefixes_are_keyed_per_seed() {
         // Fault injection draws from the seed, so faulty prefixes must not
         // be shared across seeds — but fault-free ones must ignore it.
-        let a = PrefixKey::of(&tiny(SwapMethod::Seamless, 1.0, 41), None);
-        let b = PrefixKey::of(&tiny(SwapMethod::Seamless, 1.0, 42), None);
+        let a = prefix_key(&tiny(SwapMethod::Seamless, 1.0, 41), None);
+        let b = prefix_key(&tiny(SwapMethod::Seamless, 1.0, 42), None);
         assert_ne!(a, b, "distinct seeds under fault share a prefix");
-        let c = PrefixKey::of(&tiny(SwapMethod::Seamless, 0.0, 41), None);
-        let d = PrefixKey::of(&tiny(SwapMethod::Halt, 0.0, 42), None);
+        let c = prefix_key(&tiny(SwapMethod::Seamless, 0.0, 41), None);
+        let d = prefix_key(&tiny(SwapMethod::Halt, 0.0, 42), None);
         assert_eq!(c, d, "fault-free prefixes are seed- and method-agnostic");
         // The sample cadence splits the key: a sampled prefix image holds
         // sampler frames an unsampled scenario must not inherit.
-        let e = PrefixKey::of(&tiny(SwapMethod::Seamless, 0.0, 41), Some(Ps::from_us(100)));
+        let e = prefix_key(&tiny(SwapMethod::Seamless, 0.0, 41), Some(Ps::from_us(100)));
         assert_ne!(c, e, "sample cadence must split the prefix key");
         // And the staged-bitstream cache: its contents and counters ride
-        // in the checkpoint image, so capacity (including "off") must
-        // split the key.
+        // in the checkpoint image, so every capacity gets its own prefix.
         let mut cached = tiny(SwapMethod::Seamless, 0.0, 41);
         cached.bitstream_cache = 4;
-        let g = PrefixKey::of(&cached, None);
+        let g = prefix_key(&cached, None);
         assert_ne!(c, g, "cache capacity must split the prefix key");
         cached.bitstream_cache = 8;
-        let h = PrefixKey::of(&cached, None);
-        assert_ne!(g, h, "distinct capacities must not share a prefix");
+        let h = prefix_key(&cached, None);
+        assert_ne!(g, h, "distinct cache capacities share a prefix");
+    }
+
+    #[test]
+    fn every_field_but_the_masked_ones_splits_the_prefix_key() {
+        type Edit = fn(&mut Scenario);
+        let base = tiny(SwapMethod::Seamless, 0.0, 41);
+        let key = |edit: Edit| {
+            let mut sc = base.clone();
+            edit(&mut sc);
+            prefix_key(&sc, None)
+        };
+        // Destructured without `..`: a new `Scenario` field stops this
+        // test compiling until it is listed below as splitting or masked.
+        let Scenario {
+            index: _,
+            seed: _,
+            kr: _,
+            kl: _,
+            fifo_depth: _,
+            prr_clock_mhz: _,
+            swap: _,
+            fault_rate: _,
+            samples: _,
+            interval: _,
+            bitstream_cache: _,
+        } = base;
+        let splitting: [(&str, Edit); 8] = [
+            ("kr", |s| s.kr += 1),
+            ("kl", |s| s.kl += 1),
+            ("fifo_depth", |s| s.fifo_depth *= 2),
+            ("prr_clock_mhz", |s| s.prr_clock_mhz /= 2),
+            ("fault_rate", |s| s.fault_rate = 0.5),
+            ("samples", |s| s.samples += 1),
+            ("interval", |s| s.interval += 1),
+            ("bitstream_cache", |s| s.bitstream_cache += 4),
+        ];
+        for (field, edit) in splitting {
+            assert_ne!(key(edit), key(|_| ()), "{field} must split the prefix key");
+        }
+        let masked: [(&str, Edit); 4] = [
+            ("index", |s| s.index += 7),
+            ("swap", |s| s.swap = SwapMethod::Halt),
+            ("swap", |s| s.swap = SwapMethod::None),
+            ("seed", |s| s.seed += 1),
+        ];
+        for (field, edit) in masked {
+            assert_eq!(
+                key(edit),
+                key(|_| ()),
+                "{field} must not split the prefix key"
+            );
+        }
     }
 
     #[test]
@@ -543,7 +573,7 @@ mod tests {
             jsonl(&par),
             "cached sweep must be jobs-invariant"
         );
-        let cold = run_sweep_with(&scenarios, 1, run_scenario_cold);
+        let cold = run_sweep_with(&scenarios, 1, run_cold);
         assert_eq!(
             jsonl(&seq),
             jsonl(&cold),
@@ -575,46 +605,35 @@ mod tests {
         clear_prefix_cache();
     }
 
+    /// Runs `scenarios` through the one runner at `opts`, `jobs` wide.
+    fn sweep(scenarios: &[Scenario], jobs: usize, opts: RunOptions) -> Vec<ScenarioResult> {
+        run_sweep_with(scenarios, jobs, |sc| run_scenario_with(sc, opts))
+    }
+
     /// Renders per-scenario sampled series the way `vapres sweep
     /// --timeseries` does: tagged JSONL concatenated in scenario order.
-    fn sampled_jsonl(scenarios: &[Scenario], jobs: usize, cold: bool) -> String {
-        let every = Ps::from_us(100);
-        let chunks: Vec<Mutex<Option<String>>> =
-            scenarios.iter().map(|_| Mutex::new(None)).collect();
-        let results = run_sweep_with(scenarios, jobs, |sc| {
-            let (r, ts) = run_scenario_sampled(sc, every, cold);
-            let mut buf = Vec::new();
-            ts.write_jsonl_tagged(&mut buf, Some(&sc.label())).unwrap();
-            *chunks[sc.index].lock().unwrap() = Some(String::from_utf8(buf).unwrap());
-            r
-        });
-        assert_eq!(results.len(), scenarios.len());
-        chunks
-            .iter()
-            .map(|c| c.lock().unwrap().take().expect("every scenario sampled"))
-            .collect()
+    fn sampled_jsonl(results: &[ScenarioResult]) -> String {
+        let mut buf = Vec::new();
+        for r in results {
+            let ts = r.series.as_ref().expect("every scenario sampled");
+            ts.write_jsonl_tagged(&mut buf, Some(&r.scenario.label()))
+                .unwrap();
+        }
+        String::from_utf8(buf).unwrap()
     }
 
     /// Renders per-scenario cost models with the host fields stripped —
     /// the deterministic work-unit plane a regression gate compares.
-    fn work_plane_jsonl(scenarios: &[Scenario], jobs: usize, cold: bool) -> String {
-        let chunks: Vec<Mutex<Option<String>>> =
-            scenarios.iter().map(|_| Mutex::new(None)).collect();
-        let results = run_sweep_with(scenarios, jobs, |sc| {
-            let (r, model) = run_scenario_profiled(sc, cold);
-            let work: String = model
+    fn work_plane(results: &[ScenarioResult]) -> String {
+        let rows = |r: &ScenarioResult| {
+            let model = r.cost_model.as_ref().expect("every scenario profiled");
+            model
                 .rows
                 .iter()
                 .map(|row| format!("{} {}\n", row.component, row.work_units))
-                .collect();
-            *chunks[sc.index].lock().unwrap() = Some(work);
-            r
-        });
-        assert_eq!(results.len(), scenarios.len());
-        chunks
-            .iter()
-            .map(|c| c.lock().unwrap().take().expect("every scenario profiled"))
-            .collect()
+                .collect::<String>()
+        };
+        results.iter().map(rows).collect()
     }
 
     #[test]
@@ -634,10 +653,21 @@ mod tests {
             seed: 0xE3,
         };
         let scenarios = grid.expand();
-        let seq = work_plane_jsonl(&scenarios, 1, false);
-        let par = work_plane_jsonl(&scenarios, 4, false);
+        let profile = RunOptions {
+            profile: true,
+            ..RunOptions::default()
+        };
+        let seq = work_plane(&sweep(&scenarios, 1, profile));
+        let par = work_plane(&sweep(&scenarios, 4, profile));
         assert_eq!(seq, par, "work-unit plane must be jobs-invariant");
-        let cold = work_plane_jsonl(&scenarios, 1, true);
+        let cold = work_plane(&sweep(
+            &scenarios,
+            1,
+            RunOptions {
+                cold: true,
+                ..profile
+            },
+        ));
         assert_eq!(seq, cold, "warm-start changed the work-unit plane");
         assert!(seq.contains("exec/fabric "), "fabric dispatches counted");
         assert!(seq.contains("fabric/route"), "route spans harvested");
@@ -672,31 +702,44 @@ mod tests {
             "arming the profiler changed the prefix"
         );
 
-        let (plain, _, none) = run_warm(&sc, None, false);
-        assert!(none.is_none(), "an unprofiled run builds no cost model");
-        let (warm, _, warm_model) = run_warm(&sc, None, true);
+        let profile = RunOptions {
+            profile: true,
+            ..RunOptions::default()
+        };
+        let plain = run_scenario(&sc);
+        assert!(
+            plain.cost_model.is_none(),
+            "an unprofiled run builds no cost model"
+        );
+        let warm = run_scenario_with(&sc, profile);
         let entries = prefix_cache()
             .lock()
             .expect("prefix cache lock")
             .keys()
-            .filter(|k| k.samples == sc.samples)
+            .filter(|k| k.contains(&format!("samples: {},", sc.samples)))
             .count();
         assert_eq!(entries, 1, "profiling split the prefix cache");
         assert_eq!(plain.summary, warm.summary);
 
-        let (cold, _, cold_model) = run_cold(&sc, None, true);
+        let cold = run_scenario_with(
+            &sc,
+            RunOptions {
+                cold: true,
+                ..profile
+            },
+        );
         assert_eq!(warm.summary, cold.summary);
-        let work = |m: Option<CostModel>| -> Vec<(&'static str, u64)> {
-            let rows = m.expect("profiled run builds a cost model").rows;
+        let work = |r: &ScenarioResult| -> Vec<(&'static str, u64)> {
+            let rows = &r
+                .cost_model
+                .as_ref()
+                .expect("profiled run builds a cost model")
+                .rows;
             rows.iter().map(|r| (r.component, r.work_units)).collect()
         };
-        let warm_work = work(warm_model);
+        let warm_work = work(&warm);
         assert!(warm_work.iter().any(|&(c, u)| c == "exec/fabric" && u > 0));
-        assert_eq!(
-            warm_work,
-            work(cold_model),
-            "warm work column differs from cold"
-        );
+        assert_eq!(warm_work, work(&cold), "warm work column differs from cold");
     }
 
     #[test]
@@ -716,10 +759,21 @@ mod tests {
             seed: 11,
         };
         let scenarios = grid.expand();
-        let seq = sampled_jsonl(&scenarios, 1, false);
-        let par = sampled_jsonl(&scenarios, 4, false);
+        let sampled = RunOptions {
+            sample_every: Some(Ps::from_us(100)),
+            ..RunOptions::default()
+        };
+        let seq = sampled_jsonl(&sweep(&scenarios, 1, sampled));
+        let par = sampled_jsonl(&sweep(&scenarios, 4, sampled));
         assert_eq!(seq, par, "sampled series must be jobs-invariant");
-        let cold = sampled_jsonl(&scenarios, 1, true);
+        let cold = sampled_jsonl(&sweep(
+            &scenarios,
+            1,
+            RunOptions {
+                cold: true,
+                ..sampled
+            },
+        ));
         assert_eq!(seq, cold, "warm-start changed the sampled series");
         assert!(
             seq.contains("\"type\":\"series\""),

@@ -56,6 +56,12 @@ pub enum FifoEdgeKind {
     NoLongerEmpty,
 }
 
+crate::persist_tags!(FifoSide, "fifo side": Producer = 0, Consumer = 1);
+
+crate::persist_tags!(
+    FifoEdgeKind, "fifo edge": BecameFull = 0, NoLongerFull = 1, BecameEmpty = 2, NoLongerEmpty = 3
+);
+
 /// One recorded moment. Every variant is `Copy` and built from statics
 /// and integers so recording never allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -346,16 +352,8 @@ impl Persist for FlightEvent {
                 w.put_u8(4);
                 w.put_u32(node);
                 w.put_u32(port);
-                w.put_u8(match side {
-                    FifoSide::Producer => 0,
-                    FifoSide::Consumer => 1,
-                });
-                w.put_u8(match edge {
-                    FifoEdgeKind::BecameFull => 0,
-                    FifoEdgeKind::NoLongerFull => 1,
-                    FifoEdgeKind::BecameEmpty => 2,
-                    FifoEdgeKind::NoLongerEmpty => 3,
-                });
+                side.persist(w);
+                edge.persist(w);
             }
             FlightEvent::RouteEstablished {
                 channel,
@@ -428,18 +426,8 @@ impl Persist for FlightEvent {
             4 => FlightEvent::FifoEdge {
                 node: r.take_u32()?,
                 port: r.take_u32()?,
-                side: match r.take_u8()? {
-                    0 => FifoSide::Producer,
-                    1 => FifoSide::Consumer,
-                    t => return Err(PersistError::Corrupt(format!("fifo side tag {t}"))),
-                },
-                edge: match r.take_u8()? {
-                    0 => FifoEdgeKind::BecameFull,
-                    1 => FifoEdgeKind::NoLongerFull,
-                    2 => FifoEdgeKind::BecameEmpty,
-                    3 => FifoEdgeKind::NoLongerEmpty,
-                    t => return Err(PersistError::Corrupt(format!("fifo edge tag {t}"))),
-                },
+                side: FifoSide::restore(r)?,
+                edge: FifoEdgeKind::restore(r)?,
             },
             5 => FlightEvent::RouteEstablished {
                 channel: r.take_u32()?,

@@ -31,6 +31,7 @@ use crate::params::FabricParams;
 use crate::word::Word;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use vapres_sim::flight::FifoEdgeKind;
 use vapres_sim::persist::{Persist, PersistError, Reader, Writer};
 
 /// Identifies one module-interface port: node index plus port index within
@@ -194,9 +195,9 @@ fn note_fifo_edges(
             port,
             producer,
             edge: if full {
-                FifoEdge::BecameFull
+                FifoEdgeKind::BecameFull
             } else {
-                FifoEdge::NoLongerFull
+                FifoEdgeKind::NoLongerFull
             },
         });
     }
@@ -207,9 +208,9 @@ fn note_fifo_edges(
             port,
             producer,
             edge: if empty {
-                FifoEdge::BecameEmpty
+                FifoEdgeKind::BecameEmpty
             } else {
-                FifoEdge::NoLongerEmpty
+                FifoEdgeKind::NoLongerEmpty
             },
         });
     }
@@ -333,21 +334,6 @@ pub fn min_fifo_depth(depth: usize) -> usize {
     2 * depth + 2
 }
 
-/// Which occupancy threshold an interface FIFO crossed, in which
-/// direction (observability event capture; see
-/// [`StreamFabric::set_event_capture`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FifoEdge {
-    /// The FIFO filled to capacity.
-    BecameFull,
-    /// A full FIFO made space.
-    NoLongerFull,
-    /// The FIFO drained to empty.
-    BecameEmpty,
-    /// An empty FIFO accepted a word.
-    NoLongerEmpty,
-}
-
 /// One captured FIFO threshold crossing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FifoEvent {
@@ -358,7 +344,7 @@ pub struct FifoEvent {
     /// True for the producer (module-output) side, false for consumer.
     pub producer: bool,
     /// Which threshold was crossed.
-    pub edge: FifoEdge,
+    pub edge: FifoEdgeKind,
 }
 
 /// The captured crossings handed back by
@@ -1607,10 +1593,6 @@ vapres_sim::persist_tags!(Dir, "direction": Right = 0, Left = 1);
 
 vapres_sim::persist_fields!(Slot: dir, segment, channel);
 
-vapres_sim::persist_tags!(
-    FifoEdge, "fifo edge": BecameFull = 0, NoLongerFull = 1, BecameEmpty = 2, NoLongerEmpty = 3
-);
-
 vapres_sim::persist_fields!(FifoEvent: cycle, port, producer, edge);
 
 vapres_sim::persist_fields!(
@@ -1959,10 +1941,10 @@ mod tests {
         f.tick(); // injection drains the producer FIFO again
         let evs: Vec<_> = f.drain_fifo_events().collect();
         assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].edge, FifoEdge::NoLongerEmpty);
+        assert_eq!(evs[0].edge, FifoEdgeKind::NoLongerEmpty);
         assert!(evs[0].producer);
         assert_eq!(evs[0].port, p);
-        assert_eq!(evs[1].edge, FifoEdge::BecameEmpty);
+        assert_eq!(evs[1].edge, FifoEdgeKind::BecameEmpty);
         assert_eq!(evs[1].cycle, 1);
 
         // Run the word to the consumer: one NoLongerEmpty on arrival,
@@ -1973,7 +1955,10 @@ mod tests {
         assert!(f.consumer_pop(c).unwrap().is_some());
         let evs: Vec<_> = f.drain_fifo_events().collect();
         let kinds: Vec<_> = evs.iter().map(|e| e.edge).collect();
-        assert_eq!(kinds, [FifoEdge::NoLongerEmpty, FifoEdge::BecameEmpty]);
+        assert_eq!(
+            kinds,
+            [FifoEdgeKind::NoLongerEmpty, FifoEdgeKind::BecameEmpty]
+        );
         assert!(evs.iter().all(|e| !e.producer && e.port == c));
 
         // Capture off: silence.

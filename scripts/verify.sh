@@ -359,7 +359,7 @@ awk -F'[,:{}"]+' '
     }' crates/bench/BENCH_fabric.json \
     || { echo "fabric batching smoke failed" >&2; exit 1; }
 
-echo "==> profiler smoke (sim --profile on E3, cost-model work plane jobs/warmth-invariant)"
+echo "==> profiler smoke (sim --profile on E3, cost-model work plane and profiled series jobs/warmth-invariant)"
 profdir="$(mktemp -d)"
 ./target/release/vapres-cli sim --swap seamless --samples 2000 --profile yes \
     --flame "$profdir/flame.folded" --cost-model "$profdir/cost.json" \
@@ -401,6 +401,27 @@ cmp -s "$profdir/work_j1.txt" "$profdir/work_cold.txt" \
     || { echo "sweep cost-model work plane differs between warm and cold" >&2; exit 1; }
 grep -q '"component":"fabric/route' "$profdir/model_j1.json" \
     || { echo "merged sweep cost model missing per-route components" >&2; exit 1; }
+# Profiling and sampling combine in one sweep: its series equals the
+# sampled-only sweep's, and its series and work plane are identical
+# across job counts and warm/cold.
+sampled_sweep() { # $1 = jobs, $2 = extra flags, $3 = output tag
+    ./target/release/vapres-cli sweep \
+        --kr 2 --kl 2,3 --fifo-depth 512 --swap none,seamless \
+        --samples 300 --interval 50 --seed 7 --jobs "$1" $2 \
+        --sample-every 100 --timeseries "$profdir/series_$3.jsonl" >/dev/null
+}
+sampled_sweep 1 "" alone
+for run in "1 j1" "4 j4" "1 cold --cold yes"; do
+    read -r jobs tag extra <<< "$run"
+    sampled_sweep "$jobs" "$extra --profile yes --cost-model $profdir/both_$tag.json" "both_$tag"
+    sed 's/"host_ns":.*//' "$profdir/both_$tag.json" > "$profdir/both_work_$tag.txt"
+    cmp -s "$profdir/series_alone.jsonl" "$profdir/series_both_$tag.jsonl" \
+        || { echo "profiled+sampled sweep series ($tag) differs from the sampled-only sweep" >&2; exit 1; }
+done
+cmp -s "$profdir/both_work_j1.txt" "$profdir/both_work_j4.txt" \
+    || { echo "profiled+sampled sweep work plane differs between --jobs 1 and 4" >&2; exit 1; }
+cmp -s "$profdir/both_work_j1.txt" "$profdir/both_work_cold.txt" \
+    || { echo "profiled+sampled sweep work plane differs between warm and cold" >&2; exit 1; }
 rm -rf "$profdir"
 
 echo "==> fleet smoke (multi-RSB run byte-identical across runs, diff-gated)"
